@@ -2,9 +2,10 @@
 
 Each problem is reduced to the operator -d^2/dx^2 + V(x) with Dirichlet zeros
 at both grid endpoints, discretized by the 3-point stencil on a uniform grid.
-Eigenvalues of the resulting symmetric tridiagonal matrix are located by
-Sturm-sequence bisection, eigenvectors by inverse iteration, and energies are
-improved by Richardson extrapolation over a node-nested grid pair (h, h/2).
+The lowest eigenvalues of the resulting symmetric tridiagonal matrix come from
+LAPACK bisection (?stebz, via scipy.linalg.eigh_tridiagonal), eigenvectors from
+inverse iteration, and energies are improved by Richardson extrapolation over
+a node-nested grid pair (h, h/2).
 
 For the singular kinds the boundary node sits one spacing away from the
 singularity; the physical solutions vanish there like (distance)^(3/2), so a
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, eigh_tridiagonal, solve_banded
 
 from .core import DomainError, PhysicalParams
 
@@ -38,7 +39,7 @@ _SYMMETRIC_KINDS = ("eqo2", "truncated")
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative stage (bisection, inverse iteration, truncation check) failed."""
+    """A numeric stage (LAPACK eigenvalues, inverse iteration, truncation check) failed."""
 
 
 @dataclass(frozen=True)
@@ -224,53 +225,30 @@ def _check_domain(spec: ProblemSpec, grid: Grid):
         raise DomainError(f"kind {spec.kind!r} expects a symmetric domain")
 
 
-def _sturm_count(diag, off2, sigma: float, pivmin: float) -> int:
-    """Number of eigenvalues strictly below sigma (Sturm sequence sign count)."""
-    count = 0
-    q = 1.0
-    for i in range(len(diag)):
-        if q == 0.0:
-            q = pivmin
-        q = diag[i] - sigma - (off2[i - 1] / q if i else 0.0)
-        if q < 0.0:
-            count += 1
-    return count
-
-
 def lowest_eigenvalues(matrix: TridiagonalMatrix, k: int, rel_tol: float = 1e-12):
-    """The k smallest eigenvalues by Sturm-sequence bisection, ascending."""
+    """The k smallest eigenvalues by LAPACK bisection (?stebz), ascending.
+
+    rel_tol is handed to ?stebz as its absolute interval width, so every
+    eigenvalue is bracketed to within rel_tol * max(1, |lambda|).  NaN or
+    infinite entries raise ValueError; a LAPACK failure raises
+    ConvergenceError.
+    """
     n = matrix.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    diag = matrix.diag.tolist()
-    off2 = (matrix.off**2).tolist() if n > 1 else []
-    radius = np.zeros(n)
-    if n > 1:
-        radius[:-1] += np.abs(matrix.off)
-        radius[1:] += np.abs(matrix.off)
-    lo_all = float(np.min(matrix.diag - radius))
-    hi_all = float(np.max(matrix.diag + radius))
-    pivmin = 1e-300
-
-    results = []
-    for index in range(k):
-        lo, hi = lo_all, hi_all
-        # keep the invariant count(lo) <= index < count(hi)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= rel_tol * max(1.0, abs(mid)):
-                break
-            if _sturm_count(diag, off2, mid, pivmin) >= index + 1:
-                hi = mid
-            else:
-                lo = mid
-        else:
-            raise ConvergenceError(
-                f"bisection for eigenvalue {index} did not reach width "
-                f"{rel_tol:.1e} (bracket [{lo}, {hi}])"
-            )
-        results.append(0.5 * (lo + hi))
-    return results
+    try:
+        lams = eigh_tridiagonal(
+            matrix.diag,
+            matrix.off,
+            eigvals_only=True,
+            select="i",
+            select_range=(0, k - 1),
+            lapack_driver="stebz",
+            tol=rel_tol,
+        )
+    except LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK ?stebz failed: {exc}") from exc
+    return lams.tolist()
 
 
 def eigenvector(

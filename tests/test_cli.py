@@ -166,3 +166,15 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "run_spectrum", boom)
         assert cli.main(["spectrum", "--levels", "1"]) == 2
+
+    def test_lapack_failure_maps_to_exit_2(self, monkeypatch, capsys):
+        from scipy.linalg import LinAlgError
+
+        from affineosc import cli, numeric
+
+        def fail(*args, **kwargs):
+            raise LinAlgError("synthetic stebz failure")
+
+        monkeypatch.setattr(numeric, "eigh_tridiagonal", fail)
+        assert cli.main(["spectrum", "--levels", "1"]) == 2
+        assert "numerical failure" in capsys.readouterr().err

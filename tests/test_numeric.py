@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from affineosc import numeric
 from affineosc.analytic import coupled_y1_eigen, coupled_y2_eigen, half_ho_eigen
 from affineosc.core import DomainError, PhysicalParams
 from affineosc.numeric import (
@@ -159,6 +160,43 @@ class TestLowestEigenvalues:
         with pytest.raises(ValueError):
             lowest_eigenvalues(laplacian_3(), 0)
 
+    def test_one_by_one(self):
+        matrix = TridiagonalMatrix(diag=np.array([3.5]), off=np.array([]))
+        assert lowest_eigenvalues(matrix, 1) == [3.5]
+
+    def test_split_matrix_repeated_eigenvalues(self):
+        matrix = TridiagonalMatrix(
+            diag=np.array([1.0, 1.0, 2.0, 1.0]), off=np.zeros(3)
+        )
+        assert lowest_eigenvalues(matrix, 4) == [1.0, 1.0, 1.0, 2.0]
+
+    def test_stiff_grid_against_dense_oracle(self):
+        # 1-norm about 1e5, set by the stencil and not by the low
+        # eigenvalues asked for
+        matrix = assemble(ProblemSpec(kind="eqintro"), Grid(0.0, 6.3, 1000))
+        assert 0.5e5 <= np.max(np.abs(matrix.diag)) + 2 * abs(matrix.off[0]) <= 2e5
+        dense = np.diag(matrix.diag) + np.diag(matrix.off, 1) + np.diag(matrix.off, -1)
+        expected = np.linalg.eigvalsh(dense)[:10]
+        np.testing.assert_allclose(lowest_eigenvalues(matrix, 10), expected, rtol=1e-10)
+
+    def test_stiff_laplacian_closed_form(self):
+        # 1-norm about 6e7: with the LAPACK default tolerance eps * |T| the
+        # lowest eigenvalues come out only to about 4e-10 relative
+        n = 4000
+        h = 1.0 / (n + 1)
+        matrix = TridiagonalMatrix(
+            diag=np.full(n, 2.0 / h**2), off=np.full(n - 1, -1.0 / h**2)
+        )
+        j = np.arange(1, 11)
+        exact = 4.0 / h**2 * np.sin(j * math.pi * h / 2.0) ** 2
+        np.testing.assert_allclose(lowest_eigenvalues(matrix, 10), exact, rtol=1e-10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        matrix = TridiagonalMatrix(diag=np.array([2.0, bad, 2.0]), off=np.array([-1.0, -1.0]))
+        with pytest.raises(ValueError, match="NaN"):
+            lowest_eigenvalues(matrix, 1)
+
 
 class TestEigenvector:
     def test_laplacian_middle_mode(self):
@@ -255,6 +293,20 @@ class TestSolve:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             solve(ProblemSpec(kind="eqintro"), 0)
+
+    def test_eigen_calls_go_through_module_attributes(self, monkeypatch):
+        calls = {"lowest_eigenvalues": 0, "eigenvector": 0}
+        for name in calls:
+            original = getattr(numeric, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(numeric, name, counted)
+        solve(ProblemSpec(kind="eqintro"), 3)
+        # fine and coarse grid eigenvalues, then one eigenvector per level
+        assert calls == {"lowest_eigenvalues": 2, "eigenvector": 3}
 
 
 class TestConvergenceOrder:
