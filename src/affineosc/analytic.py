@@ -31,8 +31,6 @@ HALF_HO = "half_ho"
 COUPLED_Y1 = "coupled_y1"
 COUPLED_Y2 = "coupled_y2"
 
-_HALFLINE_BRANCHES = (HALF_HO, COUPLED_Y1)
-
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -96,47 +94,30 @@ def _hermite_wavefunction(n: int, alpha: float):
     return phi
 
 
+def _pair(branch: str, n: int, params: PhysicalParams, wavefunction) -> EigenPair:
+    """Level n of a branch, with its energy from branch_energy."""
+    return EigenPair(n, branch_energy(branch, n, params), branch, params, wavefunction)
+
+
 def half_ho_eigen(n: int, params: PhysicalParams) -> EigenPair:
     """Half harmonic oscillator level: E_n = 2(n+1) hbar omega."""
     n = _check_n(n)
     alpha = params.m * params.omega / params.hbar
-    return EigenPair(
-        n=n,
-        energy=2.0 * (n + 1) * params.hbar * params.omega,
-        branch=HALF_HO,
-        params=params,
-        wavefunction=_halfline_wavefunction(n, alpha),
-    )
+    return _pair(HALF_HO, n, params, _halfline_wavefunction(n, alpha))
 
 
 def coupled_y1_eigen(n: int, params: PhysicalParams) -> EigenPair:
     """Stiff-mode level: E_n = (n+1) hbar omega sqrt(1 + g/(m omega^2))."""
     n = _check_n(n)
     params.require_quantum_coupling()
-    energy = (n + 1) * params.hbar * params.omega * math.sqrt(1.0 + params.g_ratio)
-    return EigenPair(
-        n=n,
-        energy=energy,
-        branch=COUPLED_Y1,
-        params=params,
-        wavefunction=_halfline_wavefunction(n, params.alpha1),
-    )
+    return _pair(COUPLED_Y1, n, params, _halfline_wavefunction(n, params.alpha1))
 
 
 def coupled_y2_eigen(n: int, params: PhysicalParams) -> EigenPair:
     """Soft-mode level: E_n = (n + 1/2) (hbar omega / 2) sqrt(1 - g/(m omega^2))."""
     n = _check_n(n)
     params.require_quantum_coupling()
-    energy = (
-        (n + 0.5) * 0.5 * params.hbar * params.omega * math.sqrt(1.0 - params.g_ratio)
-    )
-    return EigenPair(
-        n=n,
-        energy=energy,
-        branch=COUPLED_Y2,
-        params=params,
-        wavefunction=_hermite_wavefunction(n, params.alpha2),
-    )
+    return _pair(COUPLED_Y2, n, params, _hermite_wavefunction(n, params.alpha2))
 
 
 def branch_energy(branch: str, n: int, params: PhysicalParams) -> float:

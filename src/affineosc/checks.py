@@ -231,14 +231,12 @@ def check_node_counts() -> CheckResult:
 def check_numeric_vs_analytic() -> CheckResult:
     params = core.PhysicalParams(g=0.6)
     worst = 0.0
-    targets = {
-        "eqintro": [analytic.half_ho_eigen(n, params).energy for n in range(4)],
-        "eqo1": [analytic.coupled_y1_eigen(n, params).energy for n in range(4)],
-        "eqo2": [analytic.coupled_y2_eigen(n, params).energy for n in range(4)],
-    }
-    for kind, expected in targets.items():
+    for kind, facts in numeric.KIND_FACTS.items():
+        if facts.branch is None:
+            continue
         result = numeric.solve(numeric.ProblemSpec(kind=kind, params=params), k=4)
-        for (_, _, energy, _), ref in zip(result.levels, expected):
+        for n, _, energy, _ in result.levels:
+            ref = analytic.branch_energy(facts.branch, n, params)
             worst = max(worst, abs(energy - ref) / abs(ref))
     return ("numeric spectra match closed forms", worst <= 1e-6,
             f"max relative deviation {worst:.3e}")

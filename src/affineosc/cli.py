@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional
@@ -35,7 +36,6 @@ from .numeric import ConvergenceError, GridPolicy, ProblemSpec
 from .specfun import QuadratureError
 
 COMMANDS = ("spectrum", "coupled", "sweep", "specfun", "check")
-ANALYTIC_KINDS = ("eqintro", "eqo1", "eqo2")
 SPECFUN_NAMES = ("1f1", "hermite", "laguerre")
 
 
@@ -63,8 +63,6 @@ class RunConfig:
     out: Optional[str] = None
     format: str = "csv"
 
-    _FLOAT_LIST_FIELDS = ("b_values", "points")
-
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"field 'command' must be one of {COMMANDS}, got {self.command!r}")
@@ -85,9 +83,7 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "RunConfig":
-        known = set(cls.__dataclass_fields__) - {"_FLOAT_LIST_FIELDS"}
-        known = {k for k in known if not k.startswith("_")}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
@@ -96,8 +92,7 @@ class RunConfig:
         return PhysicalParams(m=self.m, omega=self.omega, hbar=self.hbar, g=self.g)
 
     def to_mapping(self) -> dict:
-        data = asdict(self)
-        return {k: v for k, v in data.items() if not k.startswith("_")}
+        return asdict(self)
 
 
 def _fmt_float(x: float) -> str:
@@ -110,7 +105,8 @@ def _render_value(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _fmt_float(value)
+        # JSON has no NaN or infinity
+        return _fmt_float(value) if math.isfinite(value) else "null"
     if isinstance(value, str):
         return json.dumps(value)
     if value is None:
@@ -136,17 +132,20 @@ def render_json(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_cell(cell) -> str:
+    if cell is None:
+        return ""
+    if isinstance(cell, str):
+        return cell
+    if isinstance(cell, (int, np.integer)) and not isinstance(cell, bool):
+        return str(cell)
+    return _fmt_float(cell)
+
+
 def render_csv(header: List[str], rows: List[List]) -> str:
     out = [",".join(header)]
     for row in rows:
-        out.append(
-            ",".join(
-                ""
-                if cell is None
-                else (str(cell) if isinstance(cell, (int, np.integer)) and not isinstance(cell, bool) else _fmt_float(cell))
-                for cell in row
-            )
-        )
+        out.append(",".join(_csv_cell(cell) for cell in row))
     return "\n".join(out) + "\n"
 
 
@@ -156,6 +155,33 @@ def _write(text: str, path: Optional[str]):
     else:
         with open(path, "w", newline="\n") as handle:
             handle.write(text)
+
+
+def _companion(path: str, tag: str) -> str:
+    if "." in path.rsplit("/", 1)[-1]:
+        stem, ext = path.rsplit(".", 1)
+        return f"{stem}_{tag}.{ext}"
+    return f"{path}_{tag}"
+
+
+def _emit(config: RunConfig, header: List[str], rows: List[List], doc: dict, companions=()):
+    """Write a command's result in the configured format.
+
+    CSV writes the table (header, rows) and, when the output goes to a file,
+    each companion (tag, header, rows) to a ``*_<tag>`` file next to it.
+    JSON writes doc, which already holds everything the tables hold.
+    """
+    if config.format == "json":
+        _write(render_json(doc), config.out)
+        return
+    _write(render_csv(header, rows), config.out)
+    if config.out is not None:
+        for tag, comp_header, comp_rows in companions:
+            _write(render_csv(comp_header, comp_rows), _companion(config.out, tag))
+
+
+def _records(header: List[str], rows: List[List]) -> List[dict]:
+    return [dict(zip(header, row)) for row in rows]
 
 
 def _meta(config: RunConfig, grid=None) -> dict:
@@ -175,23 +201,13 @@ def _policy(config: RunConfig) -> Optional[GridPolicy]:
 
 
 def _problem_spec(config: RunConfig) -> ProblemSpec:
-    kwargs = {}
-    if config.kind in ("hext1", "truncated"):
-        kwargs["b"] = config.b
-    if config.kind == "truncated":
-        kwargs["order"] = config.order
-    return ProblemSpec(kind=config.kind, params=config.params(), **kwargs)
-
-
-def _analytic_energy(kind: str, n: int, params: PhysicalParams) -> Optional[float]:
-    branch = {
-        "eqintro": analytic.HALF_HO,
-        "eqo1": analytic.COUPLED_Y1,
-        "eqo2": analytic.COUPLED_Y2,
-    }.get(kind)
-    if branch is None:
-        return None
-    return analytic.branch_energy(branch, n, params)
+    facts = numeric.KIND_FACTS[config.kind]
+    return ProblemSpec(
+        kind=config.kind,
+        params=config.params(),
+        b=config.b if facts.takes_b else None,
+        order=config.order if facts.series else None,
+    )
 
 
 def _downsample(grid, samples, count):
@@ -203,68 +219,46 @@ def _downsample(grid, samples, count):
 def run_spectrum(config: RunConfig) -> int:
     spec = _problem_spec(config)
     result = numeric.solve(spec, config.levels, _policy(config))
+    branch = spec.facts.branch
+    header = ["n", "energy_analytic", "energy_numeric", "abs_diff"]
     rows = []
     for n, _, energy, _ in result.levels:
-        e_ref = _analytic_energy(config.kind, n, spec.params)
+        e_ref = None if branch is None else analytic.branch_energy(branch, n, spec.params)
         diff = None if e_ref is None else abs(energy - e_ref)
         rows.append([n, e_ref, energy, diff])
-    if config.format == "csv":
-        text = render_csv(["n", "energy_analytic", "energy_numeric", "abs_diff"], rows)
-    else:
-        doc = {
-            "levels": [
-                {"n": r[0], "energy_analytic": r[1], "energy_numeric": r[2], "abs_diff": r[3]}
-                for r in rows
-            ],
-            "meta": {**_meta(config, result.grid), "kind": config.kind},
-        }
-        if config.samples > 0:
-            doc["wavefunctions"] = [
-                {"n": n, "samples": _downsample(result.grid, wf, config.samples)}
-                for n, _, _, wf in result.levels
-            ]
-        text = render_json(doc)
-    _write(text, config.out)
-    if config.format == "csv" and config.samples > 0 and config.out is not None:
-        wf_rows = []
-        for n, _, _, wf in result.levels:
-            for x, value in _downsample(result.grid, wf, config.samples):
-                wf_rows.append([n, x, value])
-        _write(render_csv(["n", "x", "value"], wf_rows), _companion(config.out, "wavefunctions"))
+    doc = {
+        "levels": _records(header, rows),
+        "meta": {**_meta(config, result.grid), "kind": config.kind},
+    }
+    companions = []
+    if config.samples > 0:
+        samples = [
+            (n, _downsample(result.grid, wf, config.samples)) for n, _, _, wf in result.levels
+        ]
+        doc["wavefunctions"] = [{"n": n, "samples": s} for n, s in samples]
+        wf_rows = [[n, x, value] for n, s in samples for x, value in s]
+        companions.append(("wavefunctions", ["n", "x", "value"], wf_rows))
+    _emit(config, header, rows, doc, companions)
     return 0
-
-
-def _companion(path: str, tag: str) -> str:
-    if "." in path.rsplit("/", 1)[-1]:
-        stem, ext = path.rsplit(".", 1)
-        return f"{stem}_{tag}.{ext}"
-    return f"{path}_{tag}"
 
 
 def run_coupled(config: RunConfig) -> int:
     params = config.params()
     levels = analytic.composite_spectrum(params, config.count)
+    header = ["n1", "n2", "energy"]
     rows = [[lv.n1, lv.n2, lv.energy] for lv in levels]
-    branch_rows = []
-    for branch in (analytic.COUPLED_Y1, analytic.COUPLED_Y2):
-        for n in range(config.count):
-            branch_rows.append([branch, n, analytic.branch_energy(branch, n, params)])
-    if config.format == "csv":
-        _write(render_csv(["n1", "n2", "energy"], rows), config.out)
-        if config.out is not None:
-            branch_csv = [",".join(["branch", "n", "energy"])]
-            for branch, n, e in branch_rows:
-                branch_csv.append(f"{branch},{n},{_fmt_float(e)}")
-            _write("\n".join(branch_csv) + "\n", _companion(config.out, "branches"))
-    else:
-        doc = {
-            "composite": [{"n1": r[0], "n2": r[1], "energy": r[2]} for r in rows],
-            "branches": [
-                {"branch": b, "n": n, "energy": e} for b, n, e in branch_rows
-            ],
-            "meta": _meta(config),
-        }
-        _write(render_json(doc), config.out)
+    branch_header = ["branch", "n", "energy"]
+    branch_rows = [
+        [branch, n, analytic.branch_energy(branch, n, params)]
+        for branch in (analytic.COUPLED_Y1, analytic.COUPLED_Y2)
+        for n in range(config.count)
+    ]
+    doc = {
+        "composite": _records(header, rows),
+        "branches": _records(branch_header, branch_rows),
+        "meta": _meta(config),
+    }
+    _emit(config, header, rows, doc, [("branches", branch_header, branch_rows)])
     return 0
 
 
@@ -272,26 +266,19 @@ def run_sweep(config: RunConfig) -> int:
     result = interp.b_sweep(
         config.params(), config.b_values, config.levels, _policy(config)
     )
+    header = ["b", "n", "energy", "dev_half", "dev_full"]
     rows = [[row.b, row.n, row.energy, row.dev_half, row.dev_full] for row in result.rows]
-    if config.format == "csv":
-        text = render_csv(["b", "n", "energy", "dev_half", "dev_full"], rows)
-    else:
-        text = render_json(
-            {
-                "rows": [
-                    {"b": b, "n": n, "energy": e, "dev_half": dh, "dev_full": df}
-                    for b, n, e, dh, df in rows
-                ],
-                "meta": {
-                    **_meta(config),
-                    "grids": {
-                        _fmt_float(b): {"n": n, "x_min": lo, "x_max": hi}
-                        for b, (n, lo, hi) in result.grid_meta.items()
-                    },
-                },
-            }
-        )
-    _write(text, config.out)
+    doc = {
+        "rows": _records(header, rows),
+        "meta": {
+            **_meta(config),
+            "grids": {
+                _fmt_float(b): {"n": n, "x_min": lo, "x_max": hi}
+                for b, (n, lo, hi) in result.grid_meta.items()
+            },
+        },
+    }
+    _emit(config, header, rows, doc)
     return 0
 
 
@@ -304,20 +291,16 @@ def run_specfun(config: RunConfig) -> int:
         values = [specfun.hermite(config.fn_n, x) for x in config.points]
     else:
         values = [specfun.laguerre_assoc(config.fn_n, config.fn_param, x) for x in config.points]
+    header = ["x", "value"]
     rows = [[x, v] for x, v in zip(config.points, values)]
-    if config.format == "csv":
-        text = render_csv(["x", "value"], rows)
-    else:
-        text = render_json(
-            {
-                "fn": config.fn,
-                "n": config.fn_n,
-                "param": config.fn_param,
-                "values": [{"x": x, "value": v} for x, v in rows],
-                "meta": _meta(config),
-            }
-        )
-    _write(text, config.out)
+    doc = {
+        "fn": config.fn,
+        "n": config.fn_n,
+        "param": config.fn_param,
+        "values": _records(header, rows),
+        "meta": _meta(config),
+    }
+    _emit(config, header, rows, doc)
     return 0
 
 

@@ -34,6 +34,10 @@ class PhysicalParams:
     g: float = 0.0
 
     def __post_init__(self):
+        for name in ("m", "omega", "hbar", "g"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.m <= 0:
             raise ValueError(f"m must be positive, got {self.m}")
         if self.omega <= 0:

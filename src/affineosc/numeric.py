@@ -20,22 +20,47 @@ eigenvalue):
 * ``eqo2``      soft normal mode, pure quadratic well; E = lambda hbar^2 / (4m)
 * ``hext1``     barrier shifted to x = -b, quadratic well centered at 0; E = lambda hbar^2 / (2m)
 * ``truncated`` hext1 with the barrier replaced by its |x/b| < 1 power series; E = lambda hbar^2 / (2m)
+
+``KIND_FACTS`` holds these facts as one ``KindFacts`` record per kind; the
+solver and the command line branch on the record, never on the kind name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal, solve_banded
 
+from .analytic import COUPLED_Y1, COUPLED_Y2, HALF_HO
 from .core import DomainError, PhysicalParams
 
-KINDS = ("eqintro", "eqo1", "eqo2", "hext1", "truncated")
-_HALFLINE_KINDS = ("eqintro", "eqo1")
-_SYMMETRIC_KINDS = ("eqo2", "truncated")
+
+@dataclass(frozen=True)
+class KindFacts:
+    """Everything the solver and the command line need to know about a kind."""
+
+    branch: Optional[str] = None  # closed-form branch in ``analytic``
+    # normal mode "y1" or "y2": fixes the confinement alpha^2, the energy scale
+    # hbar^2 / (4m) and the need for 0 < g < m omega^2
+    mode: Optional[str] = None
+    # 3/(4(x+b)^2) barrier, singular at x = -b (b = 0 unless takes_b); the
+    # domain starts there.  Without a barrier the domain is symmetric.
+    barrier: bool = False
+    takes_b: bool = False  # needs an endpoint offset b >= 0
+    series: bool = False  # hext1's barrier replaced by its power series in x/b
+
+
+KIND_FACTS = {
+    "eqintro": KindFacts(branch=HALF_HO, barrier=True),
+    "eqo1": KindFacts(branch=COUPLED_Y1, mode="y1", barrier=True),
+    "eqo2": KindFacts(branch=COUPLED_Y2, mode="y2"),
+    "hext1": KindFacts(barrier=True, takes_b=True),
+    "truncated": KindFacts(takes_b=True, series=True),
+}
+KINDS = tuple(KIND_FACTS)
 
 
 class ConvergenceError(RuntimeError):
@@ -81,46 +106,47 @@ class ProblemSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
-        if self.kind in ("hext1", "truncated"):
-            if self.b is None or self.b < 0:
-                raise ValueError(f"kind {self.kind!r} needs an endpoint offset b >= 0")
+        facts = self.facts
+        if facts.takes_b:
+            if self.b is None or not 0 <= self.b < math.inf:
+                raise ValueError(f"kind {self.kind!r} needs a finite b >= 0, got {self.b}")
         elif self.b is not None:
             raise ValueError(f"kind {self.kind!r} does not take b")
-        if self.kind == "truncated":
+        if facts.series:
             if self.b == 0:
-                raise ValueError("truncated kind needs b > 0")
+                raise ValueError(f"kind {self.kind!r} needs b > 0")
             if self.order is None or not 0 <= self.order <= 4:
-                raise ValueError("truncated kind needs an expansion order in 0..4")
+                raise ValueError(f"kind {self.kind!r} needs an expansion order in 0..4")
         elif self.order is not None:
             raise ValueError(f"kind {self.kind!r} does not take an expansion order")
-        if self.kind in ("eqo1", "eqo2"):
+        if facts.mode is not None:
             self.params.require_quantum_coupling()
+
+    @property
+    def facts(self) -> KindFacts:
+        return KIND_FACTS[self.kind]
 
     @property
     def energy_scale(self) -> float:
         """Factor mapping a discrete eigenvalue lambda to a physical energy."""
         p = self.params
-        if self.kind in ("eqo1", "eqo2"):
-            return p.hbar**2 / (4.0 * p.m)
-        return p.hbar**2 / (2.0 * p.m)
+        return p.hbar**2 / ((2.0 if self.facts.mode is None else 4.0) * p.m)
 
     @property
     def quad_coeff(self) -> float:
         """Coefficient of the quadratic confinement term in the operator potential."""
         p = self.params
-        if self.kind == "eqo1":
-            return p.alpha1**2
-        if self.kind == "eqo2":
-            return p.alpha2**2
-        return (p.m * p.omega / p.hbar) ** 2
+        mode = self.facts.mode
+        if mode is None:
+            return (p.m * p.omega / p.hbar) ** 2
+        return (p.alpha1 if mode == "y1" else p.alpha2) ** 2
 
     @property
     def singular_point(self) -> Optional[float]:
-        if self.kind in _HALFLINE_KINDS:
-            return 0.0
-        if self.kind == "hext1":
-            return -self.b
-        return None
+        """Position of the barrier's singularity, None when there is none."""
+        if not self.facts.barrier:
+            return None
+        return -self.b if self.facts.takes_b else 0.0
 
 
 @dataclass(frozen=True)
@@ -161,43 +187,23 @@ def potential_of(spec: ProblemSpec) -> Callable[[np.ndarray], np.ndarray]:
     Raises DomainError when evaluated at the singular point (x = 0 for the
     half-line kinds, x = -b for hext1).
     """
-    p = spec.params
     c = spec.quad_coeff
     sing = spec.singular_point
-
-    def check_singular(x):
-        if sing is not None and np.any(x == sing):
-            raise DomainError(f"potential is singular at x = {sing}")
-
-    if spec.kind in ("eqintro", "eqo1"):
-
-        def v(x):
-            x = np.asarray(x, dtype=float)
-            check_singular(x)
-            return 0.75 / x**2 + c * x**2
-
-    elif spec.kind == "eqo2":
-
-        def v(x):
-            x = np.asarray(x, dtype=float)
-            return c * x**2
-
-    elif spec.kind == "hext1":
+    series = spec.facts.series
+    if series:
         b = spec.b
+        coeffs = [(-1.0) ** j * (j + 1) / b**j for j in range(spec.order + 1)]
 
-        def v(x):
-            x = np.asarray(x, dtype=float)
-            check_singular(x)
-            return 0.75 / (x + b) ** 2 + c * x**2
-
-    else:  # truncated
-        b, order = spec.b, spec.order
-        coeffs = [(-1.0) ** j * (j + 1) / b**j for j in range(order + 1)]
-
-        def v(x):
-            x = np.asarray(x, dtype=float)
-            series = sum(cj * x**j for j, cj in enumerate(coeffs))
-            return 0.75 / b**2 * series + c * x**2
+    def v(x):
+        x = np.asarray(x, dtype=float)
+        if series:
+            terms = sum(cj * x**j for j, cj in enumerate(coeffs))
+            return 0.75 / b**2 * terms + c * x**2
+        if sing is None:
+            return c * x**2
+        if np.any(x == sing):
+            raise DomainError(f"potential is singular at x = {sing}")
+        return 0.75 / (x - sing) ** 2 + c * x**2
 
     return v
 
@@ -221,7 +227,7 @@ def _check_domain(spec: ProblemSpec, grid: Grid):
             raise DomainError(
                 f"grid lower end {grid.x_min} lies beyond the singular point {sing}"
             )
-    if spec.kind in _SYMMETRIC_KINDS and not math.isclose(-grid.x_min, grid.x_max):
+    elif not math.isclose(-grid.x_min, grid.x_max):
         raise DomainError(f"kind {spec.kind!r} expects a symmetric domain")
 
 
@@ -307,18 +313,21 @@ def default_domain(spec: ProblemSpec, k: int) -> Tuple[float, float]:
     """Domain wide enough that V at the cut exceeds 3x the k-th eigenvalue."""
     c = spec.quad_coeff
     sqrt_c = math.sqrt(c)
-    if spec.kind in _HALFLINE_KINDS or spec.kind == "hext1":
+    if spec.facts.barrier:
         lam_est = 4.0 * (k + 2) * sqrt_c  # half-line ladder, with headroom
     else:
         lam_est = (2 * (k + 2) + 1) * sqrt_c
-    if spec.kind in ("hext1", "truncated"):
-        lam_est += 0.75 / spec.b**2 if spec.b else 0.0
-    x_cut = math.sqrt(3.0 * lam_est / c)
-    if spec.kind in _HALFLINE_KINDS:
-        return (0.0, x_cut)
-    if spec.kind == "hext1":
-        return (-spec.b + 0.0, x_cut)  # +0.0 avoids -0.0 when b == 0
-    if spec.kind == "truncated" and spec.order and spec.order >= 1:
+    if spec.b:
+        lam_est += 0.75 / spec.b**2
+    return _cut_domain(spec, math.sqrt(3.0 * lam_est / c))
+
+
+def _cut_domain(spec: ProblemSpec, x_cut: float) -> Tuple[float, float]:
+    """The kind's domain with upper end x_cut."""
+    sing = spec.singular_point
+    if sing is not None:
+        return (sing + 0.0, x_cut)  # +0.0 avoids -0.0 when b == 0
+    if spec.facts.series and spec.order >= 1:
         # odd truncation orders are unbounded below for large |x|; stay inside
         # the validity region |x/b| < 1 of the expansion
         x_cut = min(x_cut, 0.9 * spec.b)
@@ -357,16 +366,11 @@ def solve(spec: ProblemSpec, k: int, policy: Optional[GridPolicy] = None) -> Eig
         lam_best = list(lam_fine)
 
     if policy.check_truncation:
-        wide = _widen(spec, domain, 1.5)
+        wide = _cut_domain(spec, domain[1] * 1.5)
         # match the grid spacing, not the point count, so the comparison
         # isolates the domain-truncation bias from the discretization error
         wide_n = int(round((wide[1] - wide[0]) / coarse.h)) - 1
-        wide_policy = GridPolicy(
-            n=wide_n,
-            domain=wide,
-            extrapolate=policy.extrapolate,
-            target_h=policy.target_h,
-        )
+        wide_policy = replace(policy, n=wide_n, domain=wide, check_truncation=False)
         wide_result = solve(spec, k, wide_policy)
         for (_, _, e_wide, _), lam in zip(wide_result.levels, lam_best):
             e = spec.energy_scale * lam
@@ -383,17 +387,6 @@ def solve(spec: ProblemSpec, k: int, policy: Optional[GridPolicy] = None) -> Eig
     return EigenResult(
         problem=spec, levels=levels, grid=fine, extrapolated=policy.extrapolate
     )
-
-
-def _widen(spec: ProblemSpec, domain: Tuple[float, float], factor: float):
-    if spec.kind in _HALFLINE_KINDS:
-        return (0.0, domain[1] * factor)
-    if spec.kind == "hext1":
-        return (-spec.b, domain[1] * factor)
-    hi = domain[1] * factor
-    if spec.kind == "truncated" and spec.order and spec.order >= 1:
-        hi = min(hi, 0.9 * spec.b)
-    return (-hi, hi)
 
 
 def sign_changes(samples: np.ndarray, rel_floor: float = 1e-6) -> int:

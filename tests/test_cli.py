@@ -132,6 +132,18 @@ class TestSpecfunCommand:
         values = [float(r[1]) for r in rows]
         assert values == [0.0, -4.0, 40.0]
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_values_are_json_null(self, capsys):
+        assert main(["specfun", "--fn", "hermite", "--n", "3", "--points", "nan,1e200",
+                     "--format", "json"]) == 0
+        values = json.loads(capsys.readouterr().out)["values"]
+        assert values == [{"x": None, "value": None}, {"x": 1e200, "value": None}]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_values_stay_in_csv(self, capsys):
+        assert main(["specfun", "--fn", "hermite", "--n", "3", "--points", "nan,1e200"]) == 0
+        assert capsys.readouterr().out == "x,value\nnan,nan\n1.00000000000000e+200,inf\n"
+
     def test_points_required(self):
         assert main(["specfun", "--fn", "hermite", "--n", "3"]) == 1
 
@@ -147,6 +159,20 @@ class TestExitCodes:
     def test_validation_error(self, capsys):
         assert main(["spectrum", "--g", "2.0"]) == 1
         assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--kind", "hext1", "--b", "inf"],
+        ["spectrum", "--kind", "hext1", "--b", "nan"],
+        ["spectrum", "--kind", "truncated", "--b", "inf"],
+        ["spectrum", "--m", "nan"],
+        ["spectrum", "--omega", "inf"],
+        ["coupled", "--hbar=-inf"],
+    ])
+    def test_non_finite_input_is_one_line_validation_error(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -178,3 +204,145 @@ class TestExitCodes:
         monkeypatch.setattr(numeric, "eigh_tridiagonal", fail)
         assert cli.main(["spectrum", "--levels", "1"]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+
+PARAMS_UNIT = ('{"m": 1.00000000000000e+00, "omega": 1.00000000000000e+00, '
+               '"hbar": 1.00000000000000e+00, "g": 0.00000000000000e+00}')
+
+
+def keys(mapping):
+    return list(mapping.keys())
+
+
+class TestOutputBytes:
+    """Exact output of the analytic commands; these bytes do not depend on the platform."""
+
+    COUPLED_CSV = (
+        "n1,n2,energy\n"
+        "0,0,1.42302494707577e+00\n"
+        "0,1,1.73925271309261e+00\n"
+        "0,2,2.05548047910945e+00\n"
+        "0,3,2.37170824512628e+00\n"
+        "0,4,2.68793601114312e+00\n"
+    )
+    BRANCHES = [
+        ("coupled_y1", 0, "1.26491106406735e+00"),
+        ("coupled_y1", 1, "2.52982212813470e+00"),
+        ("coupled_y1", 2, "3.79473319220206e+00"),
+        ("coupled_y1", 3, "5.05964425626941e+00"),
+        ("coupled_y1", 4, "6.32455532033676e+00"),
+        ("coupled_y2", 0, "1.58113883008419e-01"),
+        ("coupled_y2", 1, "4.74341649025257e-01"),
+        ("coupled_y2", 2, "7.90569415042095e-01"),
+        ("coupled_y2", 3, "1.10679718105893e+00"),
+        ("coupled_y2", 4, "1.42302494707577e+00"),
+    ]
+
+    def test_coupled_csv_and_branches_companion(self, tmp_path):
+        out = tmp_path / "coupled.csv"
+        assert main(["coupled", "--g", "0.6", "--count", "5", "--out", str(out)]) == 0
+        assert read(out) == self.COUPLED_CSV
+        assert read(tmp_path / "coupled_branches.csv") == "branch,n,energy\n" + "".join(
+            f"{b},{n},{e}\n" for b, n, e in self.BRANCHES
+        )
+
+    def test_coupled_json(self, capsys):
+        assert main(["coupled", "--g", "0.6", "--count", "5", "--format", "json"]) == 0
+        composite = ", ".join(
+            f'{{"n1": {n1}, "n2": {n2}, "energy": {e}}}'
+            for n1, n2, e in (line.split(",") for line in self.COUPLED_CSV.split("\n")[1:-1])
+        )
+        branches = ", ".join(
+            f'{{"branch": "{b}", "n": {n}, "energy": {e}}}' for b, n, e in self.BRANCHES
+        )
+        params = PARAMS_UNIT.replace('"g": 0.00000000000000e+00', '"g": 6.00000000000000e-01')
+        assert capsys.readouterr().out == (
+            "{\n"
+            f'  "composite": [{composite}],\n'
+            f'  "branches": [{branches}],\n'
+            f'  "meta": {{"tool_version": "0.1.0", "params": {params}}}\n'
+            "}\n"
+        )
+
+    def test_specfun_csv(self, capsys):
+        assert main(["specfun", "--fn", "1f1", "--n", "4", "--param", "2",
+                     "--points", "0,0.5,3"]) == 0
+        assert capsys.readouterr().out == (
+            "x,value\n"
+            "0.00000000000000e+00,1.00000000000000e+00\n"
+            "5.00000000000000e-01,2.29687500000000e-01\n"
+            "3.00000000000000e+00,1.75000000000000e-01\n"
+        )
+
+    def test_specfun_json(self, capsys):
+        assert main(["specfun", "--fn", "hermite", "--n", "3", "--points", "0,1,2",
+                     "--format", "json"]) == 0
+        assert capsys.readouterr().out == (
+            "{\n"
+            '  "fn": "hermite",\n'
+            '  "n": 3,\n'
+            '  "param": 2.00000000000000e+00,\n'
+            '  "values": [{"x": 0.00000000000000e+00, "value": -0.00000000000000e+00}, '
+            '{"x": 1.00000000000000e+00, "value": -4.00000000000000e+00}, '
+            '{"x": 2.00000000000000e+00, "value": 4.00000000000000e+01}],\n'
+            f'  "meta": {{"tool_version": "0.1.0", "params": {PARAMS_UNIT}}}\n'
+            "}\n"
+        )
+
+
+class TestOutputSchemas:
+    """Headers, key order at every level and row counts of the numeric commands."""
+
+    META_KEYS = ["tool_version", "params"]
+    PARAM_KEYS = ["m", "omega", "hbar", "g"]
+    GRID_KEYS = ["n", "x_min", "x_max"]
+
+    def test_spectrum_csv_with_samples_companion(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--kind", "eqintro", "--levels", "2",
+                     "--samples", "8", "--out", str(out)]) == 0
+        header, rows = parse_csv(read(out))
+        assert header == ["n", "energy_analytic", "energy_numeric", "abs_diff"]
+        assert [r[0] for r in rows] == ["0", "1"]
+        header, rows = parse_csv(read(tmp_path / "spec_wavefunctions.csv"))
+        assert header == ["n", "x", "value"]
+        assert [r[0] for r in rows] == ["0"] * 8 + ["1"] * 8
+
+    def test_spectrum_csv_without_closed_form_leaves_cells_empty(self, capsys):
+        assert main(["spectrum", "--kind", "hext1", "--b", "1", "--levels", "2"]) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert [(r[1], r[3]) for r in rows] == [("", ""), ("", "")]
+
+    def test_spectrum_json_with_wavefunctions(self, capsys):
+        assert main(["spectrum", "--kind", "eqo1", "--g", "0.6", "--levels", "2",
+                     "--samples", "8", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert keys(doc) == ["levels", "meta", "wavefunctions"]
+        assert [keys(lv) for lv in doc["levels"]] == [
+            ["n", "energy_analytic", "energy_numeric", "abs_diff"]
+        ] * 2
+        assert keys(doc["meta"]) == self.META_KEYS + ["grid", "kind"]
+        assert keys(doc["meta"]["params"]) == self.PARAM_KEYS
+        assert keys(doc["meta"]["grid"]) == self.GRID_KEYS
+        assert [keys(wf) for wf in doc["wavefunctions"]] == [["n", "samples"]] * 2
+        assert [wf["n"] for wf in doc["wavefunctions"]] == [0, 1]
+        for wf in doc["wavefunctions"]:
+            assert [len(s) for s in wf["samples"]] == [2] * 8
+
+    def test_spectrum_json_without_closed_form_writes_null(self, capsys):
+        assert main(["spectrum", "--kind", "truncated", "--b", "5", "--order", "2",
+                     "--levels", "1", "--format", "json"]) == 0
+        level = json.loads(capsys.readouterr().out)["levels"][0]
+        assert level["energy_analytic"] is None and level["abs_diff"] is None
+
+    def test_sweep_json(self, capsys):
+        assert main(["sweep", "--b-values", "0,1", "--levels", "2", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert keys(doc) == ["rows", "meta"]
+        assert [keys(r) for r in doc["rows"]] == [["b", "n", "energy", "dev_half", "dev_full"]] * 4
+        assert [(r["b"], r["n"]) for r in doc["rows"]] == [(0.0, 0), (0.0, 1), (1.0, 0), (1.0, 1)]
+        assert keys(doc["meta"]) == self.META_KEYS + ["grids"]
+        assert keys(doc["meta"]["params"]) == self.PARAM_KEYS
+        grids = doc["meta"]["grids"]
+        assert keys(grids) == ["0.00000000000000e+00", "1.00000000000000e+00"]
+        assert [keys(g) for g in grids.values()] == [self.GRID_KEYS] * 2

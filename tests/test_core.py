@@ -45,6 +45,12 @@ class TestPhysicalParams:
         with pytest.raises(ValueError):
             PhysicalParams(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["m", "omega", "hbar", "g"])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            PhysicalParams(**{name: value})
+
     def test_coupling_bound_scales_with_m_omega(self):
         PhysicalParams(m=2.0, omega=3.0, g=17.9)
         with pytest.raises(ValueError):

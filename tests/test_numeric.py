@@ -68,6 +68,24 @@ class TestProblemSpec:
             ProblemSpec(kind="eqo1", params=PhysicalParams(g=0.0))
 
 
+    @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind,order", [("hext1", None), ("truncated", 2)])
+    def test_non_finite_b_rejected(self, kind, order, b):
+        with pytest.raises(ValueError, match="finite b"):
+            ProblemSpec(kind=kind, b=b, order=order)
+
+    def test_kind_table_matches_kinds(self):
+        assert numeric.KINDS == tuple(numeric.KIND_FACTS)
+        for kind, facts in numeric.KIND_FACTS.items():
+            args = {"b": 1.0} if facts.takes_b else {}
+            if facts.series:
+                args["order"] = 2
+            spec = ProblemSpec(kind=kind, params=COUPLED, **args)
+            assert (spec.singular_point is not None) == facts.barrier
+            low, high = default_domain(spec, 2)
+            assert low == (spec.singular_point if facts.barrier else -high)
+
+
 class TestPotentials:
     def test_eqintro_shape(self):
         v = potential_of(ProblemSpec(kind="eqintro"))
