@@ -18,6 +18,7 @@ normalized ground state in all three families).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, List
@@ -136,25 +137,26 @@ def branch_energy(branch: str, n: int, params: PhysicalParams) -> float:
 def composite_spectrum(params: PhysicalParams, count: int) -> List[CompositeLevel]:
     """The ``count`` lowest two-mode levels E_y1(n1) + E_y2(n2), ascending.
 
-    Ties are broken lexicographically in (n1, n2).  Any level with
-    n1 >= count (or n2 >= count) is dominated by at least ``count`` smaller
-    ones, so enumerating the count x count grid is exhaustive.
+    Ties are broken lexicographically in (n1, n2).  Each row n1 of the grid is
+    ascending in n2, so a heap holding the next unvisited level of every row
+    pops the levels in (E, n1, n2) order: a k-way merge of the two ladders.
+    Neither index of the first ``count`` levels can reach ``count``, so each
+    ladder is evaluated ``count`` times and the cost is O(count log count)
+    time and O(count) memory.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     params.require_quantum_coupling()
-    levels = [
-        CompositeLevel(
-            n1=n1,
-            n2=n2,
-            energy=branch_energy(COUPLED_Y1, n1, params)
-            + branch_energy(COUPLED_Y2, n2, params),
-        )
-        for n1 in range(count)
-        for n2 in range(count)
-    ]
-    levels.sort(key=lambda lv: (lv.energy, lv.n1, lv.n2))
-    return levels[:count]
+    e1 = [branch_energy(COUPLED_Y1, n, params) for n in range(count)]
+    e2 = [branch_energy(COUPLED_Y2, n, params) for n in range(count)]
+    heap = [(e + e2[0], n1, 0) for n1, e in enumerate(e1)]  # sorted, so a heap
+    levels = []
+    for _ in range(count):
+        energy, n1, n2 = heapq.heappop(heap)
+        levels.append(CompositeLevel(n1=n1, n2=n2, energy=energy))
+        if n2 + 1 < count:
+            heapq.heappush(heap, (e1[n1] + e2[n2 + 1], n1, n2 + 1))
+    return levels
 
 
 def eval_wavefunction(pair: EigenPair, x):

@@ -44,10 +44,17 @@ class PhysicalParams:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.hbar <= 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
-        if abs(self.g) >= self.m * self.omega**2:
+        try:
+            stiffness = self.m * self.omega**2
+        except OverflowError:
+            stiffness = math.inf
+        if stiffness == math.inf:
             raise ValueError(
-                f"coupling must satisfy |g| < m*omega^2 = {self.m * self.omega**2}, "
-                f"got g = {self.g}"
+                f"m*omega^2 overflows for m = {self.m}, omega = {self.omega}"
+            )
+        if abs(self.g) >= stiffness:
+            raise ValueError(
+                f"coupling must satisfy |g| < m*omega^2 = {stiffness}, got g = {self.g}"
             )
 
     @property

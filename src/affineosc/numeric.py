@@ -121,6 +121,22 @@ class ProblemSpec:
             raise ValueError(f"kind {self.kind!r} does not take an expansion order")
         if facts.mode is not None:
             self.params.require_quantum_coupling()
+        try:
+            scales = [self.energy_scale, self.quad_coeff]
+            if facts.takes_b and self.b:
+                # the barrier 0.75/b^2 and the coefficients (j+1)/b^j of its series
+                scales.append(0.75 / self.b**2)
+                if facts.series:
+                    scales += [(j + 1) / self.b**j for j in range(self.order + 1)]
+        except (OverflowError, ZeroDivisionError):  # from float ** and underflowed powers
+            scales = [math.inf]
+        if not all(0.0 < s < math.inf for s in scales):
+            p = self.params
+            raise ValueError(
+                f"kind {self.kind!r}: m = {p.m}, omega = {p.omega}, hbar = {p.hbar} and "
+                f"b = {self.b} put the energy and length scales or the barrier out of "
+                f"float range"
+            )
 
     @property
     def facts(self) -> KindFacts:

@@ -11,11 +11,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
+
+
+# Large or non-finite arguments overflow the recurrences to inf or nan, which
+# is the value reported; numpy's overflow warnings would only add stderr noise.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 def _check_degree(n: int) -> int:
@@ -24,6 +28,7 @@ def _check_degree(n: int) -> int:
     return int(n)
 
 
+@_quiet_overflow
 def confluent_1f1_neg(n: int, b_param: float, z):
     """Terminating confluent hypergeometric polynomial 1F1(-n, b_param, z).
 
@@ -48,6 +53,7 @@ def confluent_1f1_neg(n: int, b_param: float, z):
     return f_cur if f_cur.ndim else float(f_cur)
 
 
+@_quiet_overflow
 def hermite(n: int, x):
     """Physicists' Hermite polynomial H_n via H_{k+1} = 2x H_k - 2k H_{k-1}."""
     n = _check_degree(n)
@@ -61,6 +67,7 @@ def hermite(n: int, x):
     return h if h.ndim else float(h)
 
 
+@_quiet_overflow
 def laguerre_assoc(n: int, alpha: float, z):
     """Associated Laguerre polynomial L_n^(alpha) by three-term recurrence.
 
@@ -94,6 +101,8 @@ def integrate_halfline(f, lower: float, decay_scale: float, tol: float = 1e-10) 
         raise ValueError(f"decay_scale must be positive, got {decay_scale}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    from scipy import integrate  # only the quadrature needs it; keeps imports light
+
     # envelope exp(-(u/s)^2) <= tol/100  =>  u >= s*sqrt(log(100/tol))
     cutoff = lower + decay_scale * math.sqrt(math.log(100.0 / tol)) + decay_scale
     value, err = integrate.quad(f, lower, cutoff, epsabs=tol, epsrel=0.0, limit=200)

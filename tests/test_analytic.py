@@ -192,3 +192,42 @@ class TestCompositeSpectrum:
             composite_spectrum(COUPLED, 0)
         with pytest.raises(ValueError):
             composite_spectrum(PhysicalParams(g=0.0), 5)
+
+
+def _ladder(branch, params):
+    return lambda n: analytic.branch_energy(branch, n, params)
+
+
+class TestCompositeMerge:
+    """The ladder merge against an exhaustive count x count sort."""
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 300])
+    @pytest.mark.parametrize("ratio", [0.2, 0.6, 0.9])  # 0.6: gap ratio 4, many ties
+    @pytest.mark.parametrize("m,omega,hbar", [(1.0, 1.0, 1.0), (2.0, 0.7, 1.3)])
+    def test_matches_brute_force(self, count, ratio, m, omega, hbar):
+        params = PhysicalParams(m=m, omega=omega, hbar=hbar, g=ratio * m * omega**2)
+        got = composite_spectrum(params, count)
+        expected = brute_force_composite(
+            _ladder(analytic.COUPLED_Y1, params),
+            _ladder(analytic.COUPLED_Y2, params),
+            n_max=count - 1,
+            count=count,
+        )
+        assert [(lv.n1, lv.n2, lv.energy) for lv in got] == expected
+
+    def test_ties_are_exercised(self):
+        energies = [lv.energy for lv in composite_spectrum(COUPLED, 300)]
+        assert sum(a == b for a, b in zip(energies, energies[1:])) > 100
+
+    @pytest.mark.parametrize("count", [1, 7, 300])
+    def test_ladders_evaluated_linearly(self, count, monkeypatch):
+        calls = []
+        branch_energy = analytic.branch_energy
+
+        def counted(*args):
+            calls.append(args)
+            return branch_energy(*args)
+
+        monkeypatch.setattr(analytic, "branch_energy", counted)
+        composite_spectrum(COUPLED, count)
+        assert 0 < len(calls) <= 2 * count

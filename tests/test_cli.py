@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -147,6 +148,23 @@ class TestSpecfunCommand:
     def test_points_required(self):
         assert main(["specfun", "--fn", "hermite", "--n", "3"]) == 1
 
+    @pytest.mark.parametrize("fn,param,signs", [
+        ("hermite", "2", ("", "-")), ("1f1", "2", ("-", "")), ("laguerre", "1", ("-", "")),
+    ])
+    def test_overflow_writes_no_warning(self, fn, param, signs, capfd):
+        # stdout as before the recurrences were silenced; any warning fails the test
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["specfun", "--fn", fn, "--n", "3", "--param", param,
+                         "--points", "nan,1e200,-1e300,inf"]) == 0
+        assert capfd.readouterr() == (
+            "x,value\nnan,nan\n"
+            f"1.00000000000000e+200,{signs[0]}inf\n"
+            f"-1.00000000000000e+300,{signs[1]}inf\n"
+            "inf,nan\n",
+            "",
+        )
+
 
 class TestCheckCommand:
     def test_passes_on_fresh_build(self, capsys):
@@ -169,6 +187,17 @@ class TestExitCodes:
         ["coupled", "--hbar=-inf"],
     ])
     def test_non_finite_input_is_one_line_validation_error(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--kind", "hext1", "--b", "1e200"],
+        ["spectrum", "--omega", "1e200"],
+        ["spectrum", "--kind", "truncated", "--b", "1e-200", "--order", "2"],
+    ])
+    def test_out_of_range_input_is_one_line_validation_error(self, argv, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("validation error:") and err.count("\n") == 1

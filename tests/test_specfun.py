@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import affineosc
 from affineosc.specfun import (
     QuadratureError,
     confluent_1f1_neg,
@@ -153,3 +157,36 @@ class TestHalflineQuadrature:
             integrate_halfline(lambda x: 0.0, 0.0, -1.0)
         with pytest.raises(ValueError):
             integrate_halfline(lambda x: 0.0, 0.0, 1.0, tol=0.0)
+
+    @pytest.mark.filterwarnings("ignore")  # scipy warns before the error is raised
+    def test_failure_raises_quadrature_error(self):
+        with pytest.raises(
+            QuadratureError,
+            match=r"^quadrature error estimate \d\.\d{3}e[-+]\d+ exceeds tolerance 1\.000e-10$",
+        ):
+            integrate_halfline(lambda x: math.sin(1e4 * x) * math.exp(-x * x), 0.0, 1.0)
+
+
+LAZY_IMPORT_SCRIPT = """
+import math, sys
+import affineosc
+assert "scipy.integrate" not in sys.modules, "loaded by import affineosc"
+from affineosc import cli, specfun
+assert cli.main(["coupled", "--g", "0.6", "--count", "5"]) == 0
+assert "scipy.integrate" not in sys.modules, "loaded by the coupled command"
+f = lambda x: math.exp(-x * x) * (1.0 + x)
+value = specfun.integrate_halfline(f, 0.5, 1.0, tol=1e-10)
+from scipy import integrate
+cutoff = 0.5 + math.sqrt(math.log(100.0 / 1e-10)) + 1.0
+assert value == integrate.quad(f, 0.5, cutoff, epsabs=1e-10, epsrel=0.0, limit=200)[0]
+"""
+
+
+def test_scipy_integrate_loaded_only_by_quadrature():
+    src = os.path.dirname(os.path.dirname(affineosc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_IMPORT_SCRIPT], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("n1,n2,energy\n0,0,")
