@@ -37,6 +37,11 @@ from .specfun import QuadratureError
 
 COMMANDS = ("spectrum", "coupled", "sweep", "specfun", "check")
 SPECFUN_NAMES = ("1f1", "hermite", "laguerre")
+# upper bounds that keep the time and memory of one run finite
+MAX_LEVELS = 1000
+MAX_COUNT = 100_000
+MAX_FN_N = 10_000
+MAX_B_VALUES = 100
 
 
 @dataclass
@@ -70,10 +75,16 @@ class RunConfig:
             raise ValueError(f"field 'kind' must be one of {numeric.KINDS}, got {self.kind!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"field 'format' must be 'csv' or 'json', got {self.format!r}")
-        if self.levels < 1:
-            raise ValueError(f"field 'levels' must be at least 1, got {self.levels}")
-        if self.count < 1:
-            raise ValueError(f"field 'count' must be at least 1, got {self.count}")
+        if not 1 <= self.levels <= MAX_LEVELS:
+            raise ValueError(f"field 'levels' must be in 1..{MAX_LEVELS}, got {self.levels}")
+        if not 1 <= self.count <= MAX_COUNT:
+            raise ValueError(f"field 'count' must be in 1..{MAX_COUNT}, got {self.count}")
+        if self.fn_n > MAX_FN_N:
+            raise ValueError(f"field 'fn_n' must be at most {MAX_FN_N}, got {self.fn_n}")
+        if len(self.b_values) > MAX_B_VALUES:
+            raise ValueError(f"field 'b_values' must list at most {MAX_B_VALUES} values")
+        if not math.isfinite(self.fn_param):
+            raise ValueError(f"field 'fn_param' must be finite, got {self.fn_param}")
         if self.samples < 0:
             raise ValueError(f"field 'samples' must be nonnegative, got {self.samples}")
         if self.fn not in SPECFUN_NAMES:
@@ -90,9 +101,6 @@ class RunConfig:
 
     def params(self) -> PhysicalParams:
         return PhysicalParams(m=self.m, omega=self.omega, hbar=self.hbar, g=self.g)
-
-    def to_mapping(self) -> dict:
-        return asdict(self)
 
 
 def _fmt_float(x: float) -> str:
@@ -194,12 +202,6 @@ def _meta(config: RunConfig, grid=None) -> dict:
     return meta
 
 
-def _policy(config: RunConfig) -> Optional[GridPolicy]:
-    if config.grid_n is None:
-        return None
-    return GridPolicy(n=config.grid_n)
-
-
 def _problem_spec(config: RunConfig) -> ProblemSpec:
     facts = numeric.KIND_FACTS[config.kind]
     return ProblemSpec(
@@ -218,7 +220,7 @@ def _downsample(grid, samples, count):
 
 def run_spectrum(config: RunConfig) -> int:
     spec = _problem_spec(config)
-    result = numeric.solve(spec, config.levels, _policy(config))
+    result = numeric.solve(spec, config.levels, GridPolicy(n=config.grid_n))
     branch = spec.facts.branch
     header = ["n", "energy_analytic", "energy_numeric", "abs_diff"]
     rows = []
@@ -263,9 +265,8 @@ def run_coupled(config: RunConfig) -> int:
 
 
 def run_sweep(config: RunConfig) -> int:
-    result = interp.b_sweep(
-        config.params(), config.b_values, config.levels, _policy(config)
-    )
+    policy = GridPolicy(n=config.grid_n)
+    result = interp.b_sweep(config.params(), config.b_values, config.levels, policy)
     header = ["b", "n", "energy", "dev_half", "dev_full"]
     rows = [[row.b, row.n, row.energy, row.dev_half, row.dev_full] for row in result.rows]
     doc = {
@@ -396,7 +397,7 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         if getattr(args, "dump_config", False):
-            sys.stdout.write(render_json(config.to_mapping()))
+            sys.stdout.write(render_json(asdict(config)))
             return 0
         return run(config)
     except (ValueError, TypeError) as exc:

@@ -38,12 +38,8 @@ class PhysicalParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.m <= 0:
-            raise ValueError(f"m must be positive, got {self.m}")
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.hbar <= 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+            if name != "g" and value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         try:
             stiffness = self.m * self.omega**2
         except OverflowError:

@@ -29,9 +29,7 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepResult:
     rows: List[SweepRow]
-    params: PhysicalParams
     grid_meta: Dict[float, Tuple[int, float, float]]  # b -> (N, x_min, x_max)
-    extrapolated: bool = True
 
 
 @dataclass(frozen=True)
@@ -39,7 +37,6 @@ class TruncatedSweepResult:
     b: float
     energies: Dict[int, List[float]]  # expansion order -> spectrum
     exact: List[float]  # hext1 spectrum at the same b
-    params: PhysicalParams
     note: str = (
         "power-series potential is only valid for |x/b| < 1; solve domains for "
         "order >= 1 are clipped to |x| <= 0.9 b"
@@ -64,7 +61,6 @@ def b_sweep(
     hw = params.hbar * params.omega
     rows: List[SweepRow] = []
     grid_meta: Dict[float, Tuple[int, float, float]] = {}
-    extrapolated = policy.extrapolate if policy is not None else True
     for b in b_values:
         spec = ProblemSpec(kind="hext1", params=params, b=b)
         result = solve(spec, k, policy)
@@ -80,9 +76,7 @@ def b_sweep(
                     dev_full=abs(energy - (n + 0.5) * hw),
                 )
             )
-    return SweepResult(
-        rows=rows, params=params, grid_meta=grid_meta, extrapolated=extrapolated
-    )
+    return SweepResult(rows=rows, grid_meta=grid_meta)
 
 
 def truncated_sweep(
@@ -106,4 +100,4 @@ def truncated_sweep(
     for order in orders:
         spec = ProblemSpec(kind="truncated", params=params, b=b, order=order)
         energies[order] = [e for _, _, e, _ in solve(spec, k, policy).levels]
-    return TruncatedSweepResult(b=b, energies=energies, exact=exact, params=params)
+    return TruncatedSweepResult(b=b, energies=energies, exact=exact)

@@ -3,9 +3,10 @@
 Each problem is reduced to the operator -d^2/dx^2 + V(x) with Dirichlet zeros
 at both grid endpoints, discretized by the 3-point stencil on a uniform grid.
 The lowest eigenvalues of the resulting symmetric tridiagonal matrix come from
-LAPACK bisection (?stebz, via scipy.linalg.eigh_tridiagonal), eigenvectors from
-inverse iteration, and energies are improved by Richardson extrapolation over
-a node-nested grid pair (h, h/2).
+LAPACK bisection (?stebz, via scipy.linalg.eigh_tridiagonal), each eigenvector
+from LAPACK inverse iteration (?stein, which starts from its own fixed
+pseudo-random vector), and energies are improved by Richardson extrapolation
+over a node-nested grid pair (h, h/2).
 
 For the singular kinds the boundary node sits one spacing away from the
 singularity; the physical solutions vanish there like (distance)^(3/2), so a
@@ -32,7 +33,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal, solve_banded
+from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg.lapack import dstein
 
 from .analytic import COUPLED_Y1, COUPLED_Y2, HALF_HO
 from .core import DomainError, PhysicalParams
@@ -64,7 +66,7 @@ KINDS = tuple(KIND_FACTS)
 
 
 class ConvergenceError(RuntimeError):
-    """A numeric stage (LAPACK eigenvalues, inverse iteration, truncation check) failed."""
+    """A numeric stage (LAPACK eigenvalues or eigenvectors, truncation check) failed."""
 
 
 @dataclass(frozen=True)
@@ -191,10 +193,8 @@ class TridiagonalMatrix:
 class EigenResult:
     """Solved levels on a grid: (n, lambda, E, normalized samples)."""
 
-    problem: ProblemSpec
     levels: List[Tuple[int, float, float, np.ndarray]]
     grid: Grid
-    extrapolated: bool
 
 
 def potential_of(spec: ProblemSpec) -> Callable[[np.ndarray], np.ndarray]:
@@ -247,13 +247,15 @@ def _check_domain(spec: ProblemSpec, grid: Grid):
         raise DomainError(f"kind {spec.kind!r} expects a symmetric domain")
 
 
-def lowest_eigenvalues(matrix: TridiagonalMatrix, k: int, rel_tol: float = 1e-12):
+EIGENVALUE_TOL = 1e-12  # absolute width of the ?stebz bisection bracket
+
+
+def lowest_eigenvalues(matrix: TridiagonalMatrix, k: int):
     """The k smallest eigenvalues by LAPACK bisection (?stebz), ascending.
 
-    rel_tol is handed to ?stebz as its absolute interval width, so every
-    eigenvalue is bracketed to within rel_tol * max(1, |lambda|).  NaN or
-    infinite entries raise ValueError; a LAPACK failure raises
-    ConvergenceError.
+    Each eigenvalue is bracketed to an absolute width of EIGENVALUE_TOL times
+    min(1, max|diag|), whatever its magnitude.  NaN or infinite entries raise
+    ValueError; a LAPACK failure raises ConvergenceError.
     """
     n = matrix.n
     if not 1 <= k <= n:
@@ -266,46 +268,35 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, k: int, rel_tol: float = 1e-12
             select="i",
             select_range=(0, k - 1),
             lapack_driver="stebz",
-            tol=rel_tol,
+            tol=EIGENVALUE_TOL * min(1.0, np.max(np.abs(matrix.diag))),
         )
     except LinAlgError as exc:
         raise ConvergenceError(f"LAPACK ?stebz failed: {exc}") from exc
     return lams.tolist()
 
 
-def eigenvector(
-    matrix: TridiagonalMatrix,
-    lam: float,
-    h: float = 1.0,
-    max_iter: int = 50,
-    residual_tol: float = 1e-8,
-) -> np.ndarray:
-    """Inverse-iteration eigenvector for an isolated eigenvalue lam.
+def eigenvector(matrix: TridiagonalMatrix, lam: float, h: float) -> np.ndarray:
+    """Eigenvector for the eigenvalue lam by LAPACK inverse iteration (?stein).
 
     Normalized so that h * sum(v^2) = 1 (trapezoid rule with Dirichlet zeros
     at both ends) and the first sample of nontrivial magnitude is positive.
     """
     n = matrix.n
-    scale = max(1.0, float(np.max(np.abs(matrix.diag))))
-    shift = lam + 1e-12 * scale  # keep the shifted matrix safely nonsingular
-    ab = np.zeros((3, n))
-    ab[0, 1:] = matrix.off
-    ab[1, :] = matrix.diag - shift
-    ab[2, :-1] = matrix.off
-
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    for _ in range(max_iter):
-        v = solve_banded((1, 1), ab, v, check_finite=False)
-        v /= np.linalg.norm(v)
-        residual = np.linalg.norm(matrix.matvec(v) - lam * v)
-        if residual <= residual_tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"inverse iteration stalled at residual {residual:.3e} for lambda={lam}"
-        )
+    if n == 1:  # f2py rejects the empty off-diagonal
+        return np.array([1.0 / math.sqrt(h)])
+    # ?stein returns NaN for entries near 1e146: scale them into [0.5, 1) by a
+    # power of two, which is exact.  It also perturbs LU pivots below eps*|T|;
+    # shifting lam by 1e-13 keeps them clear (samples 7e-12 from the exact
+    # stiff Laplacian ones, against 6e-11 unshifted).
+    factor = math.ldexp(1.0, -math.frexp(np.max(np.abs(matrix.diag)))[1])
+    # the whole matrix as one unreduced block: iblock = 1 for lam, block ends at n
+    z, info = dstein(
+        matrix.diag * factor, matrix.off * factor, [lam * factor + 1e-13],
+        np.ones(n, dtype=np.int32), np.full(n, n, dtype=np.int32),
+    )
+    v = z[:, 0]
+    if info > 0 or not np.all(np.isfinite(v)):
+        raise ConvergenceError(f"LAPACK ?stein did not converge for lambda={lam}")
     v /= math.sqrt(h) * np.linalg.norm(v)
     lead = np.flatnonzero(np.abs(v) > 1e-8 * np.max(np.abs(v)))[0]
     if v[lead] < 0:
@@ -315,14 +306,22 @@ def eigenvector(
 
 @dataclass(frozen=True)
 class GridPolicy:
-    """Resolution policy for solve(): grid size, domain and extrapolation."""
+    """Coarse node count and domain for solve() (None: sized from the problem).
+
+    Energies are always extrapolated over the grid pair, eigenvectors are ?stein
+    ones on the fine grid; check_truncation re-solves on a 1.5x wider domain.
+    """
 
     n: Optional[int] = None
     domain: Optional[Tuple[float, float]] = None
-    extrapolate: bool = True
-    target_h: float = 0.004  # in natural lengths of the confining well
     check_truncation: bool = False
     truncation_tol: float = 1e-8
+
+    def __post_init__(self):
+        if self.domain is not None and not all(map(math.isfinite, self.domain)):
+            raise ValueError(f"grid domain must be finite, got {self.domain}")
+        if not math.isfinite(self.truncation_tol):
+            raise ValueError(f"truncation_tol must be finite, got {self.truncation_tol}")
 
 
 def default_domain(spec: ProblemSpec, k: int) -> Tuple[float, float]:
@@ -350,10 +349,23 @@ def _cut_domain(spec: ProblemSpec, x_cut: float) -> Tuple[float, float]:
     return (-x_cut, x_cut)
 
 
-def _auto_n(spec: ProblemSpec, domain: Tuple[float, float], target_h: float) -> int:
-    # target_h is measured in the well's natural length 1/sqrt(sqrt(c))
+MAX_COARSE_N = 2**20  # coarse grid nodes; the fine grid has 2N + 1
+
+
+def _capped(spec: ProblemSpec, n: int) -> int:
+    """n, unless a coarse grid of n nodes is larger than MAX_COARSE_N."""
+    if n > MAX_COARSE_N:
+        raise ValueError(
+            f"kind {spec.kind!r} at b = {spec.b} needs a coarse grid of N = {n} "
+            f"nodes, more than the limit of {MAX_COARSE_N}"
+        )
+    return n
+
+
+def _auto_n(spec: ProblemSpec, domain: Tuple[float, float]) -> int:
+    # a spacing of 0.004 in the well's natural length 1/sqrt(sqrt(c))
     natural = spec.quad_coeff**0.25
-    n = int(math.ceil((domain[1] - domain[0]) * natural / target_h)) - 1
+    n = int(math.ceil((domain[1] - domain[0]) * natural / 0.004)) - 1
     return max(n, 200)
 
 
@@ -369,24 +381,21 @@ def solve(spec: ProblemSpec, k: int, policy: Optional[GridPolicy] = None) -> Eig
         raise ValueError(f"k must be at least 1, got {k}")
     policy = policy or GridPolicy()
     domain = policy.domain or default_domain(spec, k)
-    n = policy.n or _auto_n(spec, domain, policy.target_h)
-    coarse = Grid(domain[0], domain[1], n)
+    coarse = Grid(domain[0], domain[1], _capped(spec, policy.n or _auto_n(spec, domain)))
     fine = coarse.refined()
-
-    matrix = assemble(spec, fine)
-    lam_fine = lowest_eigenvalues(matrix, k)
-    if policy.extrapolate:
-        lam_coarse = lowest_eigenvalues(assemble(spec, coarse), k)
-        lam_best = [(4.0 * lf - lc) / 3.0 for lf, lc in zip(lam_fine, lam_coarse)]
-    else:
-        lam_best = list(lam_fine)
-
     if policy.check_truncation:
         wide = _cut_domain(spec, domain[1] * 1.5)
         # match the grid spacing, not the point count, so the comparison
         # isolates the domain-truncation bias from the discretization error
-        wide_n = int(round((wide[1] - wide[0]) / coarse.h)) - 1
+        wide_n = _capped(spec, int(round((wide[1] - wide[0]) / coarse.h)) - 1)
         wide_policy = replace(policy, n=wide_n, domain=wide, check_truncation=False)
+
+    matrix = assemble(spec, fine)
+    lam_fine = lowest_eigenvalues(matrix, k)
+    lam_coarse = lowest_eigenvalues(assemble(spec, coarse), k)
+    lam_best = [(4.0 * lf - lc) / 3.0 for lf, lc in zip(lam_fine, lam_coarse)]
+
+    if policy.check_truncation:
         wide_result = solve(spec, k, wide_policy)
         for (_, _, e_wide, _), lam in zip(wide_result.levels, lam_best):
             e = spec.energy_scale * lam
@@ -400,9 +409,7 @@ def solve(spec: ProblemSpec, k: int, policy: Optional[GridPolicy] = None) -> Eig
     for idx, (lam, lam_raw) in enumerate(zip(lam_best, lam_fine)):
         samples = eigenvector(matrix, lam_raw, h=fine.h)
         levels.append((idx, lam, spec.energy_scale * lam, samples))
-    return EigenResult(
-        problem=spec, levels=levels, grid=fine, extrapolated=policy.extrapolate
-    )
+    return EigenResult(levels=levels, grid=fine)
 
 
 def sign_changes(samples: np.ndarray, rel_floor: float = 1e-6) -> int:

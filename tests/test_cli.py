@@ -234,6 +234,49 @@ class TestExitCodes:
         assert cli.main(["spectrum", "--levels", "1"]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_stein_failure_maps_to_exit_2(self, monkeypatch, capsys):
+        import numpy as np
+
+        from affineosc import cli, numeric
+
+        def no_convergence(d, e, w, iblock, isplit):
+            return np.zeros((len(d), len(w))), 1
+
+        monkeypatch.setattr(numeric, "dstein", no_convergence)
+        assert cli.main(["spectrum", "--levels", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--kind", "hext1", "--b", "1e6"],
+        ["sweep", "--b-values", "0,1e6"],
+        ["spectrum", "--grid-n", "5000000"],
+    ])
+    def test_grid_over_cap_is_one_line_validation_error(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and err.count("\n") == 1
+        assert "N = " in err
+
+    @pytest.mark.parametrize("argv,field", [
+        (["spectrum", "--levels", "1001"], "levels"),
+        (["sweep", "--levels", "1001"], "levels"),
+        (["coupled", "--count", "100001"], "count"),
+        (["specfun", "--n", "10001", "--points", "0.5"], "fn_n"),
+        (["sweep", "--b-values", ",".join(["0"] * 101)], "b_values"),
+        (["specfun", "--fn", "1f1", "--param", "nan", "--points", "1"], "fn_param"),
+        (["specfun", "--fn", "laguerre", "--param=-inf", "--points", "1"], "fn_param"),
+    ])
+    def test_cap_or_non_finite_is_one_line_validation_error(self, argv, field, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: field '{field}'") and err.count("\n") == 1
+
+    def test_values_at_caps_accepted(self, capsys):
+        RunConfig(command="sweep", levels=1000, count=100_000, fn_n=10_000,
+                  b_values=[float(b) for b in range(100)])
+        assert main(["specfun", "--n", "10000", "--points", "0.5"]) == 0
+
 
 PARAMS_UNIT = ('{"m": 1.00000000000000e+00, "omega": 1.00000000000000e+00, '
                '"hbar": 1.00000000000000e+00, "g": 0.00000000000000e+00}')

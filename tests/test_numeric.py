@@ -252,6 +252,89 @@ class TestEigenvector:
                 assert abs(overlap) <= 1e-8
 
 
+class TestSteinEigenvector:
+    def test_one_by_one(self):
+        matrix = TridiagonalMatrix(diag=np.array([3.5]), off=np.array([]))
+        np.testing.assert_array_equal(eigenvector(matrix, 3.5, h=0.25), [2.0])
+
+    def test_split_matrix(self):
+        # zero off-diagonal: the matrix is passed to ?stein as one block anyway
+        matrix = TridiagonalMatrix(diag=np.array([1.0, 1.0, 2.0, 1.0]), off=np.zeros(3))
+        v = eigenvector(matrix, 2.0, h=1.0)
+        np.testing.assert_allclose(v, [0.0, 0.0, 1.0, 0.0], atol=1e-12)
+        assert np.linalg.norm(matrix.matvec(v) - 2.0 * v) <= 1e-12
+
+    def test_repeatable(self):
+        spec = ProblemSpec(kind="eqo2", params=COUPLED)
+        grid = Grid(-8.0, 8.0, 400)
+        matrix = assemble(spec, grid)
+        lam = lowest_eigenvalues(matrix, 2)[1]
+        np.testing.assert_array_equal(
+            eigenvector(matrix, lam, h=grid.h), eigenvector(matrix, lam, h=grid.h)
+        )
+
+    def test_stiff_laplacian_closed_form(self):
+        # 1-norm about 6e7: handed the eigenvalue itself, ?stein is off by
+        # 6e-11 here; with the 1e-13 shift, by 7e-12
+        n = 4000
+        h = 1.0 / (n + 1)
+        matrix = TridiagonalMatrix(
+            diag=np.full(n, 2.0 / h**2), off=np.full(n - 1, -1.0 / h**2)
+        )
+        x = h * np.arange(1, n + 1)
+        for j, lam in enumerate(lowest_eigenvalues(matrix, 10), start=1):
+            exact = np.sin(j * math.pi * x)
+            exact /= math.sqrt(h) * np.linalg.norm(exact)
+            np.testing.assert_allclose(eigenvector(matrix, lam, h=h), exact, rtol=0, atol=2e-11)
+
+    @pytest.mark.parametrize("info,value", [(1, 0.0), (0, np.nan)])
+    def test_lapack_failure_raises(self, monkeypatch, info, value):
+        def failed(d, e, w, iblock, isplit):
+            return np.full((len(d), len(w)), value), info
+
+        monkeypatch.setattr(numeric, "dstein", failed)
+        with pytest.raises(ConvergenceError, match="stein"):
+            eigenvector(laplacian_3(), 2.0, h=1.0)
+
+    @pytest.mark.parametrize("scale", [2.0**-500, 2.0**480, 1e146])
+    def test_scale_invariant(self, scale):
+        # unscaled, ?stein returns NaN for entries near 1e146
+        matrix = assemble(ProblemSpec(kind="eqo2", params=COUPLED), Grid(-8.0, 8.0, 400))
+        lam = lowest_eigenvalues(matrix, 3)[2]
+        scaled = TridiagonalMatrix(diag=matrix.diag * scale, off=matrix.off * scale)
+        np.testing.assert_allclose(
+            eigenvector(scaled, lam * scale, h=0.04), eigenvector(matrix, lam, h=0.04),
+            rtol=0, atol=1e-12,
+        )
+
+
+class TestGridCap:
+    def test_auto_grid_over_cap(self):
+        # the grid grows with b: about 2.5e8 coarse nodes at b = 1e6
+        with pytest.raises(ValueError, match=r"'hext1' at b = 1000000.0 .*N = \d+"):
+            solve(ProblemSpec(kind="hext1", b=1e6), 1)
+
+    def test_policy_n_over_cap(self):
+        with pytest.raises(ValueError, match="N = 1048577"):
+            solve(ProblemSpec(kind="eqintro"), 1, GridPolicy(n=numeric.MAX_COARSE_N + 1))
+
+    def test_truncation_resolve_over_cap(self, monkeypatch):
+        # the 1.5x wider re-solve keeps the spacing, so it needs about 1.5N nodes;
+        # the cap must stop it before the first grid is assembled
+        monkeypatch.setattr(numeric, "assemble", None)
+        policy = GridPolicy(n=800_000, check_truncation=True)
+        with pytest.raises(ValueError, match="N = 1200001"):
+            solve(ProblemSpec(kind="eqintro"), 1, policy)
+
+    @pytest.mark.parametrize("field,value", [
+        ("domain", (0.0, math.inf)), ("domain", (math.nan, 5.0)),
+        ("truncation_tol", math.nan), ("truncation_tol", math.inf),
+    ])
+    def test_non_finite_policy_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GridPolicy(**{field: value})
+
+
 class TestSolve:
     def test_eqintro_ladder(self):
         result = solve(ProblemSpec(kind="eqintro"), 3)
@@ -311,6 +394,21 @@ class TestSolve:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             solve(ProblemSpec(kind="eqintro"), 0)
+
+    @pytest.mark.parametrize("m,omega,hbar", [
+        (1.0, 1.0, 1e-3),
+        # every matrix entry is below 1e-11, under the absolute eigenvalue
+        # tolerance of unit-scale problems
+        (1.0, 1.0, 1e16),
+        # entries near 1e146
+        (30794250.0, 1e-14, 2.0998212739038304e-147),
+    ])
+    def test_energy_scale_far_from_one(self, m, omega, hbar):
+        params = PhysicalParams(m=m, omega=omega, hbar=hbar)
+        result = solve(ProblemSpec(kind="eqintro", params=params), 3)
+        for n, _, energy, samples in result.levels:
+            assert energy == pytest.approx(half_ho_eigen(n, params).energy, rel=1e-6)
+            assert sign_changes(samples) == n
 
     def test_eigen_calls_go_through_module_attributes(self, monkeypatch):
         calls = {"lowest_eigenvalues": 0, "eigenvector": 0}

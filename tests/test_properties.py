@@ -1,4 +1,4 @@
-"""Property tests: fuzzed ``coupled`` and ``specfun`` command lines.
+"""Property tests: fuzzed ``coupled``, ``specfun``, ``spectrum`` and ``sweep`` command lines.
 
 Whatever the flag values, the command must end with a documented exit code,
 JSON output must parse, a failure must be reported on exactly one stderr
@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affineosc.cli import SPECFUN_NAMES, main
+from affineosc.numeric import KINDS, MAX_COARSE_N
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -21,6 +22,39 @@ any_float = st.floats(allow_nan=True, allow_infinity=True)
 # Absent flags and values in range are drawn often enough that about a third
 # of the coupled runs get past validation: m, omega >= 1 admit every g in (0, 1).
 scale = st.one_of(st.none(), st.floats(1.0, 20.0), any_float)
+
+
+def absent_or(valid):
+    return st.one_of(st.none(), valid)
+
+
+def flag_group(valid, invalid):
+    """Flag values from one dict of strategies, or from the other.
+
+    The solver runs draw their flags in three such groups (physics, problem,
+    grid), each in range most of the time, so that a good share of the runs
+    get past validation and into the eigensolver.  Hypothesis favours small
+    integers, so i == 0 comes up more often than one time in six.
+    """
+    return st.integers(0, 5).flatmap(
+        lambda i: st.fixed_dictionaries(valid if i else invalid)
+    )
+
+
+# m, omega >= 1 admit every g in (0, 1)
+physics = flag_group(
+    {"m": absent_or(st.floats(1.0, 4.0)), "omega": absent_or(st.floats(1.0, 4.0)),
+     "hbar": absent_or(st.floats(1.0, 4.0)), "g": st.floats(0.01, 0.99)},
+    {"m": scale, "omega": scale, "hbar": scale, "g": st.one_of(st.floats(0.01, 0.99), any_float)},
+)
+# b up to 20 keeps the auto-sized grid small; the huge values of any_float
+# reach the grid cap, and so do the two grid sizes above it
+offset = st.floats(0.0, 20.0)
+grid = flag_group(
+    {"levels": absent_or(st.integers(1, 5)), "grid-n": absent_or(st.integers(16, 2000))},
+    {"levels": st.sampled_from([None, 0, -1, 1001, 3]),
+     "grid-n": st.sampled_from([None, 0, 15, MAX_COARSE_N + 1, 10**9])},
+)
 
 
 def _flags(**values):
@@ -79,4 +113,37 @@ def test_coupled_contract(m, omega, hbar, g, count, fmt):
 )
 def test_specfun_contract(fn, n, param, points, fmt):
     argv = ["specfun", *_flags(fn=fn, n=n, param=param, points=points, format=fmt)]
+    check_contract(argv, fmt)
+
+
+@FUZZ
+@given(
+    kind=st.sampled_from(KINDS),
+    physics=physics,
+    problem=flag_group(
+        {"b": absent_or(offset), "order": absent_or(st.integers(0, 4))},
+        {"b": st.one_of(offset, any_float), "order": st.integers(-1, 5)},
+    ),
+    grid=grid,
+    samples=absent_or(st.integers(-1, 40)),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_spectrum_contract(kind, physics, problem, grid, samples, fmt):
+    argv = ["spectrum", *_flags(kind=kind, **physics, **problem, **grid, samples=samples,
+                                format=fmt)]
+    check_contract(argv, fmt)
+
+
+@FUZZ
+@given(
+    physics=physics,
+    b_values=flag_group(
+        {"b-values": absent_or(st.lists(offset, max_size=3).map(sorted))},
+        {"b-values": st.lists(st.one_of(offset, any_float), max_size=3)},
+    ),
+    grid=grid,
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_sweep_contract(physics, b_values, grid, fmt):
+    argv = ["sweep", *_flags(**physics, **b_values, **grid, format=fmt)]
     check_contract(argv, fmt)
