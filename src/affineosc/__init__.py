@@ -17,7 +17,6 @@ from .analytic import (
     composite_spectrum,
     coupled_y1_eigen,
     coupled_y2_eigen,
-    eval_wavefunction,
     half_ho_eigen,
 )
 from .core import (
@@ -68,7 +67,7 @@ __all__ = [
     "QuadratureError",
     "EigenPair", "CompositeLevel", "HALF_HO", "COUPLED_Y1", "COUPLED_Y2",
     "half_ho_eigen", "coupled_y1_eigen", "coupled_y2_eigen",
-    "composite_spectrum", "eval_wavefunction",
+    "composite_spectrum",
     "Grid", "GridPolicy", "ProblemSpec", "TridiagonalMatrix", "EigenResult",
     "ConvergenceError", "potential_of", "assemble", "lowest_eigenvalues",
     "eigenvector", "solve", "commutator_residual",

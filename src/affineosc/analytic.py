@@ -157,8 +157,3 @@ def composite_spectrum(params: PhysicalParams, count: int) -> List[CompositeLeve
         if n2 + 1 < count:
             heapq.heappush(heap, (e1[n1] + e2[n2 + 1], n1, n2 + 1))
     return levels
-
-
-def eval_wavefunction(pair: EigenPair, x):
-    """Pointwise wavefunction value; half-line branches are zero for x <= 0."""
-    return pair.wavefunction(x)

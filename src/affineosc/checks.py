@@ -137,9 +137,7 @@ def check_laguerre_orthogonality() -> CheckResult:
     for mdeg in range(9):
         for ndeg in range(mdeg, 9):
             val = specfun.integrate_halfline(
-                lambda t: math.exp(-t)
-                * t
-                * specfun.laguerre_assoc(mdeg, 1.0, t)
+                lambda t: np.exp(-t) * t * specfun.laguerre_assoc(mdeg, 1.0, t)
                 * specfun.laguerre_assoc(ndeg, 1.0, t),
                 lower=0.0,
                 decay_scale=16.0,

@@ -42,6 +42,7 @@ MAX_LEVELS = 1000
 MAX_COUNT = 100_000
 MAX_FN_N = 10_000
 MAX_B_VALUES = 100
+MAX_SAMPLE_VALUES = 10**6  # levels x samples of one spectrum run
 
 
 @dataclass
@@ -87,6 +88,8 @@ class RunConfig:
             raise ValueError(f"field 'fn_param' must be finite, got {self.fn_param}")
         if self.samples < 0:
             raise ValueError(f"field 'samples' must be nonnegative, got {self.samples}")
+        if self.levels * self.samples > MAX_SAMPLE_VALUES:
+            raise ValueError(f"field 'samples' times levels must be at most {MAX_SAMPLE_VALUES}")
         if self.fn not in SPECFUN_NAMES:
             raise ValueError(f"field 'fn' must be one of {SPECFUN_NAMES}, got {self.fn!r}")
         if self.grid_n is not None and self.grid_n < 16:
@@ -214,8 +217,7 @@ def _problem_spec(config: RunConfig) -> ProblemSpec:
 
 def _downsample(grid, samples, count):
     idx = np.linspace(0, len(samples) - 1, count).round().astype(int)
-    nodes = grid.nodes
-    return [[float(nodes[i]), float(samples[i])] for i in idx]
+    return np.column_stack([grid.nodes[idx], samples[idx]]).tolist()
 
 
 def run_spectrum(config: RunConfig) -> int:

@@ -182,12 +182,6 @@ class TridiagonalMatrix:
     def n(self) -> int:
         return len(self.diag)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        out[:-1] += self.off * v[1:]
-        out[1:] += self.off * v[:-1]
-        return out
-
 
 @dataclass(frozen=True)
 class EigenResult:

@@ -8,7 +8,6 @@ from affineosc.analytic import (
     composite_spectrum,
     coupled_y1_eigen,
     coupled_y2_eigen,
-    eval_wavefunction,
     half_ho_eigen,
 )
 from affineosc.core import PhysicalParams
@@ -82,25 +81,25 @@ class TestWavefunctions:
     def test_half_ho_vanishes_at_origin(self):
         for n in range(6):
             pair = half_ho_eigen(n, UNIT)
-            assert eval_wavefunction(pair, 0.0) == 0.0
-            assert eval_wavefunction(pair, -1.0) == 0.0
+            assert pair.wavefunction(0.0) == 0.0
+            assert pair.wavefunction(-1.0) == 0.0
 
     def test_half_ho_ground_state_value(self):
         pair = half_ho_eigen(0, UNIT)
         expected = math.sqrt(2.0) * math.exp(-0.5)
-        assert eval_wavefunction(pair, 1.0) == pytest.approx(expected, rel=1e-14)
+        assert pair.wavefunction(1.0) == pytest.approx(expected, rel=1e-14)
 
     def test_y2_parity(self):
         for n in range(6):
             pair = coupled_y2_eigen(n, COUPLED)
             for y in (0.4, 1.3, 2.2):
-                assert eval_wavefunction(pair, -y) == pytest.approx(
-                    (-1.0) ** n * eval_wavefunction(pair, y), rel=1e-12, abs=1e-13
+                assert pair.wavefunction(-y) == pytest.approx(
+                    (-1.0) ** n * pair.wavefunction(y), rel=1e-12, abs=1e-13
                 )
 
     def test_y2_odd_states_vanish_at_origin(self):
-        assert eval_wavefunction(coupled_y2_eigen(1, COUPLED), 0.0) == 0.0
-        assert eval_wavefunction(coupled_y2_eigen(3, COUPLED), 0.0) == 0.0
+        assert coupled_y2_eigen(1, COUPLED).wavefunction(0.0) == 0.0
+        assert coupled_y2_eigen(3, COUPLED).wavefunction(0.0) == 0.0
 
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_half_ho_normalized(self, n):

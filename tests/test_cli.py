@@ -262,6 +262,8 @@ class TestExitCodes:
         (["spectrum", "--levels", "1001"], "levels"),
         (["sweep", "--levels", "1001"], "levels"),
         (["coupled", "--count", "100001"], "count"),
+        (["spectrum", "--levels", "2", "--samples", "500001"], "samples"),
+        (["spectrum", "--samples", "1000001"], "samples"),
         (["specfun", "--n", "10001", "--points", "0.5"], "fn_n"),
         (["sweep", "--b-values", ",".join(["0"] * 101)], "b_values"),
         (["specfun", "--fn", "1f1", "--param", "nan", "--points", "1"], "fn_param"),
@@ -276,6 +278,11 @@ class TestExitCodes:
         RunConfig(command="sweep", levels=1000, count=100_000, fn_n=10_000,
                   b_values=[float(b) for b in range(100)])
         assert main(["specfun", "--n", "10000", "--points", "0.5"]) == 0
+        for levels, samples in (("1000", "1000"), ("1", "1000000")):
+            capsys.readouterr()
+            assert main(["spectrum", "--levels", levels, "--samples", samples,
+                         "--dump-config"]) == 0
+            assert json.loads(capsys.readouterr().out)["samples"] == int(samples)
 
 
 PARAMS_UNIT = ('{"m": 1.00000000000000e+00, "omega": 1.00000000000000e+00, '

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 import affineosc
+from affineosc import checks, specfun
 from affineosc.specfun import (
     QuadratureError,
     confluent_1f1_neg,
@@ -124,33 +126,24 @@ class TestLaguerre:
 
 class TestHalflineQuadrature:
     def test_gaussian(self):
-        value = integrate_halfline(lambda x: math.exp(-x * x), 0.0, 1.0, tol=1e-10)
+        value = integrate_halfline(lambda x: np.exp(-x * x), 0.0, 1.0, tol=1e-10)
         assert value == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-10)
 
     def test_cubic_moment(self):
-        value = integrate_halfline(lambda x: x**3 * math.exp(-x * x), 0.0, 1.0, tol=1e-10)
+        value = integrate_halfline(lambda x: x**3 * np.exp(-x * x), 0.0, 1.0, tol=1e-10)
         assert value == pytest.approx(0.5, abs=1e-10)
 
     def test_zero_function(self):
         assert integrate_halfline(lambda x: 0.0, 0.0, 1.0, tol=1e-10) == 0.0
 
     def test_nonzero_lower_limit(self):
-        value = integrate_halfline(lambda x: math.exp(-x * x), 1.0, 1.0, tol=1e-10)
+        value = integrate_halfline(lambda x: np.exp(-x * x), 1.0, 1.0, tol=1e-10)
         expected = math.sqrt(math.pi) / 2.0 * math.erfc(1.0)
         assert value == pytest.approx(expected, abs=1e-10)
 
     def test_laguerre_orthogonality(self):
-        for m in range(9):
-            for n in range(m, 9):
-                value = integrate_halfline(
-                    lambda t: math.exp(-t) * t
-                    * laguerre_assoc(m, 1.0, t) * laguerre_assoc(n, 1.0, t),
-                    0.0,
-                    16.0,
-                    tol=1e-10,
-                )
-                expected = float(n + 1) if m == n else 0.0
-                assert value == pytest.approx(expected, abs=1e-8)
+        _, ok, detail = checks.check_laguerre_orthogonality()
+        assert ok, detail
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -158,35 +151,47 @@ class TestHalflineQuadrature:
         with pytest.raises(ValueError):
             integrate_halfline(lambda x: 0.0, 0.0, 1.0, tol=0.0)
 
-    @pytest.mark.filterwarnings("ignore")  # scipy warns before the error is raised
     def test_failure_raises_quadrature_error(self):
         with pytest.raises(
             QuadratureError,
             match=r"^quadrature error estimate \d\.\d{3}e[-+]\d+ exceeds tolerance 1\.000e-10$",
         ):
-            integrate_halfline(lambda x: math.sin(1e4 * x) * math.exp(-x * x), 0.0, 1.0)
+            integrate_halfline(lambda x: np.sin(1e4 * x) * np.exp(-x * x), 0.0, 1.0)
+
+    def test_rules_computed_once_per_process(self, monkeypatch):
+        calls = []
+
+        def counting_leggauss(n):
+            calls.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(specfun, "leggauss", counting_leggauss)
+        specfun._legendre_pair.cache_clear()
+        assert checks.check_laguerre_orthogonality()[1]
+        assert checks.check_orthonormality()[1]
+        assert len(calls) <= 2
 
 
-LAZY_IMPORT_SCRIPT = """
+NO_INTEGRATE_SCRIPT = """
 import math, sys
+import numpy as np
 import affineosc
-assert "scipy.integrate" not in sys.modules, "loaded by import affineosc"
 from affineosc import cli, specfun
+assert specfun._legendre_pair.cache_info().currsize == 0, "rules built by import affineosc"
 assert cli.main(["coupled", "--g", "0.6", "--count", "5"]) == 0
-assert "scipy.integrate" not in sys.modules, "loaded by the coupled command"
-f = lambda x: math.exp(-x * x) * (1.0 + x)
-value = specfun.integrate_halfline(f, 0.5, 1.0, tol=1e-10)
-from scipy import integrate
-cutoff = 0.5 + math.sqrt(math.log(100.0 / 1e-10)) + 1.0
-assert value == integrate.quad(f, 0.5, cutoff, epsabs=1e-10, epsrel=0.0, limit=200)[0]
+assert cli.main(["check"]) == 0
+value = specfun.integrate_halfline(lambda x: np.exp(-x * x) * (1.0 + x), 0.5, 1.0, tol=1e-10)
+exact = math.sqrt(math.pi) / 2.0 * math.erfc(0.5) + math.exp(-0.25) / 2.0
+assert abs(value - exact) <= 1e-10, value
+assert "scipy.integrate" not in sys.modules
 """
 
 
-def test_scipy_integrate_loaded_only_by_quadrature():
+def test_scipy_integrate_never_loaded():
     src = os.path.dirname(os.path.dirname(affineosc.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-c", LAZY_IMPORT_SCRIPT], env=env, capture_output=True, text=True
+        [sys.executable, "-c", NO_INTEGRATE_SCRIPT], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("n1,n2,energy\n0,0,")
