@@ -262,12 +262,12 @@ class TestExitCodes:
         (["spectrum", "--levels", "1001"], "levels"),
         (["sweep", "--levels", "1001"], "levels"),
         (["coupled", "--count", "100001"], "count"),
-        (["spectrum", "--levels", "2", "--samples", "500001"], "samples"),
-        (["spectrum", "--samples", "1000001"], "samples"),
         (["specfun", "--n", "10001", "--points", "0.5"], "fn_n"),
         (["sweep", "--b-values", ",".join(["0"] * 101)], "b_values"),
         (["specfun", "--fn", "1f1", "--param", "nan", "--points", "1"], "fn_param"),
         (["specfun", "--fn", "laguerre", "--param=-inf", "--points", "1"], "fn_param"),
+        (["spectrum", "--levels", "2", "--samples", "500001"], "samples"),
+        (["spectrum", "--samples", "1000001"], "samples"),
     ])
     def test_cap_or_non_finite_is_one_line_validation_error(self, argv, field, capsys):
         assert main(argv) == 1
