@@ -106,11 +106,23 @@ class RunConfig:
         return PhysicalParams(m=self.m, omega=self.omega, hbar=self.hbar, g=self.g)
 
 
+FLOAT_FORMAT = ".14e"  # 15 significant digits
+
+
 def _fmt_float(x: float) -> str:
-    return format(float(x), ".14e")
+    return format(float(x), FLOAT_FORMAT)
+
+
+def _render_floats(values: list) -> str:
+    """A JSON array of plain floats in one pass; NaN and infinities become null."""
+    return "[" + ", ".join(
+        [format(v, FLOAT_FORMAT) if math.isfinite(v) else "null" for v in values]
+    ) + "]"
 
 
 def _render_value(value) -> str:
+    if isinstance(value, list) and all(type(v) is float for v in value):
+        return _render_floats(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):

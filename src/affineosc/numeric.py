@@ -3,10 +3,11 @@
 Each problem is reduced to the operator -d^2/dx^2 + V(x) with Dirichlet zeros
 at both grid endpoints, discretized by the 3-point stencil on a uniform grid.
 The lowest eigenvalues of the resulting symmetric tridiagonal matrix come from
-LAPACK bisection (?stebz, via scipy.linalg.eigh_tridiagonal), each eigenvector
-from LAPACK inverse iteration (?stein, which starts from its own fixed
-pseudo-random vector), and energies are improved by Richardson extrapolation
-over a node-nested grid pair (h, h/2).
+LAPACK bisection (?stebz), each eigenvector from LAPACK inverse iteration
+(?stein, which starts from its own fixed pseudo-random vector), and energies are
+improved by Richardson extrapolation over a node-nested grid pair (h, h/2).
+Both routines are called through scipy's f2py wrappers, loaded without
+importing scipy.linalg (see ``_load_lapack``).
 
 For the singular kinds the boundary node sits one spacing away from the
 singularity; the physical solutions vanish there like (distance)^(3/2), so a
@@ -28,16 +29,44 @@ solver and the command line branch on the record, never on the kind name.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
-from scipy.linalg.lapack import dstein
 
 from .analytic import COUPLED_Y1, COUPLED_Y2, HALF_HO
 from .core import DomainError, PhysicalParams
+
+
+def _load_lapack():
+    """scipy's LAPACK extension ``scipy/linalg/_flapack``, loaded by file path.
+
+    Reaching it through ``import scipy.linalg`` costs about 0.3 s, more than
+    numpy.  The extension is private to scipy, so if loading it fails for any
+    reason (another layout, another platform) this falls back to the public
+    ``scipy.linalg.lapack``, which exposes the same wrappers.
+    """
+    try:
+        scipy_dir = os.path.dirname(importlib.util.find_spec("scipy").origin)
+        stem = os.path.join(scipy_dir, "linalg", "_flapack")
+        suffixes = importlib.machinery.EXTENSION_SUFFIXES
+        path = next(filter(os.path.isfile, (stem + suffix for suffix in suffixes)))
+        spec = importlib.util.spec_from_file_location("_flapack", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    except Exception:  # any failure of the private load: use the public module
+        from scipy.linalg import lapack
+
+        return lapack
+
+
+_LAPACK = _load_lapack()
+dstebz, dstein = _LAPACK.dstebz, _LAPACK.dstein
 
 
 @dataclass(frozen=True)
@@ -247,26 +276,23 @@ EIGENVALUE_TOL = 1e-12  # absolute width of the ?stebz bisection bracket
 def lowest_eigenvalues(matrix: TridiagonalMatrix, k: int):
     """The k smallest eigenvalues by LAPACK bisection (?stebz), ascending.
 
-    Each eigenvalue is bracketed to an absolute width of EIGENVALUE_TOL times
-    min(1, max|diag|), whatever its magnitude.  NaN or infinite entries raise
-    ValueError; a LAPACK failure raises ConvergenceError.
+    One direct ?stebz call selecting eigenvalues 1..k in ascending order.  Each
+    is bracketed to an absolute width of EIGENVALUE_TOL times min(1, max|diag|),
+    whatever its magnitude.  NaN or infinite entries raise ValueError; a
+    nonzero LAPACK info raises ConvergenceError.
     """
     n = matrix.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    try:
-        lams = eigh_tridiagonal(
-            matrix.diag,
-            matrix.off,
-            eigvals_only=True,
-            select="i",
-            select_range=(0, k - 1),
-            lapack_driver="stebz",
-            tol=EIGENVALUE_TOL * min(1.0, np.max(np.abs(matrix.diag))),
-        )
-    except LinAlgError as exc:
-        raise ConvergenceError(f"LAPACK ?stebz failed: {exc}") from exc
-    return lams.tolist()
+    diag, off = np.asarray_chkfinite(matrix.diag), np.asarray_chkfinite(matrix.off)
+    if n == 1:  # f2py rejects the empty off-diagonal
+        return diag.tolist()
+    tol = EIGENVALUE_TOL * min(1.0, np.max(np.abs(diag)))
+    # range 2: by index il..iu (vl, vu unused); order "E": ascending over the whole matrix
+    m, w, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, 1, k, tol, "E")
+    if info != 0:
+        raise ConvergenceError(f"LAPACK ?stebz failed (info={info})")
+    return w[:m].tolist()
 
 
 def eigenvector(matrix: TridiagonalMatrix, lam: float, h: float) -> np.ndarray:

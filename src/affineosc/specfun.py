@@ -12,7 +12,6 @@ import functools
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 
 class QuadratureError(RuntimeError):
@@ -98,6 +97,8 @@ QUAD_NODES = 160  # n of the n- and 2n-node Gauss-Legendre pair
 @functools.cache
 def _legendre_pair():
     """Nodes of both rules, mapped to [0, 2], in one array; one weight row per rule."""
+    from numpy.polynomial.legendre import leggauss  # imported here: only quadrature needs it
+
     (xn, wn), (x2n, w2n) = leggauss(QUAD_NODES), leggauss(2 * QUAD_NODES)
     return np.r_[xn, x2n] + 1.0, np.array([np.r_[wn, 0.0 * w2n], np.r_[0.0 * wn, w2n]])
 

@@ -223,16 +223,19 @@ class TestExitCodes:
         assert cli.main(["spectrum", "--levels", "1"]) == 2
 
     def test_lapack_failure_maps_to_exit_2(self, monkeypatch, capsys):
-        from scipy.linalg import LinAlgError
+        import numpy as np
 
         from affineosc import cli, numeric
 
-        def fail(*args, **kwargs):
-            raise LinAlgError("synthetic stebz failure")
+        def fail(d, e, rng, vl, vu, il, iu, tol, order):
+            n = len(d)
+            return 0, np.zeros(n), np.zeros(n, dtype=np.int32), np.zeros(n, dtype=np.int32), 1
 
-        monkeypatch.setattr(numeric, "eigh_tridiagonal", fail)
+        monkeypatch.setattr(numeric, "dstebz", fail)
         assert cli.main(["spectrum", "--levels", "1"]) == 2
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
 
     def test_stein_failure_maps_to_exit_2(self, monkeypatch, capsys):
         import numpy as np
@@ -365,6 +368,33 @@ class TestOutputBytes:
             '{"x": 1.00000000000000e+00, "value": -4.00000000000000e+00}, '
             '{"x": 2.00000000000000e+00, "value": 4.00000000000000e+01}],\n'
             f'  "meta": {{"tool_version": "0.1.0", "params": {PARAMS_UNIT}}}\n'
+            "}\n"
+        )
+
+    def test_spectrum_json_samples_with_non_finite_values(self, monkeypatch, capsys):
+        # a fixed solver result, so the bytes do not depend on LAPACK; the
+        # four downsampled nodes x = 1, 6, 11, 16 carry 0.25, nan, -inf, inf
+        import numpy as np
+
+        from affineosc import numeric
+
+        grid = numeric.Grid(0.0, 17.0, 16)
+        wf = np.full(16, 0.25)
+        wf[[5, 10, 15]] = [math.nan, -math.inf, math.inf]
+        monkeypatch.setattr(
+            numeric, "solve", lambda spec, k, policy: numeric.EigenResult([(0, 4.0, 2.0, wf)], grid)
+        )
+        assert main(["spectrum", "--levels", "1", "--samples", "4", "--format", "json"]) == 0
+        assert capsys.readouterr().out == (
+            "{\n"
+            '  "levels": [{"n": 0, "energy_analytic": 2.00000000000000e+00, '
+            '"energy_numeric": 2.00000000000000e+00, "abs_diff": 0.00000000000000e+00}],\n'
+            f'  "meta": {{"tool_version": "0.1.0", "params": {PARAMS_UNIT}, '
+            '"grid": {"n": 16, "x_min": 0.00000000000000e+00, "x_max": 1.70000000000000e+01}, '
+            '"kind": "eqintro"},\n'
+            '  "wavefunctions": [{"n": 0, "samples": [[1.00000000000000e+00, 2.50000000000000e-01], '
+            "[6.00000000000000e+00, null], [1.10000000000000e+01, null], "
+            "[1.60000000000000e+01, null]]}]\n"
             "}\n"
         )
 

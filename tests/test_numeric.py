@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import affineosc
 from affineosc import numeric
 from affineosc.analytic import coupled_y1_eigen, coupled_y2_eigen, half_ho_eigen
 from affineosc.core import DomainError, PhysicalParams
@@ -314,6 +318,75 @@ class TestSteinEigenvector:
             eigenvector(scaled, lam * scale, h=0.04), eigenvector(matrix, lam, h=0.04),
             rtol=0, atol=1e-12,
         )
+
+
+class TestLapackLoad:
+    @pytest.mark.parametrize("k", [4, 20])
+    @pytest.mark.parametrize("spec", [
+        ProblemSpec(kind="eqintro"),
+        ProblemSpec(kind="eqo2", params=COUPLED),
+        ProblemSpec(kind="hext1", b=2.0),
+    ], ids=lambda spec: spec.kind)
+    def test_public_module_gives_identical_bits(self, monkeypatch, spec, k):
+        from scipy.linalg import lapack
+
+        assert numeric._LAPACK.__name__ == "_flapack"  # the direct load succeeded
+        domain = default_domain(spec, k)
+        coarse = Grid(domain[0], domain[1], numeric._auto_n(spec, domain))
+        for grid in (coarse, coarse.refined()):
+            matrix = assemble(spec, grid)
+            results = []
+            for module in (numeric._LAPACK, lapack):
+                monkeypatch.setattr(numeric, "dstebz", module.dstebz)
+                monkeypatch.setattr(numeric, "dstein", module.dstein)
+                lams = lowest_eigenvalues(matrix, k)
+                results.append((lams, [eigenvector(matrix, lam, h=grid.h) for lam in lams]))
+            (lams_direct, vecs_direct), (lams_public, vecs_public) = results
+            assert lams_direct == lams_public
+            np.testing.assert_array_equal(vecs_direct, vecs_public)
+
+    def test_failed_direct_load_falls_back_to_scipy_linalg_lapack(self, monkeypatch):
+        import importlib.util
+
+        from scipy.linalg import lapack
+
+        def broken(*args, **kwargs):
+            raise ImportError("synthetic load failure")
+
+        monkeypatch.setattr(importlib.util, "spec_from_file_location", broken)
+        assert numeric._load_lapack() is lapack
+
+
+NO_SCIPY_LINALG_SCRIPT = """
+import sys
+import affineosc
+from affineosc import cli, numeric
+assert "numpy.polynomial" not in sys.modules, "loaded by import affineosc"
+assert cli.main(["spectrum", "--levels", "4"]) == 0
+assert cli.main(["coupled", "--g", "0.6", "--count", "5"]) == 0
+assert "numpy.polynomial" not in sys.modules, "loaded by spectrum or coupled"
+assert cli.main(["check"]) == 0
+assert "scipy.linalg" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+import scipy.linalg
+matrix = numeric.assemble(numeric.ProblemSpec(kind="eqintro"), numeric.Grid(0.0, 9.0, 500))
+args = (matrix.diag, matrix.off, 2, 0.0, 1.0, 1, 20, 1e-12, "E")
+(m, w, _, _, info), (m_pub, w_pub, _, _, info_pub) = (
+    numeric.dstebz(*args), scipy.linalg.lapack.dstebz(*args)
+)
+assert numeric.dstebz is not scipy.linalg.lapack.dstebz
+assert (m, info) == (m_pub, info_pub) == (20, 0)
+assert w[:m].tobytes() == w_pub[:m].tobytes()
+"""
+
+
+def test_scipy_linalg_never_loaded():
+    src = os.path.dirname(os.path.dirname(affineosc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_LINALG_SCRIPT], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("n,energy_analytic,energy_numeric,abs_diff\n0,")
 
 
 class TestGridCap:
