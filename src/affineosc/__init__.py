@@ -20,7 +20,6 @@ from .analytic import (
     half_ho_eigen,
 )
 from .core import (
-    DilationValue,
     DomainError,
     FrameError,
     PhaseSpacePoint,
@@ -39,6 +38,7 @@ from .numeric import (
     EigenResult,
     Grid,
     GridPolicy,
+    Level,
     ProblemSpec,
     TridiagonalMatrix,
     assemble,
@@ -58,7 +58,7 @@ from .specfun import (
 
 __all__ = [
     "__version__",
-    "PhysicalParams", "PhaseSpacePoint", "DilationValue",
+    "PhysicalParams", "PhaseSpacePoint",
     "FrameError", "DomainError",
     "to_normal", "from_normal", "dilation",
     "hamiltonian_original", "hamiltonian_normal", "hamiltonian_affine",
@@ -68,7 +68,7 @@ __all__ = [
     "EigenPair", "CompositeLevel", "HALF_HO", "COUPLED_Y1", "COUPLED_Y2",
     "half_ho_eigen", "coupled_y1_eigen", "coupled_y2_eigen",
     "composite_spectrum",
-    "Grid", "GridPolicy", "ProblemSpec", "TridiagonalMatrix", "EigenResult",
+    "Grid", "GridPolicy", "ProblemSpec", "TridiagonalMatrix", "EigenResult", "Level",
     "ConvergenceError", "potential_of", "assemble", "lowest_eigenvalues",
     "eigenvector", "solve", "commutator_residual",
     "SweepRow", "SweepResult", "TruncatedSweepResult", "b_sweep", "truncated_sweep",

@@ -64,7 +64,7 @@ def check_affine_identity() -> CheckResult:
         nm = core.to_normal(pt)
         if nm.q1 <= 0:
             continue
-        d = core.dilation(nm.q1, nm.p1).d
+        d = core.dilation(nm.q1, nm.p1)
         h_aff = core.hamiltonian_affine(nm.q1, d, nm.q2, nm.p2, params)
         h_nrm = core.hamiltonian_normal(nm, params)
         worst = max(worst, abs(h_aff - h_nrm) / max(1.0, abs(h_nrm)))
@@ -233,9 +233,9 @@ def check_numeric_vs_analytic() -> CheckResult:
         if facts.branch is None:
             continue
         result = numeric.solve(numeric.ProblemSpec(kind=kind, params=params), k=4)
-        for n, _, energy, _ in result.levels:
-            ref = analytic.branch_energy(facts.branch, n, params)
-            worst = max(worst, abs(energy - ref) / abs(ref))
+        for level in result.levels:
+            ref = analytic.branch_energy(facts.branch, level.n, params)
+            worst = max(worst, abs(level.energy - ref) / abs(ref))
     return ("numeric spectra match closed forms", worst <= 1e-6,
             f"max relative deviation {worst:.3e}")
 
@@ -290,10 +290,7 @@ def check_hext1_b0_matches_eqintro() -> CheckResult:
     params = core.PhysicalParams()
     r1 = numeric.solve(numeric.ProblemSpec(kind="eqintro", params=params), k=3)
     r2 = numeric.solve(numeric.ProblemSpec(kind="hext1", params=params, b=0.0), k=3)
-    worst = max(
-        abs(e1 - e2)
-        for (_, _, e1, _), (_, _, e2, _) in zip(r1.levels, r2.levels)
-    )
+    worst = max(abs(l1.energy - l2.energy) for l1, l2 in zip(r1.levels, r2.levels))
     return ("moving-endpoint problem at b=0 equals half-line problem",
             worst <= 1e-8, f"max deviation {worst:.3e}")
 

@@ -238,19 +238,20 @@ def run_spectrum(config: RunConfig) -> int:
     branch = spec.facts.branch
     header = ["n", "energy_analytic", "energy_numeric", "abs_diff"]
     rows = []
-    for n, _, energy, _ in result.levels:
-        e_ref = None if branch is None else analytic.branch_energy(branch, n, spec.params)
-        diff = None if e_ref is None else abs(energy - e_ref)
-        rows.append([n, e_ref, energy, diff])
+    for level in result.levels:
+        e_ref = None if branch is None else analytic.branch_energy(branch, level.n, spec.params)
+        diff = None if e_ref is None else abs(level.energy - e_ref)
+        rows.append([level.n, e_ref, level.energy, diff])
     doc = {
         "levels": _records(header, rows),
         "meta": {**_meta(config, result.grid), "kind": config.kind},
     }
     companions = []
     if config.samples > 0:
-        samples = [
-            (n, _downsample(result.grid, wf, config.samples)) for n, _, _, wf in result.levels
-        ]
+        grid, samples = result.grid, []
+        for level in result.levels:
+            wf = numeric.eigenvector(result.matrix, level.lam_fine, grid.h)
+            samples.append((level.n, _downsample(grid, wf, config.samples)))
         doc["wavefunctions"] = [{"n": n, "samples": s} for n, s in samples]
         wf_rows = [[n, x, value] for n, s in samples for x, value in s]
         companions.append(("wavefunctions", ["n", "x", "value"], wf_rows))

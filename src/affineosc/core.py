@@ -105,13 +105,6 @@ class PhaseSpacePoint:
             raise DomainError(f"normal-frame y1 must be nonnegative, got {self.q1}")
 
 
-@dataclass(frozen=True)
-class DilationValue:
-    """The affine variable d = p*q for the point it was computed from."""
-
-    d: float
-
-
 def to_normal(point: PhaseSpacePoint) -> PhaseSpacePoint:
     """Map (x1, x2, p_x1, p_x2) to the decoupling coordinates (sum/difference)."""
     if point.frame != ORIGINAL:
@@ -171,9 +164,9 @@ def hamiltonian_normal(point: PhaseSpacePoint, params: PhysicalParams) -> float:
     )
 
 
-def dilation(q: float, p: float) -> DilationValue:
+def dilation(q: float, p: float) -> float:
     """d = p * q, the affine partner of q."""
-    return DilationValue(d=p * q)
+    return p * q
 
 
 def hamiltonian_affine(

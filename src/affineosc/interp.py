@@ -66,7 +66,8 @@ def b_sweep(
         result = solve(spec, k, policy)
         grid = result.grid
         grid_meta[b] = (grid.n, grid.x_min, grid.x_max)
-        for n, _, energy, _ in result.levels:
+        for level in result.levels:
+            n, energy = level.n, level.energy
             rows.append(
                 SweepRow(
                     b=b,
@@ -94,10 +95,10 @@ def truncated_sweep(
         raise ValueError(f"orders must lie in 0..4, got {orders}")
 
     exact_spec = ProblemSpec(kind="hext1", params=params, b=b)
-    exact = [e for _, _, e, _ in solve(exact_spec, k, policy).levels]
+    exact = [level.energy for level in solve(exact_spec, k, policy).levels]
 
     energies: Dict[int, List[float]] = {}
     for order in orders:
         spec = ProblemSpec(kind="truncated", params=params, b=b, order=order)
-        energies[order] = [e for _, _, e, _ in solve(spec, k, policy).levels]
+        energies[order] = [level.energy for level in solve(spec, k, policy).levels]
     return TruncatedSweepResult(b=b, energies=energies, exact=exact)

@@ -3,9 +3,10 @@
 Each problem is reduced to the operator -d^2/dx^2 + V(x) with Dirichlet zeros
 at both grid endpoints, discretized by the 3-point stencil on a uniform grid.
 The lowest eigenvalues of the resulting symmetric tridiagonal matrix come from
-LAPACK bisection (?stebz), each eigenvector from LAPACK inverse iteration
-(?stein, which starts from its own fixed pseudo-random vector), and energies are
-improved by Richardson extrapolation over a node-nested grid pair (h, h/2).
+LAPACK bisection (?stebz), and energies are improved by Richardson
+extrapolation over a node-nested grid pair (h, h/2).  An eigenvector is computed
+only on request, from the fine-grid matrix, by LAPACK inverse iteration (?stein,
+which starts from its own fixed pseudo-random vector).
 Both routines are called through scipy's f2py wrappers, loaded without
 importing scipy.linalg (see ``_load_lapack``).
 
@@ -33,8 +34,8 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -212,12 +213,22 @@ class TridiagonalMatrix:
         return len(self.diag)
 
 
+class Level(NamedTuple):
+    """One solved level.  bench/job.py unpacks it by position: four fields, energy third."""
+
+    n: int
+    lam: float  # Richardson-extrapolated operator eigenvalue
+    energy: float
+    lam_fine: float  # fine-grid eigenvalue, the one ``eigenvector`` takes
+
+
 @dataclass(frozen=True)
 class EigenResult:
-    """Solved levels on a grid: (n, lambda, E, normalized samples)."""
+    """Solved levels with the fine grid and the fine-grid matrix."""
 
-    levels: List[Tuple[int, float, float, np.ndarray]]
+    levels: List[Level]
     grid: Grid
+    matrix: TridiagonalMatrix
 
 
 def potential_of(spec: ProblemSpec) -> Callable[[np.ndarray], np.ndarray]:
@@ -328,20 +339,20 @@ def eigenvector(matrix: TridiagonalMatrix, lam: float, h: float) -> np.ndarray:
 class GridPolicy:
     """Coarse node count and domain for solve() (None: sized from the problem).
 
-    Energies are always extrapolated over the grid pair, eigenvectors are ?stein
-    ones on the fine grid; check_truncation re-solves on a 1.5x wider domain.
+    Energies are always extrapolated over the grid pair; check_truncation
+    re-solves on a 1.5x wider domain.
     """
 
     n: Optional[int] = None
     domain: Optional[Tuple[float, float]] = None
     check_truncation: bool = False
-    truncation_tol: float = 1e-8
 
     def __post_init__(self):
         if self.domain is not None and not all(map(math.isfinite, self.domain)):
             raise ValueError(f"grid domain must be finite, got {self.domain}")
-        if not math.isfinite(self.truncation_tol):
-            raise ValueError(f"truncation_tol must be finite, got {self.truncation_tol}")
+
+
+TRUNCATION_TOL = 1e-8  # relative energy shift the 1.5x wider re-solve may show
 
 
 def default_domain(spec: ProblemSpec, k: int) -> Tuple[float, float]:
@@ -393,9 +404,9 @@ def solve(spec: ProblemSpec, k: int, policy: Optional[GridPolicy] = None) -> Eig
     """Lowest k levels of a problem, Richardson-extrapolated over (h, h/2).
 
     Energies come from the extrapolated eigenvalues E = scale * (4 lambda_{h/2}
-    - lambda_h) / 3; wavefunction samples are taken on the fine grid.  With
-    policy.check_truncation the solve is repeated on a 1.5x wider domain and a
-    shift beyond policy.truncation_tol raises ConvergenceError.
+    - lambda_h) / 3.  With policy.check_truncation the solve is repeated on a
+    1.5x wider domain and a relative shift beyond TRUNCATION_TOL raises
+    ConvergenceError.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -408,28 +419,25 @@ def solve(spec: ProblemSpec, k: int, policy: Optional[GridPolicy] = None) -> Eig
         # match the grid spacing, not the point count, so the comparison
         # isolates the domain-truncation bias from the discretization error
         wide_n = _capped(spec, int(round((wide[1] - wide[0]) / coarse.h)) - 1)
-        wide_policy = replace(policy, n=wide_n, domain=wide, check_truncation=False)
+        wide_policy = GridPolicy(n=wide_n, domain=wide)
 
     matrix = assemble(spec, fine)
     lam_fine = lowest_eigenvalues(matrix, k)
     lam_coarse = lowest_eigenvalues(assemble(spec, coarse), k)
-    lam_best = [(4.0 * lf - lc) / 3.0 for lf, lc in zip(lam_fine, lam_coarse)]
+    levels = []
+    for n, (lf, lc) in enumerate(zip(lam_fine, lam_coarse)):
+        lam = (4.0 * lf - lc) / 3.0
+        levels.append(Level(n, lam, spec.energy_scale * lam, lf))
 
     if policy.check_truncation:
-        wide_result = solve(spec, k, wide_policy)
-        for (_, _, e_wide, _), lam in zip(wide_result.levels, lam_best):
-            e = spec.energy_scale * lam
-            if abs(e_wide - e) > policy.truncation_tol * max(1.0, abs(e)):
+        for level, wide_level in zip(levels, solve(spec, k, wide_policy).levels):
+            shift = abs(wide_level.energy - level.energy)
+            if shift > TRUNCATION_TOL * max(1.0, abs(level.energy)):
                 raise ConvergenceError(
-                    f"energies shift by {abs(e_wide - e):.3e} when the domain is "
+                    f"energies shift by {shift:.3e} when the domain is "
                     f"extended 1.5x; domain {domain} is too small"
                 )
-
-    levels = []
-    for idx, (lam, lam_raw) in enumerate(zip(lam_best, lam_fine)):
-        samples = eigenvector(matrix, lam_raw, h=fine.h)
-        levels.append((idx, lam, spec.energy_scale * lam, samples))
-    return EigenResult(levels=levels, grid=fine)
+    return EigenResult(levels=levels, grid=fine, matrix=matrix)
 
 
 def sign_changes(samples: np.ndarray, rel_floor: float = 1e-6) -> int:

@@ -24,7 +24,7 @@ def report(name, ok, detail=""):
 
 def test_criterion_1_halfline_ladder():
     result = numeric.solve(ProblemSpec(kind="eqintro"), 4)
-    energies = [e for _, _, e, _ in result.levels]
+    energies = [level.energy for level in result.levels]
     worst_rel = max(
         abs(e - 2.0 * (n + 1)) / (2.0 * (n + 1)) for n, e in enumerate(energies)
     )
@@ -39,9 +39,9 @@ def test_criterion_2_stiff_branch(g):
     params = PhysicalParams(g=g)
     result = numeric.solve(ProblemSpec(kind="eqo1", params=params), 4)
     worst = 0.0
-    for n, _, energy, _ in result.levels:
-        expected = (n + 1) * math.sqrt(1.0 + g)
-        worst = max(worst, abs(energy - expected) / expected)
+    for level in result.levels:
+        expected = (level.n + 1) * math.sqrt(1.0 + g)
+        worst = max(worst, abs(level.energy - expected) / expected)
     report(f"2 stiff branch g={g}", worst <= 1e-6, f"worst rel {worst:.2e}")
 
 
@@ -50,9 +50,9 @@ def test_criterion_3_soft_branch(g):
     params = PhysicalParams(g=g)
     result = numeric.solve(ProblemSpec(kind="eqo2", params=params), 4)
     worst = 0.0
-    for n, _, energy, _ in result.levels:
-        expected = (n + 0.5) * 0.5 * math.sqrt(1.0 - g)
-        worst = max(worst, abs(energy - expected) / expected)
+    for level in result.levels:
+        expected = (level.n + 0.5) * 0.5 * math.sqrt(1.0 - g)
+        worst = max(worst, abs(level.energy - expected) / expected)
     report(f"3 soft branch g={g}", worst <= 1e-6, f"worst rel {worst:.2e}")
 
 
@@ -73,10 +73,7 @@ def test_criterion_4_composite_spectrum():
 def test_criterion_5_endpoint_sweep():
     r_intro = numeric.solve(ProblemSpec(kind="eqintro"), 4)
     r_b0 = numeric.solve(ProblemSpec(kind="hext1", b=0.0), 4)
-    b0_dev = max(
-        abs(e1 - e2)
-        for (_, _, e1, _), (_, _, e2, _) in zip(r_intro.levels, r_b0.levels)
-    )
+    b0_dev = max(abs(l1.energy - l2.energy) for l1, l2 in zip(r_intro.levels, r_b0.levels))
     sweep = interp.b_sweep(UNIT, [1.0, 2.0, 5.0, 10.0, 20.0], 1)
     devs = [row.dev_full for row in sweep.rows]
     decreasing = all(b < a for a, b in zip(devs, devs[1:]))
@@ -90,9 +87,9 @@ def test_criterion_5_endpoint_sweep():
 def test_criterion_6_order0_shift(b):
     result = numeric.solve(ProblemSpec(kind="truncated", b=b, order=0), 4)
     worst = 0.0
-    for n, _, energy, _ in result.levels:
-        expected = (n + 0.5) + 3.0 / (8.0 * b**2)
-        worst = max(worst, abs(energy - expected) / expected)
+    for level in result.levels:
+        expected = (level.n + 0.5) + 3.0 / (8.0 * b**2)
+        worst = max(worst, abs(level.energy - expected) / expected)
     report(f"6 order-0 shift identity b={b}", worst <= 1e-6, f"worst rel {worst:.2e}")
 
 

@@ -74,6 +74,21 @@ class TestSpectrumCommand:
         assert doc["meta"]["params"]["omega"] == 1.0
         assert len(doc["wavefunctions"][0]["samples"]) == 32
 
+    @pytest.mark.parametrize("samples,calls", [([], 0), (["--samples", "8"], 3)])
+    def test_eigenvectors_only_for_samples(self, samples, calls, monkeypatch):
+        from affineosc import numeric
+
+        made = []
+        original = numeric.eigenvector
+
+        def counted(matrix, lam, h):
+            made.append(lam)
+            return original(matrix, lam, h)
+
+        monkeypatch.setattr(numeric, "eigenvector", counted)
+        assert main(["spectrum", "--levels", "3", *samples]) == 0
+        assert len(made) == calls
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
@@ -246,7 +261,7 @@ class TestExitCodes:
             return np.zeros((len(d), len(w))), 1
 
         monkeypatch.setattr(numeric, "dstein", no_convergence)
-        assert cli.main(["spectrum", "--levels", "1"]) == 2
+        assert cli.main(["spectrum", "--levels", "1", "--samples", "4"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and err.count("\n") == 1
 
@@ -381,9 +396,9 @@ class TestOutputBytes:
         grid = numeric.Grid(0.0, 17.0, 16)
         wf = np.full(16, 0.25)
         wf[[5, 10, 15]] = [math.nan, -math.inf, math.inf]
-        monkeypatch.setattr(
-            numeric, "solve", lambda spec, k, policy: numeric.EigenResult([(0, 4.0, 2.0, wf)], grid)
-        )
+        result = numeric.EigenResult([numeric.Level(0, 4.0, 2.0, 4.0)], grid, matrix=None)
+        monkeypatch.setattr(numeric, "solve", lambda spec, k, policy: result)
+        monkeypatch.setattr(numeric, "eigenvector", lambda matrix, lam, h: wf)
         assert main(["spectrum", "--levels", "1", "--samples", "4", "--format", "json"]) == 0
         assert capsys.readouterr().out == (
             "{\n"

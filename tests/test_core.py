@@ -151,8 +151,8 @@ class TestDilation:
     params = PhysicalParams(g=0.6)
 
     def test_examples(self):
-        assert dilation(2.0, 3.0).d == 6.0
-        assert dilation(0.0, 5.0).d == 0.0
+        assert dilation(2.0, 3.0) == 6.0
+        assert dilation(0.0, 5.0) == 0.0
 
     def test_affine_example(self):
         value = hamiltonian_affine(1.0, 2.0, 0.0, 0.0, PhysicalParams(g=0.6))
@@ -169,7 +169,7 @@ class TestDilation:
             nm = to_normal(pt)
             if nm.q1 <= 0:
                 continue
-            d = dilation(nm.q1, nm.p1).d
+            d = dilation(nm.q1, nm.p1)
             h_aff = hamiltonian_affine(nm.q1, d, nm.q2, nm.p2, self.params)
             h_nrm = hamiltonian_normal(nm, self.params)
             assert h_aff == pytest.approx(h_nrm, rel=1e-12, abs=1e-12)

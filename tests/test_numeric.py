@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import affineosc
-from affineosc import numeric
+from affineosc import checks, numeric
 from affineosc.analytic import coupled_y1_eigen, coupled_y2_eigen, half_ho_eigen
 from affineosc.core import DomainError, PhysicalParams
 from affineosc.numeric import (
@@ -36,6 +36,25 @@ def matvec(matrix, v):
     out[:-1] += matrix.off * v[1:]
     out[1:] += matrix.off * v[:-1]
     return out
+
+
+def level_vectors(result):
+    """The fine-grid eigenvector of each solved level."""
+    return [eigenvector(result.matrix, lv.lam_fine, result.grid.h) for lv in result.levels]
+
+
+def count_eigen_calls(monkeypatch):
+    """Count calls of numeric.lowest_eigenvalues and numeric.eigenvector."""
+    calls = {"lowest_eigenvalues": 0, "eigenvector": 0}
+    for name in calls:
+        original = getattr(numeric, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(numeric, name, counted)
+    return calls
 
 
 class TestGrid:
@@ -409,7 +428,6 @@ class TestGridCap:
 
     @pytest.mark.parametrize("field,value", [
         ("domain", (0.0, math.inf)), ("domain", (math.nan, 5.0)),
-        ("truncation_tol", math.nan), ("truncation_tol", math.inf),
     ])
     def test_non_finite_policy_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -419,37 +437,37 @@ class TestGridCap:
 class TestSolve:
     def test_eqintro_ladder(self):
         result = solve(ProblemSpec(kind="eqintro"), 3)
-        for n, _, energy, _ in result.levels:
-            assert energy == pytest.approx(2.0 * (n + 1), rel=1e-6)
+        for level in result.levels:
+            assert level.energy == pytest.approx(2.0 * (level.n + 1), rel=1e-6)
 
     def test_eqo1_matches_closed_form(self):
         result = solve(ProblemSpec(kind="eqo1", params=COUPLED), 2)
-        for n, _, energy, _ in result.levels:
-            assert energy == pytest.approx(
-                coupled_y1_eigen(n, COUPLED).energy, rel=1e-6
+        for level in result.levels:
+            assert level.energy == pytest.approx(
+                coupled_y1_eigen(level.n, COUPLED).energy, rel=1e-6
             )
 
     def test_eqo2_matches_closed_form(self):
         result = solve(ProblemSpec(kind="eqo2", params=COUPLED), 1)
-        assert result.levels[0][2] == pytest.approx(0.15811388300841897, rel=1e-6)
+        assert result.levels[0].energy == pytest.approx(0.15811388300841897, rel=1e-6)
 
     def test_hext1_b0_matches_eqintro(self):
         r1 = solve(ProblemSpec(kind="eqintro"), 3)
         r2 = solve(ProblemSpec(kind="hext1", b=0.0), 3)
-        for (_, _, e1, _), (_, _, e2, _) in zip(r1.levels, r2.levels):
-            assert e2 == pytest.approx(e1, abs=1e-8)
+        for l1, l2 in zip(r1.levels, r2.levels):
+            assert l2.energy == pytest.approx(l1.energy, abs=1e-8)
 
     def test_levels_ascending_and_normalized(self):
         result = solve(ProblemSpec(kind="eqintro"), 4)
-        energies = [e for _, _, e, _ in result.levels]
+        energies = [level.energy for level in result.levels]
         assert energies == sorted(energies)
-        for _, _, _, samples in result.levels:
+        for samples in level_vectors(result):
             assert result.grid.h * np.sum(samples**2) == pytest.approx(1.0, rel=1e-10)
 
     def test_node_count_correspondence(self):
         result = solve(ProblemSpec(kind="eqo2", params=COUPLED), 4)
-        for n, _, _, samples in result.levels:
-            assert sign_changes(samples) == n
+        for level, samples in zip(result.levels, level_vectors(result)):
+            assert sign_changes(samples) == level.n
 
     def test_variational_shift(self):
         spec = ProblemSpec(kind="eqintro")
@@ -462,13 +480,11 @@ class TestSolve:
             assert b - a == pytest.approx(1.0, abs=1e-10)
 
     def test_truncation_check_passes_on_default_domain(self):
-        policy = GridPolicy(n=800, check_truncation=True, truncation_tol=1e-7)
+        policy = GridPolicy(n=800, check_truncation=True)
         solve(ProblemSpec(kind="eqintro"), 1, policy)
 
     def test_truncation_check_rejects_tight_domain(self):
-        policy = GridPolicy(
-            n=400, domain=(0.0, 2.5), check_truncation=True, truncation_tol=1e-8
-        )
+        policy = GridPolicy(n=400, domain=(0.0, 2.5), check_truncation=True)
         with pytest.raises(ConvergenceError):
             solve(ProblemSpec(kind="eqintro"), 2, policy)
 
@@ -487,23 +503,27 @@ class TestSolve:
     def test_energy_scale_far_from_one(self, m, omega, hbar):
         params = PhysicalParams(m=m, omega=omega, hbar=hbar)
         result = solve(ProblemSpec(kind="eqintro", params=params), 3)
-        for n, _, energy, samples in result.levels:
-            assert energy == pytest.approx(half_ho_eigen(n, params).energy, rel=1e-6)
-            assert sign_changes(samples) == n
+        for level, samples in zip(result.levels, level_vectors(result)):
+            assert level.energy == pytest.approx(half_ho_eigen(level.n, params).energy, rel=1e-6)
+            assert sign_changes(samples) == level.n
 
     def test_eigen_calls_go_through_module_attributes(self, monkeypatch):
-        calls = {"lowest_eigenvalues": 0, "eigenvector": 0}
-        for name in calls:
-            original = getattr(numeric, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(numeric, name, counted)
+        calls = count_eigen_calls(monkeypatch)
         solve(ProblemSpec(kind="eqintro"), 3)
-        # fine and coarse grid eigenvalues, then one eigenvector per level
-        assert calls == {"lowest_eigenvalues": 2, "eigenvector": 3}
+        # fine and coarse grid eigenvalues; no eigenvector unless asked for
+        assert calls == {"lowest_eigenvalues": 2, "eigenvector": 0}
+
+    def test_truncation_resolve_computes_no_eigenvectors(self, monkeypatch):
+        calls = count_eigen_calls(monkeypatch)
+        solve(ProblemSpec(kind="hext1", b=2.0), 4, GridPolicy(check_truncation=True))
+        # both grids of the solve and of the 1.5x wider re-solve
+        assert calls == {"lowest_eigenvalues": 4, "eigenvector": 0}
+
+    def test_level_eigenvalue_gives_fine_grid_vector(self):
+        result = solve(ProblemSpec(kind="eqintro"), 2)
+        for level, v in zip(result.levels, level_vectors(result)):
+            residual = matvec(result.matrix, v) - level.lam_fine * v
+            assert np.max(np.abs(residual)) <= 1e-8 * level.lam_fine * np.max(np.abs(v))
 
 
 class TestConvergenceOrder:
@@ -512,15 +532,9 @@ class TestConvergenceOrder:
         ProblemSpec(kind="eqo2", params=COUPLED),
     ])
     def test_richardson_ratio_near_four(self, spec):
-        domain = default_domain(spec, 2)
-        grids = [Grid(domain[0], domain[1], 600)]
-        grids.append(grids[0].refined())
-        grids.append(grids[1].refined())
-        lams = [lowest_eigenvalues(assemble(spec, g), 2) for g in grids]
-        for idx in range(2):
-            star = (4.0 * lams[2][idx] - lams[1][idx]) / 3.0
-            ratio = (lams[0][idx] - star) / (lams[1][idx] - star)
-            assert 3.6 <= ratio <= 4.4
+        ratios = checks.convergence_ratios(spec, k=2, n_base=600)
+        assert len(ratios) == 2
+        assert all(3.6 <= ratio <= 4.4 for ratio in ratios)
 
 
 class TestCommutatorResidual:
