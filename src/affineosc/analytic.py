@@ -1,19 +1,19 @@
 """Closed-form eigenpairs for the solved oscillator problems.
 
-Three branches:
+Three branches, each the well alpha^2 x^2 (r = g/(m omega^2)):
 
-* ``half_ho``   — single oscillator on the half line; E_n = 2(n+1) hbar omega,
-  eigenfunctions x^(3/2) exp(-alpha x^2 / 2) 1F1(-n, 2, alpha x^2) with
-  alpha = m omega / hbar.
-* ``coupled_y1`` — stiff normal mode of the coupled pair, same shape with
-  alpha1 = (m omega / hbar) sqrt(1 + g/(m omega^2)); E_n = (n+1) hbar omega
-  sqrt(1 + g/(m omega^2)).
-* ``coupled_y2`` — soft normal mode, a full-line oscillator with
-  alpha2 = (m omega / hbar) sqrt(1 - g/(m omega^2)); E_n = (n + 1/2)
-  (hbar omega / 2) sqrt(1 - g/(m omega^2)).
+* ``half_ho``    — single oscillator on the half line, alpha = m omega / hbar;
+  E_n = 2(n+1) hbar omega.
+* ``coupled_y1`` — stiff normal mode of the coupled pair, on the half line,
+  alpha = (m omega / hbar) sqrt(1 + r); E_n = (n+1) hbar omega sqrt(1 + r).
+* ``coupled_y2`` — soft normal mode, on the full line, alpha = (m omega / hbar)
+  sqrt(1 - r); E_n = (n + 1/2) (hbar omega / 2) sqrt(1 - r).
 
-Quantum numbers start at n = 0 for every branch (the n = 0 state is a valid
-normalized ground state in all three families).
+Half-line eigenfunctions are x^(3/2) exp(-alpha x^2 / 2) 1F1(-n, 2, alpha x^2),
+full-line ones Hermite functions; quantum numbers start at n = 0 in all three.
+``BRANCHES`` holds each branch's alpha, family and mass, read here and by the
+solver in ``numeric``.  ``branch_energy`` keeps the paper's formulas as
+written: they are the reference the solver is checked against.
 """
 
 from __future__ import annotations
@@ -34,6 +34,24 @@ COUPLED_Y2 = "coupled_y2"
 
 
 @dataclass(frozen=True)
+class Branch:
+    """A branch's well alpha^2 x^2, eigenfunction family and mass."""
+
+    alpha: Callable[[PhysicalParams], float]  # inverse-square length scale
+    halfline: bool  # x > 0 behind the 3/(4x^2) barrier, x^(3/2) 1F1; else Hermite
+    normal_mode: bool  # coupled normal mode: mass 2m, needs 0 < g < m omega^2
+
+
+BRANCHES = {
+    HALF_HO: Branch(lambda p: p.m * p.omega / p.hbar, halfline=True, normal_mode=False),
+    COUPLED_Y1: Branch(lambda p: (p.m * p.omega / p.hbar) * math.sqrt(1.0 + p.g_ratio),
+                       halfline=True, normal_mode=True),
+    COUPLED_Y2: Branch(lambda p: (p.m * p.omega / p.hbar) * math.sqrt(1.0 - p.g_ratio),
+                       halfline=False, normal_mode=True),
+}
+
+
+@dataclass(frozen=True)
 class EigenPair:
     """One bound state: quantum number, energy and an evaluable wavefunction."""
 
@@ -51,12 +69,6 @@ class CompositeLevel:
     n1: int
     n2: int
     energy: float
-
-
-def _check_n(n: int) -> int:
-    if n != int(n) or n < 0:
-        raise ValueError(f"quantum number must be a nonnegative integer, got {n}")
-    return int(n)
 
 
 def _halfline_wavefunction(n: int, alpha: float):
@@ -95,30 +107,32 @@ def _hermite_wavefunction(n: int, alpha: float):
     return phi
 
 
-def _pair(branch: str, n: int, params: PhysicalParams, wavefunction) -> EigenPair:
-    """Level n of a branch, with its energy from branch_energy."""
+def _eigen(branch: str, n: int, params: PhysicalParams) -> EigenPair:
+    """Level n of a branch: energy from branch_energy, wavefunction from BRANCHES."""
+    if n != int(n) or n < 0:
+        raise ValueError(f"quantum number must be a nonnegative integer, got {n}")
+    n = int(n)
+    record = BRANCHES[branch]
+    if record.normal_mode:
+        params.require_quantum_coupling()
+    family = _halfline_wavefunction if record.halfline else _hermite_wavefunction
+    wavefunction = family(n, record.alpha(params))
     return EigenPair(n, branch_energy(branch, n, params), branch, params, wavefunction)
 
 
 def half_ho_eigen(n: int, params: PhysicalParams) -> EigenPair:
     """Half harmonic oscillator level: E_n = 2(n+1) hbar omega."""
-    n = _check_n(n)
-    alpha = params.m * params.omega / params.hbar
-    return _pair(HALF_HO, n, params, _halfline_wavefunction(n, alpha))
+    return _eigen(HALF_HO, n, params)
 
 
 def coupled_y1_eigen(n: int, params: PhysicalParams) -> EigenPair:
     """Stiff-mode level: E_n = (n+1) hbar omega sqrt(1 + g/(m omega^2))."""
-    n = _check_n(n)
-    params.require_quantum_coupling()
-    return _pair(COUPLED_Y1, n, params, _halfline_wavefunction(n, params.alpha1))
+    return _eigen(COUPLED_Y1, n, params)
 
 
 def coupled_y2_eigen(n: int, params: PhysicalParams) -> EigenPair:
     """Soft-mode level: E_n = (n + 1/2) (hbar omega / 2) sqrt(1 - g/(m omega^2))."""
-    n = _check_n(n)
-    params.require_quantum_coupling()
-    return _pair(COUPLED_Y2, n, params, _hermite_wavefunction(n, params.alpha2))
+    return _eigen(COUPLED_Y2, n, params)
 
 
 def branch_energy(branch: str, n: int, params: PhysicalParams) -> float:

@@ -58,16 +58,6 @@ class PhysicalParams:
         """Dimensionless coupling g / (m omega^2), in (-1, 1)."""
         return self.g / (self.m * self.omega**2)
 
-    @property
-    def alpha1(self) -> float:
-        """Inverse-square length scale of the stiff (y1) mode."""
-        return (self.m * self.omega / self.hbar) * math.sqrt(1.0 + self.g_ratio)
-
-    @property
-    def alpha2(self) -> float:
-        """Inverse-square length scale of the soft (y2) mode."""
-        return (self.m * self.omega / self.hbar) * math.sqrt(1.0 - self.g_ratio)
-
     def require_quantum_coupling(self):
         """The decoupled quantum solutions assume 0 < g < m*omega^2."""
         if not 0.0 < self.g < self.m * self.omega**2:
@@ -189,19 +179,22 @@ def hamiltonian_affine(
     )
 
 
-def poisson_bracket(f, g, point: PhaseSpacePoint, step_scale: float = 1e-5) -> float:
+BRACKET_STEP = 1e-5  # relative central-difference step of poisson_bracket
+
+
+def poisson_bracket(f, g, point: PhaseSpacePoint) -> float:
     """Numeric Poisson bracket {f, g} in the original canonical coordinates.
 
     f and g take a PhaseSpacePoint (original frame) and return a scalar.
     Partial derivatives use central differences with per-coordinate step
-    step_scale * max(1, |coordinate|), so exact brackets of polynomial
-    coordinate functions are recovered to O(step^2).
+    BRACKET_STEP * max(1, |coordinate|), so exact brackets of polynomial
+    coordinate functions are recovered to O(BRACKET_STEP^2).
     """
     if point.frame != ORIGINAL:
         raise FrameError("poisson_bracket works in original canonical coordinates")
 
     def step(value):
-        return step_scale * max(1.0, abs(value))
+        return BRACKET_STEP * max(1.0, abs(value))
 
     h_q1, h_q2 = step(point.q1), step(point.q2)
     if point.q1 - h_q1 < 0 or point.q2 - h_q2 < 0:

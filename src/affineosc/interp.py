@@ -10,8 +10,8 @@ exact boundary term 3/(4(x+b)^2) against its power-series truncations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from .core import PhysicalParams
 from .numeric import GridPolicy, ProblemSpec, solve
@@ -37,7 +37,7 @@ class TruncatedSweepResult:
     b: float
     energies: Dict[int, List[float]]  # expansion order -> spectrum
     exact: List[float]  # hext1 spectrum at the same b
-    note: str = (
+    note: ClassVar[str] = (
         "power-series potential is only valid for |x/b| < 1; solve domains for "
         "order >= 1 are clipped to |x| <= 0.9 b"
     )
@@ -85,7 +85,6 @@ def truncated_sweep(
     b: float,
     orders: Sequence[int],
     k: int,
-    policy: Optional[GridPolicy] = None,
 ) -> TruncatedSweepResult:
     """Spectra of the series-truncated potential per order, next to the exact one."""
     if b <= 0:
@@ -95,10 +94,10 @@ def truncated_sweep(
         raise ValueError(f"orders must lie in 0..4, got {orders}")
 
     exact_spec = ProblemSpec(kind="hext1", params=params, b=b)
-    exact = [level.energy for level in solve(exact_spec, k, policy).levels]
+    exact = [level.energy for level in solve(exact_spec, k).levels]
 
     energies: Dict[int, List[float]] = {}
     for order in orders:
         spec = ProblemSpec(kind="truncated", params=params, b=b, order=order)
-        energies[order] = [level.energy for level in solve(spec, k, policy).levels]
+        energies[order] = [level.energy for level in solve(spec, k).levels]
     return TruncatedSweepResult(b=b, energies=energies, exact=exact)

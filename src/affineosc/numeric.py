@@ -24,8 +24,9 @@ eigenvalue):
 * ``hext1``     barrier shifted to x = -b, quadratic well centered at 0; E = lambda hbar^2 / (2m)
 * ``truncated`` hext1 with the barrier replaced by its |x/b| < 1 power series; E = lambda hbar^2 / (2m)
 
-``KIND_FACTS`` holds these facts as one ``KindFacts`` record per kind; the
-solver and the command line branch on the record, never on the kind name.
+``KIND_FACTS`` holds these facts as one ``KindFacts`` record per kind, and the
+kind's well and mass come from its branch's ``analytic.BRANCHES`` record (half_ho
+for hext1 and truncated).  The code branches on records, never on kind names.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .analytic import COUPLED_Y1, COUPLED_Y2, HALF_HO
+from .analytic import BRANCHES, COUPLED_Y1, COUPLED_Y2, HALF_HO, Branch
 from .core import DomainError, PhysicalParams
 
 
@@ -75,9 +76,6 @@ class KindFacts:
     """Everything the solver and the command line need to know about a kind."""
 
     branch: Optional[str] = None  # closed-form branch in ``analytic``
-    # normal mode "y1" or "y2": fixes the confinement alpha^2, the energy scale
-    # hbar^2 / (4m) and the need for 0 < g < m omega^2
-    mode: Optional[str] = None
     # 3/(4(x+b)^2) barrier, singular at x = -b (b = 0 unless takes_b); the
     # domain starts there.  Without a barrier the domain is symmetric.
     barrier: bool = False
@@ -87,8 +85,8 @@ class KindFacts:
 
 KIND_FACTS = {
     "eqintro": KindFacts(branch=HALF_HO, barrier=True),
-    "eqo1": KindFacts(branch=COUPLED_Y1, mode="y1", barrier=True),
-    "eqo2": KindFacts(branch=COUPLED_Y2, mode="y2"),
+    "eqo1": KindFacts(branch=COUPLED_Y1, barrier=True),
+    "eqo2": KindFacts(branch=COUPLED_Y2),
     "hext1": KindFacts(barrier=True, takes_b=True),
     "truncated": KindFacts(takes_b=True, series=True),
 }
@@ -151,7 +149,7 @@ class ProblemSpec:
                 raise ValueError(f"kind {self.kind!r} needs an expansion order in 0..4")
         elif self.order is not None:
             raise ValueError(f"kind {self.kind!r} does not take an expansion order")
-        if facts.mode is not None:
+        if self.well.normal_mode:
             self.params.require_quantum_coupling()
         try:
             scales = [self.energy_scale, self.quad_coeff]
@@ -175,19 +173,20 @@ class ProblemSpec:
         return KIND_FACTS[self.kind]
 
     @property
+    def well(self) -> Branch:
+        """The closed-form branch whose well and mass the kind has."""
+        return BRANCHES[self.facts.branch or HALF_HO]
+
+    @property
     def energy_scale(self) -> float:
         """Factor mapping a discrete eigenvalue lambda to a physical energy."""
         p = self.params
-        return p.hbar**2 / ((2.0 if self.facts.mode is None else 4.0) * p.m)
+        return p.hbar**2 / ((4.0 if self.well.normal_mode else 2.0) * p.m)
 
     @property
     def quad_coeff(self) -> float:
         """Coefficient of the quadratic confinement term in the operator potential."""
-        p = self.params
-        mode = self.facts.mode
-        if mode is None:
-            return (p.m * p.omega / p.hbar) ** 2
-        return (p.alpha1 if mode == "y1" else p.alpha2) ** 2
+        return self.well.alpha(self.params) ** 2
 
     @property
     def singular_point(self) -> Optional[float]:
@@ -440,23 +439,24 @@ def solve(spec: ProblemSpec, k: int, policy: Optional[GridPolicy] = None) -> Eig
     return EigenResult(levels=levels, grid=fine, matrix=matrix)
 
 
-def sign_changes(samples: np.ndarray, rel_floor: float = 1e-6) -> int:
+NODE_FLOOR = 1e-6  # samples below this fraction of the peak are noise for sign_changes
+
+
+def sign_changes(samples: np.ndarray) -> int:
     """Count sign changes of a sampled eigenfunction, ignoring noise-level values."""
-    floor = rel_floor * np.max(np.abs(samples))
+    floor = NODE_FLOOR * np.max(np.abs(samples))
     signs = np.sign(samples[np.abs(samples) > floor])
     return int(np.count_nonzero(np.diff(signs)))
 
 
-def commutator_residual(grid: Grid, f, params=None, bracket_factor: float = 1.0):
+def commutator_residual(grid: Grid, f, hbar: float = 1.0):
     """Grid check of the position/dilation and position/momentum commutators.
 
-    The operators are discretized as multiplication by x, p = -i hbar_eff D_h
-    (central difference) and d = -i hbar_eff (x D_h + 1/2), with hbar_eff =
-    bracket_factor * hbar.  Returns the max over interior nodes of the
-    residuals |[x,d]f - i hbar_eff x f| and |[x,p]f - i hbar_eff f|; both decay
-    as O(h^2) for smooth f vanishing near the ends.
+    The operators are discretized as multiplication by x, p = -i hbar D_h
+    (central difference) and d = -i hbar (x D_h + 1/2).  Returns the max over
+    interior nodes of |[x,d]f - i hbar x f| and |[x,p]f - i hbar f|; both
+    decay as O(h^2) for smooth f vanishing near the ends.
     """
-    hbar = (params.hbar if params is not None else 1.0) * bracket_factor
     x = grid.nodes
     h = grid.h
     fx = np.asarray(f(x), dtype=complex)

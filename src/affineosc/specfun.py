@@ -92,6 +92,7 @@ def laguerre_assoc(n: int, alpha: float, z):
 
 
 QUAD_NODES = 160  # n of the n- and 2n-node Gauss-Legendre pair
+QUAD_TOL = 1e-10  # absolute error integrate_halfline must reach
 
 
 @functools.cache
@@ -103,18 +104,17 @@ def _legendre_pair():
     return np.r_[xn, x2n] + 1.0, np.array([np.r_[wn, 0.0 * w2n], np.r_[0.0 * wn, w2n]])
 
 
-def integrate_halfline(f, lower: float, decay_scale: float, tol: float = 1e-10) -> float:
+def integrate_halfline(f, lower: float, decay_scale: float) -> float:
     """Integrate f over [lower, inf) assuming a Gaussian envelope.
 
     decay_scale is the Gaussian length s of the envelope exp(-((x-lower)/s)^2);
-    the domain is truncated where that envelope drops below tol/100.  f is called
+    the domain ends where that envelope drops below QUAD_TOL/100.  f is called
     once, on an array of nodes, and may return an array or a scalar.  The value is
     the 2n-node Gauss-Legendre sum and its distance from the n-node sum the error.
     """
     if decay_scale <= 0:
         raise ValueError(f"decay_scale must be positive, got {decay_scale}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    tol = QUAD_TOL
     # envelope exp(-(u/s)^2) <= tol/100  =>  u >= s*sqrt(log(100/tol))
     cutoff = lower + decay_scale * math.sqrt(math.log(100.0 / tol)) + decay_scale
     nodes, weights = _legendre_pair()

@@ -132,7 +132,7 @@ def test_criterion_8_structural_suites():
     ]
     ratios = []
     for spec in specs:
-        ratios.extend(checks.convergence_ratios(spec, k=2, n_base=600))
+        ratios.extend(checks.convergence_ratios(spec))
     ratio_ok = all(3.6 <= r <= 4.4 for r in ratios)
 
     ok = gram_ok and ham_ok and bracket_ok and ratio_ok

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from affineosc import analytic
+from affineosc import analytic, checks
 from affineosc.analytic import (
     composite_spectrum,
     coupled_y1_eigen,
@@ -12,7 +12,6 @@ from affineosc.analytic import (
 )
 from affineosc.core import PhysicalParams
 from affineosc.numeric import sign_changes
-from affineosc.specfun import integrate_halfline
 from oracles import brute_force_composite
 
 UNIT = PhysicalParams()
@@ -77,6 +76,15 @@ class TestEnergies:
                 builder(0, PhysicalParams(g=-0.2))
 
 
+class TestBranches:
+    def test_alpha_scales(self):
+        p = PhysicalParams(m=2.0, omega=1.5, hbar=0.5, g=1.8)  # g / (m omega^2) = 0.4
+        alpha = {branch: record.alpha(p) for branch, record in analytic.BRANCHES.items()}
+        assert alpha[analytic.HALF_HO] == pytest.approx(6.0, rel=1e-15)
+        assert alpha[analytic.COUPLED_Y1] == pytest.approx(6.0 * math.sqrt(1.4), rel=1e-15)
+        assert alpha[analytic.COUPLED_Y2] == pytest.approx(6.0 * math.sqrt(0.6), rel=1e-15)
+
+
 class TestWavefunctions:
     def test_half_ho_vanishes_at_origin(self):
         for n in range(6):
@@ -101,21 +109,15 @@ class TestWavefunctions:
         assert coupled_y2_eigen(1, COUPLED).wavefunction(0.0) == 0.0
         assert coupled_y2_eigen(3, COUPLED).wavefunction(0.0) == 0.0
 
+    # the norm is the 1x1 Gram matrix of check_orthonormality, on its domains
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_half_ho_normalized(self, n):
-        pair = half_ho_eigen(n, UNIT)
-        norm = integrate_halfline(
-            lambda x: pair.wavefunction(x) ** 2, 0.0, 1.6, tol=1e-10
-        )
+        norm = checks.gram_matrix([half_ho_eigen(n, UNIT)])[0, 0]
         assert norm == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_y2_normalized(self, n):
-        pair = coupled_y2_eigen(n, COUPLED)
-        scale = 1.0 / math.sqrt(COUPLED.alpha2)
-        norm = integrate_halfline(
-            lambda y: pair.wavefunction(y) ** 2, -12.0 * scale, 4.0 * scale, tol=1e-10
-        )
+        norm = checks.gram_matrix([coupled_y2_eigen(n, COUPLED)])[0, 0]
         assert norm == pytest.approx(1.0, abs=1e-8)
 
     def test_node_counts(self):
@@ -136,10 +138,11 @@ def ode_residual(pair, xs, h):
         v = 0.75 / xs**2 + (p.m * p.omega / p.hbar) ** 2 * xs**2
         lam = 2.0 * p.m * pair.energy / p.hbar**2
     elif pair.branch == analytic.COUPLED_Y1:
-        v = 0.75 / xs**2 + p.alpha1**2 * xs**2
+        # mass 2m, stiffness (m omega^2 + g)/2 from the normal-mode Hamiltonian
+        v = 0.75 / xs**2 + p.m * (p.m * p.omega**2 + p.g) / p.hbar**2 * xs**2
         lam = 4.0 * p.m * pair.energy / p.hbar**2
     else:
-        v = p.alpha2**2 * xs**2
+        v = p.m * (p.m * p.omega**2 - p.g) / p.hbar**2 * xs**2
         lam = 4.0 * p.m * pair.energy / p.hbar**2
     return np.max(np.abs(-lap + v * phi(xs) - lam * phi(xs)))
 

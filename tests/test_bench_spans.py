@@ -1,0 +1,60 @@
+"""The traced benchmark still finds every function it wraps.
+
+bench/spans.py replaces package functions by name (``SPANNED`` and the
+wavefunction factories), and bench/test_bench.py is not part of this suite.
+So a renamed or inlined function would only break the traced benchmark run.
+This test runs the span recorder on four commands in a fresh interpreter.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import affineosc
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+TRACED_SCRIPT = """
+import json, sys
+bench, out, argvs = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+sys.path.insert(0, bench)
+import spans
+from affineosc import analytic, cli, core, interp, numeric, specfun
+modules = {"analytic": analytic, "cli": cli, "core": core, "interp": interp,
+           "numeric": numeric, "specfun": specfun}
+missing = [f"{m}.{a}" for m, a in spans.SPANNED if not hasattr(modules[m], a)]
+missing += [f"analytic.{a}" for a in spans.WAVEFUNCTION_FACTORIES if not hasattr(analytic, a)]
+recorder = spans.Recorder("guard")
+spans.instrument(recorder)
+rcs = [cli.main(argv) for argv in argvs]
+with open(out, "w") as handle:
+    violations = spans.nesting_violations(recorder.spans)
+    json.dump({"missing": missing, "rcs": rcs, "violations": violations,
+               "names": sorted({span[0] for span in recorder.spans})}, handle)
+"""
+
+ARGVS = [
+    ["spectrum", "--levels", "2", "--samples", "4", "--out", "spectrum.csv"],
+    ["sweep", "--b-values", "0,1", "--levels", "1", "--out", "sweep.csv"],
+    ["coupled", "--g", "0.6", "--count", "5", "--out", "coupled.csv"],
+    ["check"],
+]
+
+
+def test_traced_commands_record_every_layer(tmp_path):
+    src = os.path.dirname(os.path.dirname(affineosc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_SCRIPT, str(BENCH), str(out), json.dumps(ARGVS)],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert result["missing"] == []
+    assert result["rcs"] == [0] * len(ARGVS)
+    expected = {"numeric.eigvals", "numeric.eigvec", "analytic.eigen", "specfun.quad", "cli.write"}
+    assert expected <= set(result["names"]), sorted(expected - set(result["names"]))
+    assert result["violations"] == []

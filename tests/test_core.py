@@ -56,11 +56,6 @@ class TestPhysicalParams:
         with pytest.raises(ValueError):
             PhysicalParams(m=2.0, omega=3.0, g=18.0)
 
-    def test_alpha_scales(self):
-        p = PhysicalParams(g=0.6)
-        assert p.alpha1 == pytest.approx(math.sqrt(1.6), rel=1e-15)
-        assert p.alpha2 == pytest.approx(math.sqrt(0.4), rel=1e-15)
-
     def test_quantum_coupling_gate(self):
         PhysicalParams(g=0.5).require_quantum_coupling()
         with pytest.raises(ValueError):

@@ -532,7 +532,7 @@ class TestConvergenceOrder:
         ProblemSpec(kind="eqo2", params=COUPLED),
     ])
     def test_richardson_ratio_near_four(self, spec):
-        ratios = checks.convergence_ratios(spec, k=2, n_base=600)
+        ratios = checks.convergence_ratios(spec)
         assert len(ratios) == 2
         assert all(3.6 <= ratio <= 4.4 for ratio in ratios)
 
@@ -561,8 +561,8 @@ class TestCommutatorResidual:
 
     def test_bracket_factor_two_convention(self):
         grid = Grid(0.0, 8.0, 800)
-        r1 = commutator_residual(grid, self.bump, bracket_factor=1.0)
-        r2 = commutator_residual(grid, self.bump, bracket_factor=2.0)
+        r1 = commutator_residual(grid, self.bump, hbar=1.0)
+        r2 = commutator_residual(grid, self.bump, hbar=2.0)
         # doubling hbar in operators and target scales the residual linearly
         assert r2 == pytest.approx(2.0 * r1, rel=1e-10)
         assert r1 <= 1e-3
