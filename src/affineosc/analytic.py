@@ -23,10 +23,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .core import PhysicalParams
 from .specfun import confluent_1f1_neg, hermite
+
+np = lazy_import("numpy")
 
 HALF_HO = "half_ho"
 COUPLED_Y1 = "coupled_y1"

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Tuple
 
-import numpy as np
-
 from . import analytic, core, numeric, specfun
+from ._lazy import lazy_import
+
+np = lazy_import("numpy")
 
 CheckResult = Tuple[str, bool, str]
 

@@ -24,16 +24,19 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, fields
 from typing import List, Optional
 
-import numpy as np
-
 from . import __version__, analytic, checks, interp, numeric, specfun
+from ._lazy import lazy_import
 from .core import PhysicalParams
 from .numeric import ConvergenceError, GridPolicy, ProblemSpec
 from .specfun import QuadratureError
+
+np = lazy_import("numpy")
 
 COMMANDS = ("spectrum", "coupled", "sweep", "specfun", "check")
 SPECFUN_NAMES = ("1f1", "hermite", "laguerre")
@@ -43,6 +46,23 @@ MAX_COUNT = 100_000
 MAX_FN_N = 10_000
 MAX_B_VALUES = 100
 MAX_SAMPLE_VALUES = 10**6  # levels x samples of one spectrum run
+
+
+def _type_error(value, hint) -> Optional[str]:
+    """What value must be to have the field type hint, or None when it has it.
+
+    A bool is not a number, an int is a float, and a list holds numbers.
+    """
+    if typing.get_origin(hint) is typing.Union:  # Optional[X]
+        inner = _type_error(value, typing.get_args(hint)[0])
+        return None if value is None or inner is None else inner + " or null"
+    if typing.get_origin(hint) is list:
+        numbers_only = isinstance(value, list) and all(_type_error(v, float) is None for v in value)
+        return None if numbers_only else "a list of numbers"
+    accepted = (int, float) if hint is float else hint
+    if isinstance(value, accepted) and not isinstance(value, bool):
+        return None
+    return {int: "an integer", float: "a number", str: "a string"}[hint]
 
 
 @dataclass
@@ -70,6 +90,14 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
+        hints = typing.get_type_hints(RunConfig)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            expected = _type_error(value, hints[f.name])
+            if expected is not None:
+                raise ValueError(
+                    f"field {f.name!r} must be {expected}, got {type(value).__name__} {value!r:.40}"
+                )
         if self.command not in COMMANDS:
             raise ValueError(f"field 'command' must be one of {COMMANDS}, got {self.command!r}")
         if self.kind not in numeric.KINDS:
@@ -125,9 +153,11 @@ def _render_value(value) -> str:
         return _render_floats(value)
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    # numpy registers its integer and floating scalars as numbers.Integral and
+    # numbers.Real; np.bool_ is neither, so it is not serialized
+    if isinstance(value, numbers.Integral):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, numbers.Real):
         # JSON has no NaN or infinity
         return _fmt_float(value) if math.isfinite(value) else "null"
     if isinstance(value, str):
@@ -160,7 +190,7 @@ def _csv_cell(cell) -> str:
         return ""
     if isinstance(cell, str):
         return cell
-    if isinstance(cell, (int, np.integer)) and not isinstance(cell, bool):
+    if isinstance(cell, numbers.Integral) and not isinstance(cell, bool):
         return str(cell)
     return _fmt_float(cell)
 

@@ -7,8 +7,9 @@ LAPACK bisection (?stebz), and energies are improved by Richardson
 extrapolation over a node-nested grid pair (h, h/2).  An eigenvector is computed
 only on request, from the fine-grid matrix, by LAPACK inverse iteration (?stein,
 which starts from its own fixed pseudo-random vector).
-Both routines are called through scipy's f2py wrappers, loaded without
-importing scipy.linalg (see ``_load_lapack``).
+Both routines are called through scipy's f2py wrappers, loaded on the first
+eigen call without importing scipy.linalg (see ``_load_lapack``).  numpy, too,
+loads at its first use, so importing this module loads neither.
 
 For the singular kinds the boundary node sits one spacing away from the
 singularity; the physical solutions vanish there like (distance)^(3/2), so a
@@ -31,6 +32,7 @@ for hext1 and truncated).  The code branches on records, never on kind names.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -38,19 +40,23 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .analytic import BRANCHES, COUPLED_Y1, COUPLED_Y2, HALF_HO, Branch
 from .core import DomainError, PhysicalParams
 
+np = lazy_import("numpy")
 
+
+@functools.cache
 def _load_lapack():
     """scipy's LAPACK extension ``scipy/linalg/_flapack``, loaded by file path.
 
-    Reaching it through ``import scipy.linalg`` costs about 0.3 s, more than
-    numpy.  The extension is private to scipy, so if loading it fails for any
-    reason (another layout, another platform) this falls back to the public
-    ``scipy.linalg.lapack``, which exposes the same wrappers.
+    Loaded once, on the first eigen call, so paths that solve nothing never
+    open it (or numpy, which it imports).  Reaching it through ``import
+    scipy.linalg`` costs about 0.3 s, more than numpy.  The extension is
+    private to scipy, so if loading it fails for any reason (another layout,
+    another platform) this falls back to the public ``scipy.linalg.lapack``,
+    which exposes the same wrappers.
     """
     try:
         scipy_dir = os.path.dirname(importlib.util.find_spec("scipy").origin)
@@ -67,8 +73,14 @@ def _load_lapack():
         return lapack
 
 
-_LAPACK = _load_lapack()
-dstebz, dstein = _LAPACK.dstebz, _LAPACK.dstein
+def dstebz(*args):
+    """LAPACK ?stebz (f2py signature); a module attribute, so tests can replace it."""
+    return _load_lapack().dstebz(*args)
+
+
+def dstein(*args):
+    """LAPACK ?stein (f2py signature); a module attribute, so tests can replace it."""
+    return _load_lapack().dstein(*args)
 
 
 @dataclass(frozen=True)

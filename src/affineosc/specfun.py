@@ -11,16 +11,28 @@ from __future__ import annotations
 import functools
 import math
 
-import numpy as np
+from ._lazy import lazy_import
+
+np = lazy_import("numpy")
 
 
 class QuadratureError(RuntimeError):
     """Half-line quadrature failed to reach the requested tolerance."""
 
 
-# Large or non-finite arguments overflow the recurrences to inf or nan, which
-# is the value reported; numpy's overflow warnings would only add stderr noise.
-_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+def _quiet_overflow(fn):
+    """fn run under np.errstate, entered at call time so that defining fn loads no numpy.
+
+    Large or non-finite arguments overflow the recurrences to inf or nan, which
+    is the value reported; numpy's overflow warnings would only add stderr noise.
+    """
+
+    @functools.wraps(fn)
+    def quiet(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args, **kwargs)
+
+    return quiet
 
 
 def _check_degree(n: int) -> int:

@@ -19,6 +19,15 @@ def parse_csv(text):
     return header, rows
 
 
+# config-file values of the wrong JSON type: a bool is no number, a float no
+# integer, and a list field takes a JSON array of numbers
+WRONG_TYPES = [
+    ("points", "12"), ("levels", True), ("samples", True), ("count", 5.0),
+    ("m", "1"), ("g", None), ("b_values", [0, "1"]), ("points", [True]),
+    ("grid_n", 20.5), ("kind", 3), ("out", 3),
+]
+
+
 class TestRunConfig:
     def test_defaults_valid(self):
         cfg = RunConfig(command="spectrum")
@@ -31,10 +40,18 @@ class TestRunConfig:
     @pytest.mark.parametrize("field,value", [
         ("command", "nope"), ("kind", "nope"), ("format", "xml"),
         ("levels", 0), ("count", 0), ("samples", -1), ("grid_n", 4),
+        *WRONG_TYPES,
     ])
     def test_field_validation(self, field, value):
         with pytest.raises(ValueError, match=field):
             RunConfig.from_mapping({"command": "spectrum", field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("m", 2), ("fn_param", -1), ("b_values", [0, 2.5]), ("points", []),
+        ("grid_n", None), ("out", None),
+    ])
+    def test_field_types_accepted(self, field, value):
+        assert getattr(RunConfig.from_mapping({"command": "spectrum", field: value}), field) == value
 
     def test_dump_round_trip(self, capsys):
         assert main(["spectrum", "--kind", "eqo1", "--g", "0.3", "--dump-config"]) == 0
@@ -218,6 +235,15 @@ class TestExitCodes:
         assert err.startswith("validation error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field,value", WRONG_TYPES)
+    def test_config_file_type_is_one_line_validation_error(self, field, value, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "specfun", "points": [0.5], field: value}))
+        assert main(["specfun", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: field '{field}' must be ")
+        assert err.count("\n") == 1
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"command": "spectrum", "whoops": True}))
@@ -385,6 +411,27 @@ class TestOutputBytes:
             f'  "meta": {{"tool_version": "0.1.0", "params": {PARAMS_UNIT}}}\n'
             "}\n"
         )
+
+    def test_numpy_scalars(self):
+        import numpy as np
+
+        from affineosc.cli import render_csv
+
+        values = [np.int64(-3), np.float64(0.1), np.float32(0.1), np.float64(math.nan),
+                  np.float64(-math.inf)]
+        assert render_json({"v": values, "i": np.int64(7), "x": np.float32(2.5)}) == (
+            "{\n"
+            '  "v": [-3, 1.00000000000000e-01, 1.00000001490116e-01, null, null],\n'
+            '  "i": 7,\n'
+            '  "x": 2.50000000000000e+00\n'
+            "}\n"
+        )
+        assert render_csv(["a", "b", "c", "d", "e"], [values]) == (
+            "a,b,c,d,e\n-3,1.00000000000000e-01,1.00000001490116e-01,nan,-inf\n"
+        )
+        for value in (np.bool_(True), [np.bool_(False)]):
+            with pytest.raises(TypeError, match="cannot serialize"):
+                render_json({"flag": value})
 
     def test_spectrum_json_samples_with_non_finite_values(self, monkeypatch, capsys):
         # a fixed solver result, so the bytes do not depend on LAPACK; the

@@ -349,13 +349,14 @@ class TestLapackLoad:
     def test_public_module_gives_identical_bits(self, monkeypatch, spec, k):
         from scipy.linalg import lapack
 
-        assert numeric._LAPACK.__name__ == "_flapack"  # the direct load succeeded
+        direct = numeric._load_lapack()
+        assert direct.__name__ == "_flapack"  # the direct load succeeded
         domain = default_domain(spec, k)
         coarse = Grid(domain[0], domain[1], numeric._auto_n(spec, domain))
         for grid in (coarse, coarse.refined()):
             matrix = assemble(spec, grid)
             results = []
-            for module in (numeric._LAPACK, lapack):
+            for module in (direct, lapack):
                 monkeypatch.setattr(numeric, "dstebz", module.dstebz)
                 monkeypatch.setattr(numeric, "dstein", module.dstein)
                 lams = lowest_eigenvalues(matrix, k)
@@ -373,7 +374,78 @@ class TestLapackLoad:
             raise ImportError("synthetic load failure")
 
         monkeypatch.setattr(importlib.util, "spec_from_file_location", broken)
-        assert numeric._load_lapack() is lapack
+        # the loader itself, past the cache that holds this process's direct load
+        assert numeric._load_lapack.__wrapped__() is lapack
+
+
+IMPORT_FOOTPRINT_SCRIPT = """
+import contextlib, io, math, os, sys, tempfile
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+def numpy_or_lapack():
+    return sorted(m for m in sys.modules if m.endswith(("._multiarray_umath", "_flapack")))
+
+# 1. The imports bench/job.py makes, then coupled in every form that does no
+#    array work, load neither numpy nor LAPACK.
+import affineosc
+from affineosc import cli, interp, numeric, specfun
+assert not numpy_or_lapack(), numpy_or_lapack()
+assert specfun._legendre_pair.cache_info().currsize == 0, "rules built by import affineosc"
+assert "numpy.polynomial" not in sys.modules, "loaded by import affineosc"
+csv = os.path.join(tempfile.mkdtemp(), "coupled.csv")
+assert run("coupled", "--g", "0.6", "--count", "5", "--out", csv)[0] == 0
+assert open(csv).read().startswith("n1,n2,energy\\n0,0,")
+assert open(csv[:-4] + "_branches.csv").read().startswith("branch,n,energy\\ncoupled_y1,0,")
+code, out, _ = run("coupled", "--g", "0.6", "--count", "5", "--format", "json")
+assert code == 0 and out.startswith('{\\n  "composite": [{"n1": 0, "n2": 0,'), out
+code, out, _ = run("coupled", "--count", "1000", "--dump-config")
+assert code == 0 and '"count": 1000' in out, out
+code, _, err = run("coupled", "--g", "2.0")
+assert code == 1 and err.startswith("validation error:"), err
+assert not numpy_or_lapack(), numpy_or_lapack()
+
+# 2. Array work loads numpy and LAPACK on first use.
+code, out, _ = run("spectrum", "--levels", "4", "--samples", "8")
+assert code == 0 and out.startswith("n,energy_analytic,energy_numeric,abs_diff\\n0,"), out
+assert numpy_or_lapack(), "spectrum ran without numpy and LAPACK"
+assert "numpy.polynomial" not in sys.modules, "loaded by spectrum or coupled"
+code, out, _ = run("check")
+assert code == 0 and "[FAIL]" not in out, out
+import numpy as np
+value = specfun.integrate_halfline(lambda x: np.exp(-x * x) * (1.0 + x), 0.5, 1.0)
+exact = math.sqrt(math.pi) / 2.0 * math.erfc(0.5) + math.exp(-0.25) / 2.0
+assert abs(value - exact) <= 1e-10, value
+
+# 3. Neither scipy.linalg nor scipy.integrate was loaded; the LAPACK loaded by
+#    file path is another object than scipy.linalg's and gives the same bits.
+for name in ("scipy.linalg", "scipy.integrate"):
+    assert name not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+import scipy.linalg
+matrix = numeric.assemble(numeric.ProblemSpec(kind="eqintro"), numeric.Grid(0.0, 9.0, 500))
+args = (matrix.diag, matrix.off, 2, 0.0, 1.0, 1, 20, 1e-12, "E")
+(m, w, _, _, info), (m_pub, w_pub, _, _, info_pub) = (
+    numeric.dstebz(*args), scipy.linalg.lapack.dstebz(*args)
+)
+assert numeric._load_lapack().dstebz is not scipy.linalg.lapack.dstebz
+assert (m, info) == (m_pub, info_pub) == (20, 0)
+assert w[:m].tobytes() == w_pub[:m].tobytes()
+print("ok")
+"""
+
+
+def test_import_footprint():
+    src = os.path.dirname(os.path.dirname(affineosc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_FOOTPRINT_SCRIPT], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 NO_SCIPY_LINALG_SCRIPT = """
@@ -392,7 +464,7 @@ args = (matrix.diag, matrix.off, 2, 0.0, 1.0, 1, 20, 1e-12, "E")
 (m, w, _, _, info), (m_pub, w_pub, _, _, info_pub) = (
     numeric.dstebz(*args), scipy.linalg.lapack.dstebz(*args)
 )
-assert numeric.dstebz is not scipy.linalg.lapack.dstebz
+assert numeric._load_lapack().dstebz is not scipy.linalg.lapack.dstebz
 assert (m, info) == (m_pub, info_pub) == (20, 0)
 assert w[:m].tobytes() == w_pub[:m].tobytes()
 """
