@@ -98,6 +98,14 @@ class RunConfig:
                 raise ValueError(
                     f"field {f.name!r} must be {expected}, got {type(value).__name__} {value!r:.40}"
                 )
+            # an int given for a float field is stored, and printed, as a float
+            try:
+                if hints[f.name] is float:
+                    setattr(self, f.name, float(value))
+                elif hints[f.name] == List[float]:
+                    setattr(self, f.name, [float(v) for v in value])
+            except OverflowError:
+                raise ValueError(f"field {f.name!r} must be within float range") from None
         if self.command not in COMMANDS:
             raise ValueError(f"field 'command' must be one of {COMMANDS}, got {self.command!r}")
         if self.kind not in numeric.KINDS:
@@ -258,7 +266,8 @@ def _problem_spec(config: RunConfig) -> ProblemSpec:
 
 
 def _downsample(grid, samples, count):
-    idx = np.linspace(0, len(samples) - 1, count).round().astype(int)
+    """[x, value] rows at count evenly spread nodes; never more rows than nodes."""
+    idx = np.linspace(0, len(samples) - 1, min(count, len(samples))).round().astype(int)
     return np.column_stack([grid.nodes[idx], samples[idx]]).tolist()
 
 

@@ -7,9 +7,12 @@ LAPACK bisection (?stebz), and energies are improved by Richardson
 extrapolation over a node-nested grid pair (h, h/2).  An eigenvector is computed
 only on request, from the fine-grid matrix, by LAPACK inverse iteration (?stein,
 which starts from its own fixed pseudo-random vector).
-Both routines are called through scipy's f2py wrappers, loaded on the first
-eigen call without importing scipy.linalg (see ``_load_lapack``).  numpy, too,
-loads at its first use, so importing this module loads neither.
+Both routines are called through ctypes, as the LAPACKE C entry points of the
+OpenBLAS that scipy bundles, with ``scipy.linalg.lapack`` as the fallback (see
+``_lapack``).  The matrix rows are built as ``array('d')`` in plain Python, so
+a solve that reports energies loads no numpy.  Only ``Grid.nodes``,
+``eigenvector``, ``sign_changes`` and ``commutator_residual`` use numpy, which
+loads at their first use; importing this module loads neither numpy nor LAPACK.
 
 For the singular kinds the boundary node sits one spacing away from the
 singularity; the physical solutions vanish there like (distance)^(3/2), so a
@@ -33,10 +36,10 @@ for hext1 and truncated).  The code branches on records, never on kind names.
 from __future__ import annotations
 
 import functools
-import importlib.machinery
 import importlib.util
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
@@ -47,40 +50,119 @@ from .core import DomainError, PhysicalParams
 np = lazy_import("numpy")
 
 
-@functools.cache
-def _load_lapack():
-    """scipy's LAPACK extension ``scipy/linalg/_flapack``, loaded by file path.
+class _Lapack(NamedTuple):
+    """The two LAPACK routines the solver calls, with where they come from."""
 
-    Loaded once, on the first eigen call, so paths that solve nothing never
-    open it (or numpy, which it imports).  Reaching it through ``import
-    scipy.linalg`` costs about 0.3 s, more than numpy.  The extension is
-    private to scipy, so if loading it fails for any reason (another layout,
-    another platform) this falls back to the public ``scipy.linalg.lapack``,
-    which exposes the same wrappers.
+    dstebz: Callable
+    dstein: Callable
+    source: str  # the OpenBLAS file, or "scipy.linalg.lapack"
+
+
+def _openblas_path() -> str:
+    """The OpenBLAS bundled in a scipy wheel, the library its LAPACK extension runs on."""
+    import glob
+
+    scipy_dir = os.path.dirname(importlib.util.find_spec("scipy").origin)
+    libs = glob.escape(os.path.join(os.path.dirname(scipy_dir), "scipy.libs"))
+    # the LP64 build (32-bit integers); the ILP64 one is libscipy_openblas64_-*
+    return next(glob.iglob(os.path.join(libs, "libscipy_openblas-*.so")))
+
+
+def _lapacke(path: str) -> _Lapack:
+    """?stebz and ?stein through the LAPACKE entry points of the library at path."""
+    import ctypes  # here, not at the top: paths that solve nothing never pay its import
+
+    lib = ctypes.CDLL(path)
+    c_int, c_double = ctypes.c_int, ctypes.c_double
+    double_p, int_p = ctypes.POINTER(c_double), ctypes.POINTER(c_int)
+    stebz = lib.scipy_LAPACKE_dstebz
+    stebz.argtypes = [ctypes.c_char, ctypes.c_char, c_int, c_double, c_double, c_int, c_int,
+                      c_double, double_p, double_p, int_p, int_p, double_p, int_p, int_p]
+    stebz.restype = c_int
+    stein = lib.scipy_LAPACKE_dstein
+    stein.argtypes = [c_int, c_int, double_p, double_p, c_int, double_p, int_p, int_p, double_p,
+                      c_int, int_p]
+    stein.restype = c_int
+
+    def doubles(values, count):
+        """The first count entries of a float64 buffer, shared, not copied."""
+        fmt = memoryview(values).format
+        if fmt != "d":
+            raise TypeError(f"LAPACK needs float64 entries, got buffer format {fmt!r}")
+        return (c_double * count).from_buffer(values)
+
+    def dstebz(diag, off, k, tol):
+        n = len(diag)
+        m, nsplit = c_int(), c_int()
+        w, iblock, isplit = (c_double * n)(), (c_int * n)(), (c_int * n)()
+        # range "I": eigenvalues 1..k (vl, vu unused); order "E": ascending over the whole matrix
+        info = stebz(b"I", b"E", n, 0.0, 1.0, 1, k, tol, doubles(diag, n), doubles(off, n - 1),
+                     m, nsplit, w, iblock, isplit)
+        return w[:m.value], info
+
+    def dstein(diag, off, lam):
+        n = len(diag)
+        # ?stein reads one eigenvalue, but LAPACKE checks n entries of w for NaN
+        w, z = (c_double * n)(lam), (c_double * n)()
+        # the whole matrix as one unreduced block: iblock = 1 for lam, the block ends at n;
+        # z is n x 1, column-major (layout 102)
+        info = stein(102, n, doubles(diag, n), doubles(off, n - 1), 1, w, c_int(1), c_int(n), z,
+                     n, c_int())
+        return z, info
+
+    return _Lapack(dstebz, dstein, path)
+
+
+def _scipy_lapack() -> _Lapack:
+    """The same two routines through scipy's public f2py wrappers."""
+    from scipy.linalg import lapack
+
+    def dstebz(diag, off, k, tol):
+        m, w, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, 1, k, tol, "E")
+        return w[:m].tolist(), info
+
+    def dstein(diag, off, lam):
+        n = len(diag)
+        z, info = lapack.dstein(
+            diag, off, [lam], np.ones(n, dtype=np.int32), np.full(n, n, dtype=np.int32)
+        )
+        return z[:, 0], info
+
+    return _Lapack(dstebz, dstein, "scipy.linalg.lapack")
+
+
+@functools.cache
+def _lapack() -> _Lapack:
+    """LAPACK, bound on the first eigen call.
+
+    ctypes opens scipy's bundled OpenBLAS in about 3 ms and needs no numpy;
+    ``import scipy.linalg`` would cost about 0.3 s on top of numpy.  The file
+    is private to scipy wheels, so where it is missing or lacks the LAPACKE
+    symbols (a build from source, another platform) this falls back to the
+    public ``scipy.linalg.lapack``.  Both run the same LAPACK code.
     """
     try:
-        scipy_dir = os.path.dirname(importlib.util.find_spec("scipy").origin)
-        stem = os.path.join(scipy_dir, "linalg", "_flapack")
-        suffixes = importlib.machinery.EXTENSION_SUFFIXES
-        path = next(filter(os.path.isfile, (stem + suffix for suffix in suffixes)))
-        spec = importlib.util.spec_from_file_location("_flapack", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-    except Exception:  # any failure of the private load: use the public module
-        from scipy.linalg import lapack
-
-        return lapack
+        return _lapacke(_openblas_path())
+    # no such file (StopIteration), a file ctypes cannot open (OSError), no
+    # LAPACKE symbols in it or no scipy at all (AttributeError)
+    except (StopIteration, OSError, AttributeError):
+        return _scipy_lapack()
 
 
-def dstebz(*args):
-    """LAPACK ?stebz (f2py signature); a module attribute, so tests can replace it."""
-    return _load_lapack().dstebz(*args)
+def dstebz(diag, off, k, tol):
+    """(the k lowest eigenvalues ascending, info) by LAPACK ?stebz.
+
+    diag and off are float64 buffers.  A module attribute, so tests can replace it.
+    """
+    return _lapack().dstebz(diag, off, k, tol)
 
 
-def dstein(*args):
-    """LAPACK ?stein (f2py signature); a module attribute, so tests can replace it."""
-    return _load_lapack().dstein(*args)
+def dstein(diag, off, lam):
+    """(eigenvector for lam, info) by LAPACK ?stein.
+
+    diag and off are float64 buffers.  A module attribute, so tests can replace it.
+    """
+    return _lapack().dstein(diag, off, lam)
 
 
 @dataclass(frozen=True)
@@ -210,12 +292,19 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class TridiagonalMatrix:
-    """Symmetric tridiagonal matrix (diagonal plus one off-diagonal band)."""
+    """Symmetric tridiagonal matrix (diagonal plus one off-diagonal band).
 
-    diag: np.ndarray
-    off: np.ndarray
+    Both bands are stored as array('d'); other float sequences are copied into one.
+    """
+
+    diag: array
+    off: array
 
     def __post_init__(self):
+        for name in ("diag", "off"):
+            band = getattr(self, name)
+            if not (isinstance(band, array) and band.typecode == "d"):
+                object.__setattr__(self, name, array("d", band))
         if len(self.off) != len(self.diag) - 1:
             raise ValueError("off-diagonal must be one shorter than the diagonal")
 
@@ -242,29 +331,40 @@ class EigenResult:
     matrix: TridiagonalMatrix
 
 
-def potential_of(spec: ProblemSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """Operator potential V(x) for the given problem kind.
+def potential_of(spec: ProblemSpec) -> Callable[[float], float]:
+    """Operator potential V(x) at one point x for the given problem kind.
 
     Raises DomainError when evaluated at the singular point (x = 0 for the
-    half-line kinds, x = -b for hext1).
+    half-line kinds, x = -b for hext1).  Squares are products (x * x), as
+    numpy's squaring of arrays is; higher series powers use float ``**``.
     """
     c = spec.quad_coeff
     sing = spec.singular_point
-    series = spec.facts.series
-    if series:
-        b = spec.b
-        coeffs = [(-1.0) ** j * (j + 1) / b**j for j in range(spec.order + 1)]
 
-    def v(x):
-        x = np.asarray(x, dtype=float)
-        if series:
-            terms = sum(cj * x**j for j, cj in enumerate(coeffs))
-            return 0.75 / b**2 * terms + c * x**2
-        if sing is None:
-            return c * x**2
-        if np.any(x == sing):
-            raise DomainError(f"potential is singular at x = {sing}")
-        return 0.75 / (x - sing) ** 2 + c * x**2
+    if spec.facts.series:
+        b = spec.b
+        barrier = 0.75 / b**2
+        coeffs = list(enumerate((-1.0) ** j * (j + 1) / b**j for j in range(spec.order + 1)))
+
+        def v(x):
+            terms = 0
+            for j, cj in coeffs:
+                terms += cj * (x * x if j == 2 else x**j)
+            return barrier * terms + c * (x * x)
+
+    elif sing is None:
+
+        def v(x):
+            return c * (x * x)
+
+    else:
+
+        def v(x):
+            s = x - sing
+            try:
+                return 0.75 / (s * s) + c * (x * x)
+            except ZeroDivisionError:
+                raise DomainError(f"potential is singular at x = {sing}") from None
 
     return v
 
@@ -272,10 +372,12 @@ def potential_of(spec: ProblemSpec) -> Callable[[np.ndarray], np.ndarray]:
 def assemble(spec: ProblemSpec, grid: Grid) -> TridiagonalMatrix:
     """3-point discretization of -d^2/dx^2 + V on the grid's interior nodes."""
     _check_domain(spec, grid)
-    h = grid.h
-    v = potential_of(spec)(grid.nodes)
-    diag = 2.0 / h**2 + v
-    off = np.full(grid.n - 1, -1.0 / h**2)
+    v = potential_of(spec)
+    x_min, h = grid.x_min, grid.h
+    stencil = 2.0 / h**2
+    # the values of grid.nodes, without numpy
+    diag = array("d", [stencil + v(x_min + h * i) for i in range(1, grid.n + 1)])
+    off = array("d", [-1.0 / h**2]) * (grid.n - 1)
     return TridiagonalMatrix(diag=diag, off=off)
 
 
@@ -295,6 +397,11 @@ def _check_domain(spec: ProblemSpec, grid: Grid):
 EIGENVALUE_TOL = 1e-12  # absolute width of the ?stebz bisection bracket
 
 
+def _all_finite(values) -> bool:
+    # a finite sum proves every entry finite; only an overflowing sum needs the entry-wise test
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
 def lowest_eigenvalues(matrix: TridiagonalMatrix, k: int):
     """The k smallest eigenvalues by LAPACK bisection (?stebz), ascending.
 
@@ -306,15 +413,18 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, k: int):
     n = matrix.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    diag, off = np.asarray_chkfinite(matrix.diag), np.asarray_chkfinite(matrix.off)
-    if n == 1:  # f2py rejects the empty off-diagonal
+    diag, off = matrix.diag, matrix.off
+    if not (_all_finite(diag) and _all_finite(off)):
+        raise ValueError("matrix entries must be finite, got NaN or infinity")
+    if n == 1:  # no off-diagonal to pass
         return diag.tolist()
-    tol = EIGENVALUE_TOL * min(1.0, np.max(np.abs(diag)))
-    # range 2: by index il..iu (vl, vu unused); order "E": ascending over the whole matrix
-    m, w, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, 1, k, tol, "E")
+    # min(1, max|diag|); the scan stops at the first entry of magnitude 1 or more
+    scale = 1.0 if any(abs(d) >= 1.0 for d in diag) else max(map(abs, diag))
+    tol = EIGENVALUE_TOL * scale
+    values, info = dstebz(diag, off, k, tol)
     if info != 0:
         raise ConvergenceError(f"LAPACK ?stebz failed (info={info})")
-    return w[:m].tolist()
+    return values
 
 
 def eigenvector(matrix: TridiagonalMatrix, lam: float, h: float) -> np.ndarray:
@@ -324,20 +434,17 @@ def eigenvector(matrix: TridiagonalMatrix, lam: float, h: float) -> np.ndarray:
     at both ends) and the first sample of nontrivial magnitude is positive.
     """
     n = matrix.n
-    if n == 1:  # f2py rejects the empty off-diagonal
+    if n == 1:  # no off-diagonal to pass
         return np.array([1.0 / math.sqrt(h)])
+    diag, off = np.asarray(matrix.diag), np.asarray(matrix.off)
     # ?stein returns NaN for entries near 1e146: scale them into [0.5, 1) by a
     # power of two, which is exact.  It also perturbs LU pivots below eps*|T|;
     # shifting lam by 1e-13 keeps them clear (samples 7e-12 from the exact
     # stiff Laplacian ones, against 6e-11 unshifted).
-    factor = math.ldexp(1.0, -math.frexp(np.max(np.abs(matrix.diag)))[1])
-    # the whole matrix as one unreduced block: iblock = 1 for lam, block ends at n
-    z, info = dstein(
-        matrix.diag * factor, matrix.off * factor, [lam * factor + 1e-13],
-        np.ones(n, dtype=np.int32), np.full(n, n, dtype=np.int32),
-    )
-    v = z[:, 0]
-    if info > 0 or not np.all(np.isfinite(v)):
+    factor = math.ldexp(1.0, -math.frexp(np.max(np.abs(diag)))[1])
+    vector, info = dstein(diag * factor, off * factor, lam * factor + 1e-13)
+    v = np.array(vector, dtype=float)
+    if info != 0 or not np.all(np.isfinite(v)):
         raise ConvergenceError(f"LAPACK ?stein did not converge for lambda={lam}")
     v /= math.sqrt(h) * np.linalg.norm(v)
     lead = np.flatnonzero(np.abs(v) > 1e-8 * np.max(np.abs(v)))[0]

@@ -53,6 +53,14 @@ class TestRunConfig:
     def test_field_types_accepted(self, field, value):
         assert getattr(RunConfig.from_mapping({"command": "spectrum", field: value}), field) == value
 
+    def test_int_for_float_field_is_stored_as_float(self):
+        cfg = RunConfig.from_mapping(
+            {"command": "specfun", "m": 2, "g": 0, "b_values": [0, 2.5], "points": [1, 2.5]}
+        )
+        assert (cfg.m, cfg.g, cfg.b_values, cfg.points) == (2.0, 0.0, [0.0, 2.5], [1.0, 2.5])
+        assert {type(v) for v in (cfg.m, cfg.g, *cfg.b_values, *cfg.points)} == {float}
+        assert type(cfg.levels) is int
+
     def test_dump_round_trip(self, capsys):
         assert main(["spectrum", "--kind", "eqo1", "--g", "0.3", "--dump-config"]) == 0
         dumped = json.loads(capsys.readouterr().out)
@@ -90,6 +98,32 @@ class TestSpectrumCommand:
         assert doc["meta"]["kind"] == "eqintro"
         assert doc["meta"]["params"]["omega"] == 1.0
         assert len(doc["wavefunctions"][0]["samples"]) == 32
+
+    def test_samples_clamped_to_fine_grid(self, capsys):
+        # --grid-n 16 gives a fine grid of 33 nodes
+        argv = ["spectrum", "--levels", "1", "--grid-n", "16", "--format", "json"]
+        assert main([*argv, "--samples", "5000"]) == 0
+        clamped = capsys.readouterr().out
+        rows = json.loads(clamped)["wavefunctions"][0]["samples"]
+        assert len(rows) == len({x for x, _ in rows}) == 33
+        assert main([*argv, "--samples", "33"]) == 0
+        assert capsys.readouterr().out == clamped
+
+    @pytest.mark.parametrize("coarse_n,counts", [
+        (16, range(1, 40)), (2000, [2, 1000, 1333, 2000, 2001, 3999, 4000, 4001, 9000]),
+    ])
+    def test_downsampled_nodes_are_distinct(self, coarse_n, counts):
+        from affineosc import cli, numeric
+
+        spec = numeric.ProblemSpec(kind="eqintro")
+        result = numeric.solve(spec, 1, numeric.GridPolicy(n=coarse_n))
+        grid = result.grid
+        wf = numeric.eigenvector(result.matrix, result.levels[0].lam_fine, grid.h)
+        nodes = set(grid.nodes)
+        for count in counts:
+            xs = [x for x, _ in cli._downsample(grid, wf, count)]
+            assert len(xs) == min(count, grid.n), count
+            assert xs == sorted(set(xs)) and set(xs) <= nodes, count
 
     @pytest.mark.parametrize("samples,calls", [([], 0), (["--samples", "8"], 3)])
     def test_eigenvectors_only_for_samples(self, samples, calls, monkeypatch):
@@ -177,6 +211,21 @@ class TestSpecfunCommand:
         assert main(["specfun", "--fn", "hermite", "--n", "3", "--points", "nan,1e200"]) == 0
         assert capsys.readouterr().out == "x,value\nnan,nan\n1.00000000000000e+200,inf\n"
 
+    def test_config_ints_print_as_floats(self, tmp_path, capsys):
+        cfg = tmp_path / "ints.json"
+        cfg.write_text(json.dumps(
+            {"m": 2, "fn": "laguerre", "fn_n": 1, "fn_param": 1, "points": [1, 2.5]}
+        ))
+        assert main(["specfun", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == (
+            "x,value\n1.00000000000000e+00,1.00000000000000e+00\n"
+            "2.50000000000000e+00,-5.00000000000000e-01\n"
+        )
+        assert main(["specfun", "--config", str(cfg), "--dump-config"]) == 0
+        dumped = capsys.readouterr().out
+        assert '"m": 2.00000000000000e+00,' in dumped
+        assert '"points": [1.00000000000000e+00, 2.50000000000000e+00],' in dumped
+
     def test_points_required(self):
         assert main(["specfun", "--fn", "hermite", "--n", "3"]) == 1
 
@@ -244,6 +293,15 @@ class TestExitCodes:
         assert err.startswith(f"validation error: field '{field}' must be ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("field", ["m", "b_values"])
+    def test_config_int_beyond_float_range(self, field, tmp_path, capsys):
+        huge = 10**400
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({field: [huge] if field == "b_values" else huge}))
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"validation error: field '{field}' must be within float range\n"
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"command": "spectrum", "whoops": True}))
@@ -264,13 +322,10 @@ class TestExitCodes:
         assert cli.main(["spectrum", "--levels", "1"]) == 2
 
     def test_lapack_failure_maps_to_exit_2(self, monkeypatch, capsys):
-        import numpy as np
-
         from affineosc import cli, numeric
 
-        def fail(d, e, rng, vl, vu, il, iu, tol, order):
-            n = len(d)
-            return 0, np.zeros(n), np.zeros(n, dtype=np.int32), np.zeros(n, dtype=np.int32), 1
+        def fail(diag, off, k, tol):
+            return [], 1
 
         monkeypatch.setattr(numeric, "dstebz", fail)
         assert cli.main(["spectrum", "--levels", "1"]) == 2
@@ -283,8 +338,8 @@ class TestExitCodes:
 
         from affineosc import cli, numeric
 
-        def no_convergence(d, e, w, iblock, isplit):
-            return np.zeros((len(d), len(w))), 1
+        def no_convergence(diag, off, lam):
+            return np.zeros(len(diag)), 1
 
         monkeypatch.setattr(numeric, "dstein", no_convergence)
         assert cli.main(["spectrum", "--levels", "1", "--samples", "4"]) == 2
@@ -517,3 +572,30 @@ class TestOutputSchemas:
         grids = doc["meta"]["grids"]
         assert keys(grids) == ["0.00000000000000e+00", "1.00000000000000e+00"]
         assert [keys(g) for g in grids.values()] == [self.GRID_KEYS] * 2
+
+
+THREADS_SCRIPT = """
+import threading
+from affineosc import cli
+for argv in (["spectrum", "--levels", "2"], ["spectrum", "--levels", "2", "--samples", "4"],
+             ["coupled", "--g", "0.6", "--count", "5"], ["check"]):
+    assert cli.main(argv) == 0, argv
+    assert threading.active_count() == 1, (argv, threading.enumerate())
+"""
+
+
+def test_no_python_threads_started():
+    # the lazy numpy binding is not thread-safe before Python 3.12; the package
+    # relies on running in one thread
+    import os
+    import subprocess
+    import sys
+
+    import affineosc
+
+    src = os.path.dirname(os.path.dirname(affineosc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", THREADS_SCRIPT], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from array import array
 
 import numpy as np
 import pytest
@@ -137,7 +138,7 @@ class TestPotentials:
         v_h = potential_of(ProblemSpec(kind="hext1", b=0.0))
         v_i = potential_of(ProblemSpec(kind="eqintro"))
         xs = np.linspace(0.1, 6.0, 100)
-        np.testing.assert_allclose(v_h(xs), v_i(xs), rtol=1e-15)
+        np.testing.assert_allclose([v_h(x) for x in xs], [v_i(x) for x in xs], rtol=1e-15)
 
     def test_truncation_remainder_bound(self):
         # remainder of the alternating series is at most the first omitted term
@@ -159,9 +160,45 @@ class TestAssemble:
         spec = ProblemSpec(kind="eqo2", params=COUPLED)
         grid = Grid(-4.0, 4.0, 63)
         matrix = assemble(spec, grid)
-        v = potential_of(spec)(grid.nodes)
+        v = np.array([potential_of(spec)(x) for x in grid.nodes])
         np.testing.assert_allclose(matrix.diag, 2.0 / grid.h**2 + v, rtol=1e-14)
         np.testing.assert_allclose(matrix.off, -1.0 / grid.h**2, rtol=1e-14)
+
+    @pytest.mark.parametrize("spec", [
+        ProblemSpec(kind="eqintro"),
+        ProblemSpec(kind="eqo1", params=COUPLED),
+        ProblemSpec(kind="eqo2", params=COUPLED),
+        ProblemSpec(kind="hext1", b=2.0),
+        *[ProblemSpec(kind="truncated", b=b, order=order) for b in (0.7, 5.0) for order in range(5)],
+    ], ids=lambda spec: f"{spec.kind}-{spec.b}-{spec.order}")
+    def test_rows_match_numpy_assembly(self, spec):
+        # the vectorized assembly this module used before, as the reference
+        domain = default_domain(spec, 4)
+        grid = Grid(domain[0], domain[1], numeric._auto_n(spec, domain)).refined()
+        x = grid.nodes
+        c, sing = spec.quad_coeff, spec.singular_point
+        if spec.facts.series:
+            coeffs = [(-1.0) ** j * (j + 1) / spec.b**j for j in range(spec.order + 1)]
+            v = 0.75 / spec.b**2 * sum(cj * x**j for j, cj in enumerate(coeffs)) + c * x**2
+        elif sing is None:
+            v = c * x**2
+        else:
+            v = 0.75 / (x - sing) ** 2 + c * x**2
+        matrix = assemble(spec, grid)
+        assert matrix.diag.typecode == matrix.off.typecode == "d"
+        np.testing.assert_array_equal(matrix.off, np.full(grid.n - 1, -1.0 / grid.h**2))
+        if (spec.order or 0) < 3:
+            np.testing.assert_array_equal(matrix.diag, 2.0 / grid.h**2 + v)
+        else:
+            # x**3 and x**4: C pow against numpy's own power, which may round
+            # differently in the last bit
+            np.testing.assert_allclose(matrix.diag, 2.0 / grid.h**2 + v, rtol=4e-16, atol=0)
+
+    def test_bands_stored_as_float64_arrays(self):
+        matrix = TridiagonalMatrix(diag=np.array([2.0, 3.0]), off=[-1])
+        assert (matrix.diag, matrix.off) == (array("d", [2.0, 3.0]), array("d", [-1.0]))
+        same = array("d", [1.0])
+        assert TridiagonalMatrix(diag=same, off=array("d")).diag is same
 
     def test_domain_kind_mismatch(self):
         with pytest.raises(DomainError):
@@ -320,8 +357,8 @@ class TestSteinEigenvector:
 
     @pytest.mark.parametrize("info,value", [(1, 0.0), (0, np.nan)])
     def test_lapack_failure_raises(self, monkeypatch, info, value):
-        def failed(d, e, w, iblock, isplit):
-            return np.full((len(d), len(w)), value), info
+        def failed(diag, off, lam):
+            return np.full(len(diag), value), info
 
         monkeypatch.setattr(numeric, "dstein", failed)
         with pytest.raises(ConvergenceError, match="stein"):
@@ -332,11 +369,24 @@ class TestSteinEigenvector:
         # unscaled, ?stein returns NaN for entries near 1e146
         matrix = assemble(ProblemSpec(kind="eqo2", params=COUPLED), Grid(-8.0, 8.0, 400))
         lam = lowest_eigenvalues(matrix, 3)[2]
-        scaled = TridiagonalMatrix(diag=matrix.diag * scale, off=matrix.off * scale)
+        scaled = TridiagonalMatrix(
+            diag=np.asarray(matrix.diag) * scale, off=np.asarray(matrix.off) * scale
+        )
         np.testing.assert_allclose(
             eigenvector(scaled, lam * scale, h=0.04), eigenvector(matrix, lam, h=0.04),
             rtol=0, atol=1e-12,
         )
+
+
+def forced_fallback(monkeypatch, path_finder):
+    """The routines ``_lapack`` binds when ``_openblas_path`` is path_finder."""
+    monkeypatch.setattr(numeric, "_openblas_path", path_finder)
+    # the loader itself, past the cache that holds this process's LAPACKE binding
+    return numeric._lapack.__wrapped__()
+
+
+def no_openblas():
+    raise OSError("synthetic: no bundled OpenBLAS")
 
 
 class TestLapackLoad:
@@ -347,18 +397,18 @@ class TestLapackLoad:
         ProblemSpec(kind="hext1", b=2.0),
     ], ids=lambda spec: spec.kind)
     def test_public_module_gives_identical_bits(self, monkeypatch, spec, k):
-        from scipy.linalg import lapack
-
-        direct = numeric._load_lapack()
-        assert direct.__name__ == "_flapack"  # the direct load succeeded
+        direct = numeric._lapack()
+        assert direct.source.endswith(".so")  # the LAPACKE binding succeeded
+        public = forced_fallback(monkeypatch, no_openblas)
+        assert public.source == "scipy.linalg.lapack"
         domain = default_domain(spec, k)
         coarse = Grid(domain[0], domain[1], numeric._auto_n(spec, domain))
         for grid in (coarse, coarse.refined()):
             matrix = assemble(spec, grid)
             results = []
-            for module in (direct, lapack):
-                monkeypatch.setattr(numeric, "dstebz", module.dstebz)
-                monkeypatch.setattr(numeric, "dstein", module.dstein)
+            for routines in (direct, public):
+                monkeypatch.setattr(numeric, "dstebz", routines.dstebz)
+                monkeypatch.setattr(numeric, "dstein", routines.dstein)
                 lams = lowest_eigenvalues(matrix, k)
                 results.append((lams, [eigenvector(matrix, lam, h=grid.h) for lam in lams]))
             (lams_direct, vecs_direct), (lams_public, vecs_public) = results
@@ -366,19 +416,34 @@ class TestLapackLoad:
             np.testing.assert_array_equal(vecs_direct, vecs_public)
 
     def test_failed_direct_load_falls_back_to_scipy_linalg_lapack(self, monkeypatch):
-        import importlib.util
+        public = forced_fallback(monkeypatch, no_openblas)
+        assert public.source == "scipy.linalg.lapack"
+        values, info = public.dstebz(array("d", [2.0] * 3), array("d", [-1.0] * 2), 3, 1e-12)
+        assert info == 0
+        np.testing.assert_allclose(values, [2.0 - math.sqrt(2.0), 2.0, 2.0 + math.sqrt(2.0)])
+        vector, info = public.dstein(np.full(3, 2.0), np.full(2, -1.0), 2.0)
+        assert info == 0
+        np.testing.assert_allclose(np.abs(vector), [0.5**0.5, 0.0, 0.5**0.5], atol=1e-12)
 
-        from scipy.linalg import lapack
+    def test_library_without_lapacke_falls_back(self, monkeypatch):
+        import _ctypes
 
-        def broken(*args, **kwargs):
-            raise ImportError("synthetic load failure")
-
-        monkeypatch.setattr(importlib.util, "spec_from_file_location", broken)
-        # the loader itself, past the cache that holds this process's direct load
-        assert numeric._load_lapack.__wrapped__() is lapack
+        # a loadable shared library that exports no scipy_LAPACKE_* symbols
+        assert forced_fallback(monkeypatch, lambda: _ctypes.__file__).source == (
+            "scipy.linalg.lapack"
+        )
 
 
-IMPORT_FOOTPRINT_SCRIPT = """
+def run_script(script, *args):
+    """Run a Python script in a fresh interpreter with this package on its path."""
+    src = os.path.dirname(os.path.dirname(affineosc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True
+    )
+
+
+FOOTPRINT_HELPERS = """
 import contextlib, io, math, os, sys, tempfile
 
 def run(*argv):
@@ -387,14 +452,20 @@ def run(*argv):
         code = cli.main(list(argv))
     return code, out.getvalue(), err.getvalue()
 
-def numpy_or_lapack():
-    return sorted(m for m in sys.modules if m.endswith(("._multiarray_umath", "_flapack")))
+def loaded():
+    \"\"\"Which of numpy's core extension and scipy's f2py LAPACK extension are loaded.\"\"\"
+    names = {m.rsplit(".", 1)[-1] for m in sys.modules}
+    return sorted(names & {"_multiarray_umath", "_flapack"})
+"""
 
-# 1. The imports bench/job.py makes, then coupled in every form that does no
-#    array work, load neither numpy nor LAPACK.
+IMPORT_FOOTPRINT_SCRIPT = FOOTPRINT_HELPERS + """
+# 1. The imports bench/job.py makes, then coupled in every form, load neither
+#    numpy nor LAPACK.
 import affineosc
 from affineosc import cli, interp, numeric, specfun
-assert not numpy_or_lapack(), numpy_or_lapack()
+from affineosc.core import PhysicalParams
+assert not loaded(), loaded()
+assert numeric._lapack.cache_info().currsize == 0, "LAPACK bound by import affineosc"
 assert specfun._legendre_pair.cache_info().currsize == 0, "rules built by import affineosc"
 assert "numpy.polynomial" not in sys.modules, "loaded by import affineosc"
 csv = os.path.join(tempfile.mkdtemp(), "coupled.csv")
@@ -407,12 +478,30 @@ code, out, _ = run("coupled", "--count", "1000", "--dump-config")
 assert code == 0 and '"count": 1000' in out, out
 code, _, err = run("coupled", "--g", "2.0")
 assert code == 1 and err.startswith("validation error:"), err
-assert not numpy_or_lapack(), numpy_or_lapack()
+assert not loaded(), loaded()
 
-# 2. Array work loads numpy and LAPACK on first use.
+# 2. Energies alone load no numpy: spectrum without --samples, both sweeps, the
+#    truncated-series sweep and a solve with the truncation re-solve.  They run
+#    LAPACK through ctypes, not through scipy's f2py extension.
+code, out, _ = run("spectrum", "--levels", "4")
+assert code == 0 and out.startswith("n,energy_analytic,energy_numeric,abs_diff\\n0,"), out
+code, out, _ = run("spectrum", "--kind", "eqo2", "--g", "0.6", "--levels", "20", "--format", "json")
+assert code == 0 and out.startswith('{\\n  "levels": [{"n": 0,'), out
+code, out, _ = run("sweep")
+assert code == 0 and out.startswith("b,n,energy,dev_half,dev_full\\n0"), out
+code, out, _ = run("sweep", "--b-values", "0,0.75,3.2", "--format", "json")
+assert code == 0 and out.startswith('{\\n  "rows": [{"b": 0'), out
+result = interp.truncated_sweep(PhysicalParams(), 2.0, range(5), 4)
+assert [len(e) for e in result.energies.values()] == [4] * 5, result
+policy = numeric.GridPolicy(check_truncation=True)
+assert len(numeric.solve(numeric.ProblemSpec(kind="hext1", b=2.0), 4, policy).levels) == 4
+assert not loaded(), loaded()
+assert numeric._lapack().source.endswith(".so"), numeric._lapack().source
+
+# 3. Wavefunction samples and check load numpy, still not scipy's f2py LAPACK.
 code, out, _ = run("spectrum", "--levels", "4", "--samples", "8")
 assert code == 0 and out.startswith("n,energy_analytic,energy_numeric,abs_diff\\n0,"), out
-assert numpy_or_lapack(), "spectrum ran without numpy and LAPACK"
+assert loaded() == ["_multiarray_umath"], loaded()
 assert "numpy.polynomial" not in sys.modules, "loaded by spectrum or coupled"
 code, out, _ = run("check")
 assert code == 0 and "[FAIL]" not in out, out
@@ -420,32 +509,47 @@ import numpy as np
 value = specfun.integrate_halfline(lambda x: np.exp(-x * x) * (1.0 + x), 0.5, 1.0)
 exact = math.sqrt(math.pi) / 2.0 * math.erfc(0.5) + math.exp(-0.25) / 2.0
 assert abs(value - exact) <= 1e-10, value
+assert loaded() == ["_multiarray_umath"], loaded()
 
-# 3. Neither scipy.linalg nor scipy.integrate was loaded; the LAPACK loaded by
-#    file path is another object than scipy.linalg's and gives the same bits.
+# 4. Neither scipy.linalg nor scipy.integrate was loaded; LAPACKE and
+#    scipy.linalg's wrapper give the same bits.
 for name in ("scipy.linalg", "scipy.integrate"):
     assert name not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
 import scipy.linalg
 matrix = numeric.assemble(numeric.ProblemSpec(kind="eqintro"), numeric.Grid(0.0, 9.0, 500))
-args = (matrix.diag, matrix.off, 2, 0.0, 1.0, 1, 20, 1e-12, "E")
-(m, w, _, _, info), (m_pub, w_pub, _, _, info_pub) = (
-    numeric.dstebz(*args), scipy.linalg.lapack.dstebz(*args)
+values, info = numeric.dstebz(matrix.diag, matrix.off, 20, 1e-12)
+m, w, _, _, info_pub = scipy.linalg.lapack.dstebz(
+    matrix.diag, matrix.off, 2, 0.0, 1.0, 1, 20, 1e-12, "E"
 )
-assert numeric._load_lapack().dstebz is not scipy.linalg.lapack.dstebz
-assert (m, info) == (m_pub, info_pub) == (20, 0)
-assert w[:m].tobytes() == w_pub[:m].tobytes()
+assert (len(values), info) == (m, info_pub) == (20, 0)
+assert values == w[:m].tolist()
 print("ok")
 """
 
 
 def test_import_footprint():
-    src = os.path.dirname(os.path.dirname(affineosc.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_FOOTPRINT_SCRIPT], env=env, capture_output=True, text=True
-    )
+    proc = run_script(IMPORT_FOOTPRINT_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+LOADS_NUMPY_SCRIPT = FOOTPRINT_HELPERS + """
+from affineosc import cli
+code, out, _ = run(*sys.argv[1:])
+assert code == 0, out
+print(loaded())
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--levels", "2", "--samples", "4"],
+    ["check"],
+    ["specfun", "--points", "1,2.5"],
+], ids=lambda argv: argv[0] + ("-samples" if "--samples" in argv else ""))
+def test_array_work_loads_numpy(argv):
+    proc = run_script(LOADS_NUMPY_SCRIPT, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['_multiarray_umath']\n"
 
 
 NO_SCIPY_LINALG_SCRIPT = """
@@ -460,22 +564,18 @@ assert cli.main(["check"]) == 0
 assert "scipy.linalg" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
 import scipy.linalg
 matrix = numeric.assemble(numeric.ProblemSpec(kind="eqintro"), numeric.Grid(0.0, 9.0, 500))
-args = (matrix.diag, matrix.off, 2, 0.0, 1.0, 1, 20, 1e-12, "E")
-(m, w, _, _, info), (m_pub, w_pub, _, _, info_pub) = (
-    numeric.dstebz(*args), scipy.linalg.lapack.dstebz(*args)
+values, info = numeric.dstebz(matrix.diag, matrix.off, 20, 1e-12)
+m, w, _, _, info_pub = scipy.linalg.lapack.dstebz(
+    matrix.diag, matrix.off, 2, 0.0, 1.0, 1, 20, 1e-12, "E"
 )
-assert numeric._load_lapack().dstebz is not scipy.linalg.lapack.dstebz
-assert (m, info) == (m_pub, info_pub) == (20, 0)
-assert w[:m].tobytes() == w_pub[:m].tobytes()
+assert numeric._lapack().source != "scipy.linalg.lapack"
+assert (len(values), info) == (m, info_pub) == (20, 0)
+assert values == w[:m].tolist()
 """
 
 
 def test_scipy_linalg_never_loaded():
-    src = os.path.dirname(os.path.dirname(affineosc.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_LINALG_SCRIPT], env=env, capture_output=True, text=True
-    )
+    proc = run_script(NO_SCIPY_LINALG_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("n,energy_analytic,energy_numeric,abs_diff\n0,")
 
@@ -545,7 +645,7 @@ class TestSolve:
         spec = ProblemSpec(kind="eqintro")
         grid = Grid(0.0, 9.0, 800)
         matrix = assemble(spec, grid)
-        shifted = TridiagonalMatrix(diag=matrix.diag + 1.0, off=matrix.off)
+        shifted = TridiagonalMatrix(diag=[d + 1.0 for d in matrix.diag], off=matrix.off)
         lam = lowest_eigenvalues(matrix, 3)
         lam_up = lowest_eigenvalues(shifted, 3)
         for a, b in zip(lam, lam_up):
