@@ -42,7 +42,6 @@ from .numeric import (
     ProblemSpec,
     TridiagonalMatrix,
     assemble,
-    commutator_residual,
     eigenvector,
     lowest_eigenvalues,
     potential_of,
@@ -70,6 +69,6 @@ __all__ = [
     "composite_spectrum",
     "Grid", "GridPolicy", "ProblemSpec", "TridiagonalMatrix", "EigenResult", "Level",
     "ConvergenceError", "potential_of", "assemble", "lowest_eigenvalues",
-    "eigenvector", "solve", "commutator_residual",
+    "eigenvector", "solve",
     "SweepRow", "SweepResult", "TruncatedSweepResult", "b_sweep", "truncated_sweep",
 ]

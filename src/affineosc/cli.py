@@ -31,12 +31,9 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import List, Optional
 
 from . import __version__, analytic, checks, interp, numeric, specfun
-from ._lazy import lazy_import
 from .core import PhysicalParams
 from .numeric import ConvergenceError, GridPolicy, ProblemSpec
 from .specfun import QuadratureError
-
-np = lazy_import("numpy")
 
 COMMANDS = ("spectrum", "coupled", "sweep", "specfun", "check")
 SPECFUN_NAMES = ("1f1", "hermite", "laguerre")
@@ -45,7 +42,7 @@ MAX_LEVELS = 1000
 MAX_COUNT = 100_000
 MAX_FN_N = 10_000
 MAX_B_VALUES = 100
-MAX_SAMPLE_VALUES = 10**6  # levels x samples of one spectrum run
+MAX_SAMPLE_VALUES = 10**6  # samples, and levels x written samples, of one spectrum run
 
 
 def _type_error(value, hint) -> Optional[str]:
@@ -122,10 +119,10 @@ class RunConfig:
             raise ValueError(f"field 'b_values' must list at most {MAX_B_VALUES} values")
         if not math.isfinite(self.fn_param):
             raise ValueError(f"field 'fn_param' must be finite, got {self.fn_param}")
-        if self.samples < 0:
-            raise ValueError(f"field 'samples' must be nonnegative, got {self.samples}")
-        if self.levels * self.samples > MAX_SAMPLE_VALUES:
-            raise ValueError(f"field 'samples' times levels must be at most {MAX_SAMPLE_VALUES}")
+        if not 0 <= self.samples <= MAX_SAMPLE_VALUES:
+            raise ValueError(
+                f"field 'samples' must be in 0..{MAX_SAMPLE_VALUES}, got {self.samples}"
+            )
         if self.fn not in SPECFUN_NAMES:
             raise ValueError(f"field 'fn' must be one of {SPECFUN_NAMES}, got {self.fn!r}")
         if self.grid_n is not None and self.grid_n < 16:
@@ -265,15 +262,34 @@ def _problem_spec(config: RunConfig) -> ProblemSpec:
     )
 
 
+def _sample_indices(n: int, count: int) -> List[int]:
+    """min(count, n) evenly spread indices into n nodes: np.linspace(0, n - 1, m).round()."""
+    m = min(count, n)
+    if m == 1:
+        return [0]
+    step = (n - 1) / (m - 1)
+    # round() rounds half to even, as numpy does; linspace ends on n - 1 exactly
+    return [round(i * step) for i in range(m - 1)] + [n - 1]
+
+
 def _downsample(grid, samples, count):
     """[x, value] rows at count evenly spread nodes; never more rows than nodes."""
-    idx = np.linspace(0, len(samples) - 1, min(count, len(samples))).round().astype(int)
-    return np.column_stack([grid.nodes[idx], samples[idx]]).tolist()
+    idx = _sample_indices(len(samples), count)
+    return [[x, samples[i]] for x, i in zip(grid.nodes_at([i + 1 for i in idx]), idx)]
 
 
 def run_spectrum(config: RunConfig) -> int:
     spec = _problem_spec(config)
-    result = numeric.solve(spec, config.levels, GridPolicy(n=config.grid_n))
+    policy = GridPolicy(n=config.grid_n)
+    if config.samples > 0:
+        # at most one sample per fine-grid node is written
+        nodes = numeric.coarse_grid(spec, config.levels, policy).refined().n
+        if config.levels * min(config.samples, nodes) > MAX_SAMPLE_VALUES:
+            raise ValueError(
+                f"field 'samples' times levels must be at most {MAX_SAMPLE_VALUES}, "
+                f"counting at most the {nodes} fine-grid nodes per level"
+            )
+    result = numeric.solve(spec, config.levels, policy)
     branch = spec.facts.branch
     header = ["n", "energy_analytic", "energy_numeric", "abs_diff"]
     rows = []

@@ -8,11 +8,13 @@ extrapolation over a node-nested grid pair (h, h/2).  An eigenvector is computed
 only on request, from the fine-grid matrix, by LAPACK inverse iteration (?stein,
 which starts from its own fixed pseudo-random vector).
 Both routines are called through ctypes, as the LAPACKE C entry points of the
-OpenBLAS that scipy bundles, with ``scipy.linalg.lapack`` as the fallback (see
-``_lapack``).  The matrix rows are built as ``array('d')`` in plain Python, so
-a solve that reports energies loads no numpy.  Only ``Grid.nodes``,
-``eigenvector``, ``sign_changes`` and ``commutator_residual`` use numpy, which
-loads at their first use; importing this module loads neither numpy nor LAPACK.
+OpenBLAS that scipy bundles, and so are the three CBLAS routines (``ddot``,
+``dscal``, ``idamax``) that scale and normalize an eigenvector, with
+``scipy.linalg.lapack`` and ``scipy.linalg.blas`` as the fallback (see
+``_lapack``).  Matrix rows, node positions and eigenvectors are ``array('d')``
+or lists built in plain Python, so neither a solve nor an eigenvector loads
+numpy.  Only ``sign_changes`` uses numpy, which loads at its first use;
+importing this module loads neither numpy nor LAPACK.
 
 For the singular kinds the boundary node sits one spacing away from the
 singularity; the physical solutions vanish there like (distance)^(3/2), so a
@@ -41,7 +43,7 @@ import math
 import os
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from ._lazy import lazy_import
 from .analytic import BRANCHES, COUPLED_Y1, COUPLED_Y2, HALF_HO, Branch
@@ -51,10 +53,13 @@ np = lazy_import("numpy")
 
 
 class _Lapack(NamedTuple):
-    """The two LAPACK routines the solver calls, with where they come from."""
+    """The LAPACK and BLAS routines the solver calls, with where they come from."""
 
     dstebz: Callable
     dstein: Callable
+    ddot: Callable  # (x, y) -> x . y
+    dscal: Callable  # (alpha, x): x *= alpha in place
+    idamax: Callable  # x -> the first index of the largest |x_i|, from 0
     source: str  # the OpenBLAS file, or "scipy.linalg.lapack"
 
 
@@ -69,7 +74,7 @@ def _openblas_path() -> str:
 
 
 def _lapacke(path: str) -> _Lapack:
-    """?stebz and ?stein through the LAPACKE entry points of the library at path."""
+    """?stebz and ?stein (LAPACKE), ddot, dscal and idamax (CBLAS) from the library at path."""
     import ctypes  # here, not at the top: paths that solve nothing never pay its import
 
     lib = ctypes.CDLL(path)
@@ -83,6 +88,15 @@ def _lapacke(path: str) -> _Lapack:
     stein.argtypes = [c_int, c_int, double_p, double_p, c_int, double_p, int_p, int_p, double_p,
                       c_int, int_p]
     stein.restype = c_int
+    dot = lib.scipy_cblas_ddot
+    dot.argtypes = [c_int, double_p, c_int, double_p, c_int]
+    dot.restype = c_double
+    scal = lib.scipy_cblas_dscal
+    scal.argtypes = [c_int, c_double, double_p, c_int]
+    scal.restype = None
+    iamax = lib.scipy_cblas_idamax
+    iamax.argtypes = [c_int, double_p, c_int]
+    iamax.restype = ctypes.c_size_t  # CBLAS_INDEX, counted from 0
 
     def doubles(values, count):
         """The first count entries of a float64 buffer, shared, not copied."""
@@ -103,19 +117,29 @@ def _lapacke(path: str) -> _Lapack:
     def dstein(diag, off, lam):
         n = len(diag)
         # ?stein reads one eigenvalue, but LAPACKE checks n entries of w for NaN
-        w, z = (c_double * n)(lam), (c_double * n)()
+        w, z = (c_double * n)(lam), array("d", bytes(8 * n))
         # the whole matrix as one unreduced block: iblock = 1 for lam, the block ends at n;
         # z is n x 1, column-major (layout 102)
-        info = stein(102, n, doubles(diag, n), doubles(off, n - 1), 1, w, c_int(1), c_int(n), z,
-                     n, c_int())
+        info = stein(102, n, doubles(diag, n), doubles(off, n - 1), 1, w, c_int(1), c_int(n),
+                     doubles(z, n), n, c_int())
         return z, info
 
-    return _Lapack(dstebz, dstein, path)
+    def ddot(x, y):
+        n = len(x)
+        return dot(n, doubles(x, n), 1, doubles(y, n), 1)
+
+    def dscal(alpha, x):
+        scal(len(x), alpha, doubles(x, len(x)), 1)
+
+    def idamax(x):
+        return iamax(len(x), doubles(x, len(x)), 1)
+
+    return _Lapack(dstebz, dstein, ddot, dscal, idamax, path)
 
 
 def _scipy_lapack() -> _Lapack:
-    """The same two routines through scipy's public f2py wrappers."""
-    from scipy.linalg import lapack
+    """The same routines through scipy's public f2py wrappers."""
+    from scipy.linalg import blas, lapack
 
     def dstebz(diag, off, k, tol):
         m, w, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, 1, k, tol, "E")
@@ -126,14 +150,17 @@ def _scipy_lapack() -> _Lapack:
         z, info = lapack.dstein(
             diag, off, [lam], np.ones(n, dtype=np.int32), np.full(n, n, dtype=np.int32)
         )
-        return z[:, 0], info
+        return array("d", z[:, 0].tobytes()), info
 
-    return _Lapack(dstebz, dstein, "scipy.linalg.lapack")
+    def dscal(alpha, x):
+        blas.dscal(alpha, np.frombuffer(x))  # a view of x, scaled in place
+
+    return _Lapack(dstebz, dstein, blas.ddot, dscal, blas.idamax, "scipy.linalg.lapack")
 
 
 @functools.cache
 def _lapack() -> _Lapack:
-    """LAPACK, bound on the first eigen call.
+    """LAPACK and BLAS, bound on the first eigen call.
 
     ctypes opens scipy's bundled OpenBLAS in about 3 ms and needs no numpy;
     ``import scipy.linalg`` would cost about 0.3 s on top of numpy.  The file
@@ -209,9 +236,14 @@ class Grid:
     def h(self) -> float:
         return (self.x_max - self.x_min) / (self.n + 1)
 
+    def nodes_at(self, indices: Iterable[int]) -> List[float]:
+        """Positions x_min + h*i of the interior nodes numbered i in 1..n."""
+        x_min, h = self.x_min, self.h
+        return [x_min + h * i for i in indices]
+
     @property
-    def nodes(self) -> np.ndarray:
-        return self.x_min + self.h * np.arange(1, self.n + 1)
+    def nodes(self) -> List[float]:
+        return self.nodes_at(range(1, self.n + 1))
 
     def refined(self) -> "Grid":
         """Node-nested half-spacing grid (N -> 2N + 1)."""
@@ -372,12 +404,14 @@ def potential_of(spec: ProblemSpec) -> Callable[[float], float]:
 def assemble(spec: ProblemSpec, grid: Grid) -> TridiagonalMatrix:
     """3-point discretization of -d^2/dx^2 + V on the grid's interior nodes."""
     _check_domain(spec, grid)
-    v = potential_of(spec)
-    x_min, h = grid.x_min, grid.h
-    stencil = 2.0 / h**2
-    # the values of grid.nodes, without numpy
-    diag = array("d", [stencil + v(x_min + h * i) for i in range(1, grid.n + 1)])
-    off = array("d", [-1.0 / h**2]) * (grid.n - 1)
+    return _stencil_matrix(grid, map(potential_of(spec), grid.nodes))
+
+
+def _stencil_matrix(grid: Grid, potential: Iterable[float]) -> TridiagonalMatrix:
+    """The 3-point matrix on grid, given V at its interior nodes in order."""
+    stencil = 2.0 / grid.h**2
+    diag = array("d", [stencil + v for v in potential])
+    off = array("d", [-1.0 / grid.h**2]) * (grid.n - 1)
     return TridiagonalMatrix(diag=diag, off=off)
 
 
@@ -427,29 +461,36 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, k: int):
     return values
 
 
-def eigenvector(matrix: TridiagonalMatrix, lam: float, h: float) -> np.ndarray:
+def eigenvector(matrix: TridiagonalMatrix, lam: float, h: float) -> array:
     """Eigenvector for the eigenvalue lam by LAPACK inverse iteration (?stein).
 
     Normalized so that h * sum(v^2) = 1 (trapezoid rule with Dirichlet zeros
     at both ends) and the first sample of nontrivial magnitude is positive.
+    Returned as ``array('d')``; ``numpy.asarray`` views it without a copy.
+    Apart from the division by the norm, every pass over all n entries runs
+    in C (BLAS, an array copy or ``sum``), without numpy.
     """
     n = matrix.n
     if n == 1:  # no off-diagonal to pass
-        return np.array([1.0 / math.sqrt(h)])
-    diag, off = np.asarray(matrix.diag), np.asarray(matrix.off)
+        return array("d", [1.0 / math.sqrt(h)])
+    blas = _lapack()
+    diag, off = array("d", matrix.diag), array("d", matrix.off)
     # ?stein returns NaN for entries near 1e146: scale them into [0.5, 1) by a
     # power of two, which is exact.  It also perturbs LU pivots below eps*|T|;
     # shifting lam by 1e-13 keeps them clear (samples 7e-12 from the exact
     # stiff Laplacian ones, against 6e-11 unshifted).
-    factor = math.ldexp(1.0, -math.frexp(np.max(np.abs(diag)))[1])
-    vector, info = dstein(diag * factor, off * factor, lam * factor + 1e-13)
-    v = np.array(vector, dtype=float)
-    if info != 0 or not np.all(np.isfinite(v)):
+    factor = math.ldexp(1.0, -math.frexp(abs(diag[blas.idamax(diag)]))[1])
+    blas.dscal(factor, diag)
+    blas.dscal(factor, off)
+    v, info = dstein(diag, off, lam * factor + 1e-13)
+    if info != 0 or not _all_finite(v):
         raise ConvergenceError(f"LAPACK ?stein did not converge for lambda={lam}")
-    v /= math.sqrt(h) * np.linalg.norm(v)
-    lead = np.flatnonzero(np.abs(v) > 1e-8 * np.max(np.abs(v)))[0]
-    if v[lead] < 0:
-        v = -v
+    # sqrt(v . v) by BLAS ddot is numpy's 2-norm of v, bit for bit
+    norm = math.sqrt(h) * math.sqrt(blas.ddot(v, v))
+    v = array("d", [x / norm for x in v])
+    floor = 1e-8 * abs(v[blas.idamax(v)])
+    if next(x for x in v if abs(x) > floor) < 0:
+        blas.dscal(-1.0, v)
     return v
 
 
@@ -518,6 +559,13 @@ def _auto_n(spec: ProblemSpec, domain: Tuple[float, float]) -> int:
     return max(n, 200)
 
 
+def coarse_grid(spec: ProblemSpec, k: int, policy: Optional[GridPolicy] = None) -> Grid:
+    """The coarse grid of solve(spec, k, policy); its refinement is the fine grid."""
+    policy = policy or GridPolicy()
+    domain = policy.domain or default_domain(spec, k)
+    return Grid(domain[0], domain[1], _capped(spec, policy.n or _auto_n(spec, domain)))
+
+
 def solve(spec: ProblemSpec, k: int, policy: Optional[GridPolicy] = None) -> EigenResult:
     """Lowest k levels of a problem, Richardson-extrapolated over (h, h/2).
 
@@ -529,19 +577,21 @@ def solve(spec: ProblemSpec, k: int, policy: Optional[GridPolicy] = None) -> Eig
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     policy = policy or GridPolicy()
-    domain = policy.domain or default_domain(spec, k)
-    coarse = Grid(domain[0], domain[1], _capped(spec, policy.n or _auto_n(spec, domain)))
+    coarse = coarse_grid(spec, k, policy)
     fine = coarse.refined()
     if policy.check_truncation:
-        wide = _cut_domain(spec, domain[1] * 1.5)
+        wide = _cut_domain(spec, coarse.x_max * 1.5)
         # match the grid spacing, not the point count, so the comparison
         # isolates the domain-truncation bias from the discretization error
         wide_n = _capped(spec, int(round((wide[1] - wide[0]) / coarse.h)) - 1)
         wide_policy = GridPolicy(n=wide_n, domain=wide)
 
-    matrix = assemble(spec, fine)
+    _check_domain(spec, fine)
+    v_fine = array("d", map(potential_of(spec), fine.nodes))
+    matrix = _stencil_matrix(fine, v_fine)
     lam_fine = lowest_eigenvalues(matrix, k)
-    lam_coarse = lowest_eigenvalues(assemble(spec, coarse), k)
+    # coarse node i is fine node 2i, bit for bit: h_fine = h_coarse / 2 exactly
+    lam_coarse = lowest_eigenvalues(_stencil_matrix(coarse, v_fine[1::2]), k)
     levels = []
     for n, (lf, lc) in enumerate(zip(lam_fine, lam_coarse)):
         lam = (4.0 * lf - lc) / 3.0
@@ -553,7 +603,7 @@ def solve(spec: ProblemSpec, k: int, policy: Optional[GridPolicy] = None) -> Eig
             if shift > TRUNCATION_TOL * max(1.0, abs(level.energy)):
                 raise ConvergenceError(
                     f"energies shift by {shift:.3e} when the domain is "
-                    f"extended 1.5x; domain {domain} is too small"
+                    f"extended 1.5x; domain ({coarse.x_min}, {coarse.x_max}) is too small"
                 )
     return EigenResult(levels=levels, grid=fine, matrix=matrix)
 
@@ -561,42 +611,10 @@ def solve(spec: ProblemSpec, k: int, policy: Optional[GridPolicy] = None) -> Eig
 NODE_FLOOR = 1e-6  # samples below this fraction of the peak are noise for sign_changes
 
 
-def sign_changes(samples: np.ndarray) -> int:
+def sign_changes(samples) -> int:
     """Count sign changes of a sampled eigenfunction, ignoring noise-level values."""
+    samples = np.asarray(samples)
     floor = NODE_FLOOR * np.max(np.abs(samples))
     signs = np.sign(samples[np.abs(samples) > floor])
     return int(np.count_nonzero(np.diff(signs)))
 
-
-def commutator_residual(grid: Grid, f, hbar: float = 1.0):
-    """Grid check of the position/dilation and position/momentum commutators.
-
-    The operators are discretized as multiplication by x, p = -i hbar D_h
-    (central difference) and d = -i hbar (x D_h + 1/2).  Returns the max over
-    interior nodes of |[x,d]f - i hbar x f| and |[x,p]f - i hbar f|; both
-    decay as O(h^2) for smooth f vanishing near the ends.
-    """
-    x = grid.nodes
-    h = grid.h
-    fx = np.asarray(f(x), dtype=complex)
-    peak = float(np.max(np.abs(fx)))
-    if peak > 0 and max(abs(fx[0]), abs(fx[-1])) > 1e-6 * peak:
-        raise DomainError("test function must vanish near both grid ends")
-
-    def d_h(u):
-        # Dirichlet zero padding beyond both endpoints
-        padded = np.concatenate(([0.0], u, [0.0]))
-        return (padded[2:] - padded[:-2]) / (2.0 * h)
-
-    def op_p(u):
-        return -1j * hbar * d_h(u)
-
-    def op_d(u):
-        return -1j * hbar * (x * d_h(u) + 0.5 * u)
-
-    res_xd = x * op_d(fx) - op_d(x * fx) - 1j * hbar * x * fx
-    res_xp = x * op_p(fx) - op_p(x * fx) - 1j * hbar * fx
-    interior = slice(1, -1)
-    return float(
-        max(np.max(np.abs(res_xd[interior])), np.max(np.abs(res_xp[interior])))
-    )

@@ -3,6 +3,8 @@ import math
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affineosc.cli import RunConfig, config_from_args, build_parser, main, render_json
 
@@ -124,6 +126,22 @@ class TestSpectrumCommand:
             xs = [x for x, _ in cli._downsample(grid, wf, count)]
             assert len(xs) == min(count, grid.n), count
             assert xs == sorted(set(xs)) and set(xs) <= nodes, count
+
+    @given(n=st.integers(16, 5000), data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_downsampled_indices_match_linspace(self, n, data):
+        import numpy as np
+
+        from affineosc import cli, numeric
+
+        count = data.draw(st.integers(1, n + 10), label="count")
+        grid = numeric.Grid(0.0, 1.0, n)
+        # each sample holds its own index
+        rows = cli._downsample(grid, np.arange(n, dtype=float), count)
+        idx = np.linspace(0, n - 1, min(count, n)).round().astype(int).tolist()
+        assert [int(value) for _, value in rows] == idx
+        nodes = grid.nodes
+        assert [x for x, _ in rows] == [nodes[i] for i in idx]
 
     @pytest.mark.parametrize("samples,calls", [([], 0), (["--samples", "8"], 3)])
     def test_eigenvectors_only_for_samples(self, samples, calls, monkeypatch):
@@ -365,13 +383,21 @@ class TestExitCodes:
         (["sweep", "--b-values", ",".join(["0"] * 101)], "b_values"),
         (["specfun", "--fn", "1f1", "--param", "nan", "--points", "1"], "fn_param"),
         (["specfun", "--fn", "laguerre", "--param=-inf", "--points", "1"], "fn_param"),
-        (["spectrum", "--levels", "2", "--samples", "500001"], "samples"),
+        # 1000 levels x 1001 samples, on a fine grid of more than 1001 nodes
+        (["spectrum", "--levels", "1000", "--samples", "1001"], "samples"),
         (["spectrum", "--samples", "1000001"], "samples"),
     ])
     def test_cap_or_non_finite_is_one_line_validation_error(self, argv, field, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"validation error: field '{field}'") and err.count("\n") == 1
+
+    def test_samples_cap_counts_written_samples(self, capsys):
+        # 2 x 500001 requested, but at most one sample per fine-grid node is written
+        assert main(["spectrum", "--levels", "2", "--samples", "500001", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        n = doc["meta"]["grid"]["n"]
+        assert [len(wf["samples"]) for wf in doc["wavefunctions"]] == [n, n]
 
     def test_values_at_caps_accepted(self, capsys):
         RunConfig(command="sweep", levels=1000, count=100_000, fn_n=10_000,

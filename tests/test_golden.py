@@ -39,6 +39,8 @@ GOLDEN = {
     "samples-hext1": "80cf5397ddd273e81cda9d80260081817c9679c55630611471531265d0397dc1",
     "samples-truncated": "462a4bfba21ef0120bd745478c9893503b9f368b096715486f65a8699c99195e",
     "samples-all-nodes": "54e63539645de266dd2a00f40c063abf32efc41adf369ba1397c94add6675877",
+    "samples-eqo2-20": "391b0ae8bd929758bbac2e7194194f3e8ea46025ef136b26ff3db0b1aa2aa3db",
+    "samples-hext1-20": "964bee7ef19308a9822e94a0fd858d3573eb5ddc31d1cdaf30226f6873cb64ae",
     "sweep-default": "be75644cd2c9ef8fe0e0237e161b41aecac4c599138a60ef77cf7f9b3b8ad067",
     "sweep-seeded": "3796f982225c6140d340e0551113a736b330aa4fb70b1212ca23567d7f3da12e",
     "check": "ff9d13ea1dbf05499d39742e8da6737aeae85eff321ed204568f2db95f5d1059",
@@ -58,9 +60,11 @@ def golden_argv(case):
         fmt = "csv" if levels == "4" else "json"
         return ["spectrum", "--kind", kind, *KIND_ARGS[kind], "--levels", levels,
                 "--format", fmt]
-    if command == "samples":
-        return ["spectrum", "--kind", rest, *KIND_ARGS[rest], "--levels", "3",
-                "--samples", "16", "--format", "json"]
+    if command == "samples":  # samples-<kind> or samples-<kind>-<levels>
+        kind, _, levels = rest.partition("-")
+        samples = ["--levels", levels, "--samples", "128"] if levels else [
+            "--levels", "3", "--samples", "16"]
+        return ["spectrum", "--kind", kind, *KIND_ARGS[kind], *samples, "--format", "json"]
     return [command]
 
 

@@ -18,7 +18,6 @@ from affineosc.numeric import (
     ProblemSpec,
     TridiagonalMatrix,
     assemble,
-    commutator_residual,
     default_domain,
     eigenvector,
     lowest_eigenvalues,
@@ -40,8 +39,11 @@ def matvec(matrix, v):
 
 
 def level_vectors(result):
-    """The fine-grid eigenvector of each solved level."""
-    return [eigenvector(result.matrix, lv.lam_fine, result.grid.h) for lv in result.levels]
+    """The fine-grid eigenvector of each solved level, as a numpy view."""
+    return [
+        np.asarray(eigenvector(result.matrix, lv.lam_fine, result.grid.h))
+        for lv in result.levels
+    ]
 
 
 def count_eigen_calls(monkeypatch):
@@ -175,7 +177,7 @@ class TestAssemble:
         # the vectorized assembly this module used before, as the reference
         domain = default_domain(spec, 4)
         grid = Grid(domain[0], domain[1], numeric._auto_n(spec, domain)).refined()
-        x = grid.nodes
+        x = np.asarray(grid.nodes)
         c, sing = spec.quad_coeff, spec.singular_point
         if spec.facts.series:
             coeffs = [(-1.0) ** j * (j + 1) / spec.b**j for j in range(spec.order + 1)]
@@ -304,7 +306,7 @@ class TestEigenvector:
         grid = Grid(0.0, 9.0, 500)
         matrix = assemble(spec, grid)
         lam = lowest_eigenvalues(matrix, 1)[0]
-        v = eigenvector(matrix, lam, h=grid.h)
+        v = np.asarray(eigenvector(matrix, lam, h=grid.h))
         assert grid.h * np.sum(v**2) == pytest.approx(1.0, rel=1e-12)
         assert v[np.flatnonzero(np.abs(v) > 1e-8 * np.max(np.abs(v)))[0]] > 0
 
@@ -328,7 +330,7 @@ class TestSteinEigenvector:
     def test_split_matrix(self):
         # zero off-diagonal: the matrix is passed to ?stein as one block anyway
         matrix = TridiagonalMatrix(diag=np.array([1.0, 1.0, 2.0, 1.0]), off=np.zeros(3))
-        v = eigenvector(matrix, 2.0, h=1.0)
+        v = np.asarray(eigenvector(matrix, 2.0, h=1.0))
         np.testing.assert_allclose(v, [0.0, 0.0, 1.0, 0.0], atol=1e-12)
         assert np.linalg.norm(matvec(matrix, v) - 2.0 * v) <= 1e-12
 
@@ -378,6 +380,72 @@ class TestSteinEigenvector:
         )
 
 
+def numpy_eigenvector(matrix, lam, h):
+    """The numpy eigenvector this module computed before, as the reference.
+
+    Returns the vector and whether its sign was flipped.
+    """
+    n = matrix.n
+    if n == 1:
+        return np.array([1.0 / math.sqrt(h)]), False
+    diag, off = np.asarray(matrix.diag), np.asarray(matrix.off)
+    factor = math.ldexp(1.0, -math.frexp(np.max(np.abs(diag)))[1])
+    vector, info = numeric.dstein(diag * factor, off * factor, lam * factor + 1e-13)
+    v = np.array(vector, dtype=float)
+    assert info == 0 and np.all(np.isfinite(v))
+    v /= math.sqrt(h) * np.linalg.norm(v)
+    lead = np.flatnonzero(np.abs(v) > 1e-8 * np.max(np.abs(v)))[0]
+    if v[lead] < 0:
+        return -v, True
+    return v, False
+
+
+def bits(vector):
+    """The bytes of a float64 vector: equal only when every entry, and its sign, is."""
+    return np.asarray(vector, dtype=np.float64).tobytes()
+
+
+def fine_grid(spec, k):
+    """The fine grid solve(spec, k) uses by default."""
+    domain = default_domain(spec, k)
+    return Grid(domain[0], domain[1], numeric._auto_n(spec, domain)).refined()
+
+
+class TestEigenvectorMatchesNumpy:
+    @pytest.mark.parametrize("k", [4, 20])
+    @pytest.mark.parametrize("spec", [
+        ProblemSpec(kind="eqintro"),
+        ProblemSpec(kind="eqo1", params=COUPLED),
+        ProblemSpec(kind="eqo2", params=COUPLED),
+        ProblemSpec(kind="hext1", b=2.0),
+        ProblemSpec(kind="truncated", b=5.0, order=4),
+    ], ids=lambda spec: spec.kind)
+    def test_every_kind(self, spec, k):
+        grid = fine_grid(spec, k)
+        matrix = assemble(spec, grid)
+        flipped = []
+        for n, lam in enumerate(lowest_eigenvalues(matrix, k)):
+            expected, flip = numpy_eigenvector(matrix, lam, grid.h)
+            assert bits(eigenvector(matrix, lam, grid.h)) == bits(expected), n
+            flipped.append(flip)
+        # ?stein hands back level 1 with a negative lead in every kind
+        assert flipped[1]
+
+    def test_one_by_one(self):
+        matrix = TridiagonalMatrix(diag=[3.5], off=[])
+        expected, _ = numpy_eigenvector(matrix, 3.5, 0.25)
+        assert bits(eigenvector(matrix, 3.5, h=0.25)) == bits(expected)
+
+    def test_scaled_near_1e146(self):
+        matrix = assemble(ProblemSpec(kind="eqo2", params=COUPLED), Grid(-8.0, 8.0, 400))
+        lam = lowest_eigenvalues(matrix, 3)[2] * 1e146
+        scaled = TridiagonalMatrix(
+            diag=np.asarray(matrix.diag) * 1e146, off=np.asarray(matrix.off) * 1e146
+        )
+        expected, _ = numpy_eigenvector(scaled, lam, 0.04)
+        assert bits(eigenvector(scaled, lam, h=0.04)) == bits(expected)
+
+
 def forced_fallback(monkeypatch, path_finder):
     """The routines ``_lapack`` binds when ``_openblas_path`` is path_finder."""
     monkeypatch.setattr(numeric, "_openblas_path", path_finder)
@@ -407,13 +475,13 @@ class TestLapackLoad:
             matrix = assemble(spec, grid)
             results = []
             for routines in (direct, public):
-                monkeypatch.setattr(numeric, "dstebz", routines.dstebz)
-                monkeypatch.setattr(numeric, "dstein", routines.dstein)
+                # every LAPACK and BLAS call of the solver goes through this binding
+                monkeypatch.setattr(numeric, "_lapack", lambda routines=routines: routines)
                 lams = lowest_eigenvalues(matrix, k)
-                results.append((lams, [eigenvector(matrix, lam, h=grid.h) for lam in lams]))
+                results.append((lams, [bits(eigenvector(matrix, lam, h=grid.h)) for lam in lams]))
             (lams_direct, vecs_direct), (lams_public, vecs_public) = results
             assert lams_direct == lams_public
-            np.testing.assert_array_equal(vecs_direct, vecs_public)
+            assert vecs_direct == vecs_public
 
     def test_failed_direct_load_falls_back_to_scipy_linalg_lapack(self, monkeypatch):
         public = forced_fallback(monkeypatch, no_openblas)
@@ -480,11 +548,19 @@ code, _, err = run("coupled", "--g", "2.0")
 assert code == 1 and err.startswith("validation error:"), err
 assert not loaded(), loaded()
 
-# 2. Energies alone load no numpy: spectrum without --samples, both sweeps, the
-#    truncated-series sweep and a solve with the truncation re-solve.  They run
-#    LAPACK through ctypes, not through scipy's f2py extension.
+# 2. Energies and eigenvectors load no numpy: spectrum with and without
+#    --samples, both sweeps, the truncated-series sweep and a solve with the
+#    truncation re-solve.  They run LAPACK and BLAS through ctypes, not through
+#    scipy's f2py extensions.
 code, out, _ = run("spectrum", "--levels", "4")
 assert code == 0 and out.startswith("n,energy_analytic,energy_numeric,abs_diff\\n0,"), out
+csv = os.path.join(tempfile.mkdtemp(), "spectrum.csv")
+assert run("spectrum", "--levels", "4", "--samples", "8", "--out", csv)[0] == 0
+assert open(csv).read().startswith("n,energy_analytic,energy_numeric,abs_diff\\n0,")
+assert open(csv[:-4] + "_wavefunctions.csv").read().startswith("n,x,value\\n0,")
+code, out, _ = run("spectrum", "--kind", "hext1", "--b", "2", "--levels", "3", "--samples", "16",
+                   "--format", "json")
+assert code == 0 and '"wavefunctions": [{"n": 0, "samples": [[' in out, out
 code, out, _ = run("spectrum", "--kind", "eqo2", "--g", "0.6", "--levels", "20", "--format", "json")
 assert code == 0 and out.startswith('{\\n  "levels": [{"n": 0,'), out
 code, out, _ = run("sweep")
@@ -498,10 +574,7 @@ assert len(numeric.solve(numeric.ProblemSpec(kind="hext1", b=2.0), 4, policy).le
 assert not loaded(), loaded()
 assert numeric._lapack().source.endswith(".so"), numeric._lapack().source
 
-# 3. Wavefunction samples and check load numpy, still not scipy's f2py LAPACK.
-code, out, _ = run("spectrum", "--levels", "4", "--samples", "8")
-assert code == 0 and out.startswith("n,energy_analytic,energy_numeric,abs_diff\\n0,"), out
-assert loaded() == ["_multiarray_umath"], loaded()
+# 3. check loads numpy, still not scipy's f2py LAPACK.
 assert "numpy.polynomial" not in sys.modules, "loaded by spectrum or coupled"
 code, out, _ = run("check")
 assert code == 0 and "[FAIL]" not in out, out
@@ -533,7 +606,7 @@ def test_import_footprint():
     assert proc.stdout == "ok\n"
 
 
-LOADS_NUMPY_SCRIPT = FOOTPRINT_HELPERS + """
+LOADED_SCRIPT = FOOTPRINT_HELPERS + """
 from affineosc import cli
 code, out, _ = run(*sys.argv[1:])
 assert code == 0, out
@@ -541,15 +614,23 @@ print(loaded())
 """
 
 
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "--levels", "2", "--samples", "4"],
-    ["check"],
-    ["specfun", "--points", "1,2.5"],
-], ids=lambda argv: argv[0] + ("-samples" if "--samples" in argv else ""))
+@pytest.mark.parametrize("argv", [["check"], ["specfun", "--points", "1,2.5"]],
+                         ids=lambda argv: argv[0])
 def test_array_work_loads_numpy(argv):
-    proc = run_script(LOADS_NUMPY_SCRIPT, *argv)
+    proc = run_script(LOADED_SCRIPT, *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['_multiarray_umath']\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_samples_load_no_numpy(fmt, tmp_path):
+    # CSV to a file writes the wavefunctions companion as well
+    out = ["--out", str(tmp_path / "spectrum.csv")] if fmt == "csv" else ["--format", "json"]
+    proc = run_script(LOADED_SCRIPT, "spectrum", "--levels", "2", "--samples", "4", *out)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    if fmt == "csv":
+        assert (tmp_path / "spectrum_wavefunctions.csv").read_text().startswith("n,x,value\n0,")
 
 
 NO_SCIPY_LINALG_SCRIPT = """
@@ -592,8 +673,8 @@ class TestGridCap:
 
     def test_truncation_resolve_over_cap(self, monkeypatch):
         # the 1.5x wider re-solve keeps the spacing, so it needs about 1.5N nodes;
-        # the cap must stop it before the first grid is assembled
-        monkeypatch.setattr(numeric, "assemble", None)
+        # the cap must stop it before the first matrix is built
+        monkeypatch.setattr(numeric, "_stencil_matrix", None)
         policy = GridPolicy(n=800_000, check_truncation=True)
         with pytest.raises(ValueError, match="N = 1200001"):
             solve(ProblemSpec(kind="eqintro"), 1, policy)
@@ -708,38 +789,3 @@ class TestConvergenceOrder:
         assert len(ratios) == 2
         assert all(3.6 <= ratio <= 4.4 for ratio in ratios)
 
-
-class TestCommutatorResidual:
-    @staticmethod
-    def bump(x):
-        return np.exp(-((x - 4.0) ** 2))
-
-    def test_second_order_decay(self):
-        coarse = Grid(0.0, 8.0, 400)
-        fine = coarse.refined()
-        r_c = commutator_residual(coarse, self.bump)
-        r_f = commutator_residual(fine, self.bump)
-        assert r_c / r_f == pytest.approx(4.0, rel=0.1)
-
-    def test_zero_function(self):
-        grid = Grid(0.0, 8.0, 200)
-        assert commutator_residual(grid, lambda x: np.zeros_like(x)) == 0.0
-
-    def test_multiplication_operators_commute(self):
-        grid = Grid(0.0, 8.0, 200)
-        x = grid.nodes
-        f = self.bump(x)
-        np.testing.assert_array_equal(x * (x * f) - x * (x * f), 0.0)
-
-    def test_bracket_factor_two_convention(self):
-        grid = Grid(0.0, 8.0, 800)
-        r1 = commutator_residual(grid, self.bump, hbar=1.0)
-        r2 = commutator_residual(grid, self.bump, hbar=2.0)
-        # doubling hbar in operators and target scales the residual linearly
-        assert r2 == pytest.approx(2.0 * r1, rel=1e-10)
-        assert r1 <= 1e-3
-
-    def test_requires_vanishing_near_ends(self):
-        grid = Grid(0.0, 8.0, 200)
-        with pytest.raises(DomainError):
-            commutator_residual(grid, lambda x: np.ones_like(x))
