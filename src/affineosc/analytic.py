@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, List, NamedTuple
 
 from ._lazy import lazy_import
 from .core import PhysicalParams
@@ -34,8 +33,7 @@ COUPLED_Y1 = "coupled_y1"
 COUPLED_Y2 = "coupled_y2"
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """A branch's well alpha^2 x^2, eigenfunction family and mass."""
 
     alpha: Callable[[PhysicalParams], float]  # inverse-square length scale
@@ -52,8 +50,7 @@ BRANCHES = {
 }
 
 
-@dataclass(frozen=True)
-class EigenPair:
+class EigenPair(NamedTuple):
     """One bound state: quantum number, energy and an evaluable wavefunction."""
 
     n: int
@@ -63,8 +60,7 @@ class EigenPair:
     wavefunction: Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class CompositeLevel:
+class CompositeLevel(NamedTuple):
     """A two-mode level E = E_y1(n1) + E_y2(n2)."""
 
     n1: int

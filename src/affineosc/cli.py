@@ -26,11 +26,11 @@ import json
 import math
 import numbers
 import sys
+import types
 import typing
-from dataclasses import asdict, dataclass, field, fields
 from typing import List, Optional
 
-from . import __version__, analytic, checks, interp, numeric, specfun
+from . import __version__, analytic, interp, numeric, specfun
 from .core import PhysicalParams
 from .numeric import ConvergenceError, GridPolicy, ProblemSpec
 from .specfun import QuadratureError
@@ -62,47 +62,58 @@ def _type_error(value, hint) -> Optional[str]:
     return {int: "an integer", float: "a number", str: "a string"}[hint]
 
 
-@dataclass
-class RunConfig:
-    """Validated run configuration; mirrors the JSON config schema one-to-one."""
+# The config schema: (name, type, default) per field, in the order --dump-config
+# prints them.  command's default is never used: RunConfig takes it first.
+CONFIG_FIELDS = (
+    ("command", str, None),
+    ("m", float, 1.0),
+    ("omega", float, 1.0),
+    ("hbar", float, 1.0),
+    ("g", float, 0.0),
+    ("kind", str, "eqintro"),
+    ("levels", int, 4),
+    ("count", int, 10),
+    ("b", float, 0.0),
+    ("order", int, 4),
+    ("b_values", List[float], [0.0, 1.0, 2.0, 5.0, 10.0, 20.0]),
+    ("grid_n", Optional[int], None),
+    ("fn", str, "hermite"),
+    ("fn_n", int, 0),
+    ("fn_param", float, 2.0),
+    ("points", List[float], []),
+    ("samples", int, 0),
+    ("out", Optional[str], None),
+    ("format", str, "csv"),
+)
 
-    command: str
-    m: float = 1.0
-    omega: float = 1.0
-    hbar: float = 1.0
-    g: float = 0.0
-    kind: str = "eqintro"
-    levels: int = 4
-    count: int = 10
-    b: float = 0.0
-    order: int = 4
-    b_values: List[float] = field(default_factory=lambda: [0.0, 1.0, 2.0, 5.0, 10.0, 20.0])
-    grid_n: Optional[int] = None
-    fn: str = "hermite"
-    fn_n: int = 0
-    fn_param: float = 2.0
-    points: List[float] = field(default_factory=list)
-    samples: int = 0
-    out: Optional[str] = None
-    format: str = "csv"
 
-    def __post_init__(self):
-        hints = typing.get_type_hints(RunConfig)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            expected = _type_error(value, hints[f.name])
+class RunConfig(types.SimpleNamespace):
+    """Validated run configuration; mirrors the JSON config schema one-to-one.
+
+    One attribute per CONFIG_FIELDS entry; instances are mutable and compare by value.
+    """
+
+    def __init__(self, command: str, **values):
+        values["command"] = command
+        for name, hint, default in CONFIG_FIELDS:
+            value = values.pop(name, default)
+            expected = _type_error(value, hint)
             if expected is not None:
                 raise ValueError(
-                    f"field {f.name!r} must be {expected}, got {type(value).__name__} {value!r:.40}"
+                    f"field {name!r} must be {expected}, got {type(value).__name__} {value!r:.40}"
                 )
-            # an int given for a float field is stored, and printed, as a float
+            # an int given for a float field is stored, and printed, as a float; a
+            # list is always copied, so no two configs share a default list
             try:
-                if hints[f.name] is float:
-                    setattr(self, f.name, float(value))
-                elif hints[f.name] == List[float]:
-                    setattr(self, f.name, [float(v) for v in value])
+                if hint is float:
+                    value = float(value)
+                elif hint == List[float]:
+                    value = [float(v) for v in value]
             except OverflowError:
-                raise ValueError(f"field {f.name!r} must be within float range") from None
+                raise ValueError(f"field {name!r} must be within float range") from None
+            setattr(self, name, value)
+        if values:
+            raise TypeError(f"RunConfig got unexpected fields {sorted(values)}")
         if self.command not in COMMANDS:
             raise ValueError(f"field 'command' must be one of {COMMANDS}, got {self.command!r}")
         if self.kind not in numeric.KINDS:
@@ -130,7 +141,7 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "RunConfig":
-        unknown = set(data) - set(cls.__dataclass_fields__)
+        unknown = set(data) - {name for name, _, _ in CONFIG_FIELDS}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
@@ -376,6 +387,8 @@ def run_specfun(config: RunConfig) -> int:
 
 
 def run_check(config: RunConfig) -> int:
+    from . import checks  # here, not at the top: no other command needs the suite
+
     return 0 if checks.run_all() else 2
 
 
@@ -467,7 +480,8 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         if getattr(args, "dump_config", False):
-            sys.stdout.write(render_json(asdict(config)))
+            fields = {name: getattr(config, name) for name, _, _ in CONFIG_FIELDS}
+            sys.stdout.write(render_json(fields))
             return 0
         return run(config)
     except (ValueError, TypeError) as exc:

@@ -9,7 +9,7 @@ branch.  Everything here is a pure function of immutable inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 
 class FrameError(ValueError):
@@ -20,38 +20,32 @@ class DomainError(ValueError):
     """Coordinates left the admissible configuration space."""
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class PhysicalParams(namedtuple("PhysicalParams", "m omega hbar g")):
     """Mass, angular frequency, reduced Planck constant and coupling.
 
     The coupling must satisfy |g| < m*omega**2; the quantum branch formulas
     additionally need 0 < g < m*omega**2 and check that at the point of use.
     """
 
-    m: float = 1.0
-    omega: float = 1.0
-    hbar: float = 1.0
-    g: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("m", "omega", "hbar", "g"):
-            value = getattr(self, name)
+    def __new__(cls, m: float = 1.0, omega: float = 1.0, hbar: float = 1.0, g: float = 0.0):
+        for name, value in (("m", m), ("omega", omega), ("hbar", hbar), ("g", g)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
             if name != "g" and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
         try:
-            stiffness = self.m * self.omega**2
+            stiffness = m * omega**2
         except OverflowError:
             stiffness = math.inf
         if stiffness == math.inf:
+            raise ValueError(f"m*omega^2 overflows for m = {m}, omega = {omega}")
+        if abs(g) >= stiffness:
             raise ValueError(
-                f"m*omega^2 overflows for m = {self.m}, omega = {self.omega}"
+                f"coupling must satisfy |g| < m*omega^2 = {stiffness}, got g = {g}"
             )
-        if abs(self.g) >= stiffness:
-            raise ValueError(
-                f"coupling must satisfy |g| < m*omega^2 = {stiffness}, got g = {self.g}"
-            )
+        return super().__new__(cls, m, omega, hbar, g)
 
     @property
     def g_ratio(self) -> float:
@@ -70,29 +64,23 @@ ORIGINAL = "original"
 NORMAL = "normal"
 
 
-@dataclass(frozen=True)
-class PhaseSpacePoint:
+class PhaseSpacePoint(namedtuple("PhaseSpacePoint", "q1 q2 p1 p2 frame")):
     """A classical state, tagged with the frame its fields live in.
 
     frame == "original": fields mean (x1, x2, p_x1, p_x2), x1 >= 0 and x2 >= 0.
     frame == "normal":   fields mean (y1, y2, p_y1, p_y2), y1 >= 0.
     """
 
-    q1: float
-    q2: float
-    p1: float
-    p2: float
-    frame: str = ORIGINAL
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.frame not in (ORIGINAL, NORMAL):
-            raise FrameError(f"unknown frame {self.frame!r}")
-        if self.frame == ORIGINAL and (self.q1 < 0 or self.q2 < 0):
-            raise DomainError(
-                f"original-frame positions must be nonnegative, got ({self.q1}, {self.q2})"
-            )
-        if self.frame == NORMAL and self.q1 < 0:
-            raise DomainError(f"normal-frame y1 must be nonnegative, got {self.q1}")
+    def __new__(cls, q1: float, q2: float, p1: float, p2: float, frame: str = ORIGINAL):
+        if frame not in (ORIGINAL, NORMAL):
+            raise FrameError(f"unknown frame {frame!r}")
+        if frame == ORIGINAL and (q1 < 0 or q2 < 0):
+            raise DomainError(f"original-frame positions must be nonnegative, got ({q1}, {q2})")
+        if frame == NORMAL and q1 < 0:
+            raise DomainError(f"normal-frame y1 must be nonnegative, got {q1}")
+        return super().__new__(cls, q1, q2, p1, p2, frame)
 
 
 def to_normal(point: PhaseSpacePoint) -> PhaseSpacePoint:
@@ -203,8 +191,8 @@ def poisson_bracket(f, g, point: PhaseSpacePoint) -> float:
         )
 
     def d_dq(func, field, h):
-        hi = func(replace(point, **{field: getattr(point, field) + h}))
-        lo = func(replace(point, **{field: getattr(point, field) - h}))
+        hi = func(point._replace(**{field: getattr(point, field) + h}))
+        lo = func(point._replace(**{field: getattr(point, field) - h}))
         return (hi - lo) / (2 * h)
 
     total = 0.0

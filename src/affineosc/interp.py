@@ -10,15 +10,13 @@ exact boundary term 3/(4(x+b)^2) against its power-series truncations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import PhysicalParams
 from .numeric import GridPolicy, ProblemSpec, solve
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     b: float
     n: int
     energy: float
@@ -26,18 +24,16 @@ class SweepRow:
     dev_full: float  # |E - (n+1/2) hbar omega|
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     rows: List[SweepRow]
     grid_meta: Dict[float, Tuple[int, float, float]]  # b -> (N, x_min, x_max)
 
 
-@dataclass(frozen=True)
-class TruncatedSweepResult:
+class TruncatedSweepResult(NamedTuple):
     b: float
     energies: Dict[int, List[float]]  # expansion order -> spectrum
     exact: List[float]  # hext1 spectrum at the same b
-    note: ClassVar[str] = (
+    note = (
         "power-series potential is only valid for |x/b| < 1; solve domains for "
         "order >= 1 are clipped to |x| <= 0.9 b"
     )

@@ -42,7 +42,7 @@ import importlib.util
 import math
 import os
 from array import array
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from ._lazy import lazy_import
@@ -162,7 +162,8 @@ def _scipy_lapack() -> _Lapack:
 def _lapack() -> _Lapack:
     """LAPACK and BLAS, bound on the first eigen call.
 
-    ctypes opens scipy's bundled OpenBLAS in about 3 ms and needs no numpy;
+    Binding scipy's bundled OpenBLAS through ctypes takes about 6 ms (about
+    3 ms to open the file, 2 ms to import ctypes) and needs no numpy;
     ``import scipy.linalg`` would cost about 0.3 s on top of numpy.  The file
     is private to scipy wheels, so where it is missing or lacks the LAPACKE
     symbols (a build from source, another platform) this falls back to the
@@ -192,8 +193,7 @@ def dstein(diag, off, lam):
     return _lapack().dstein(diag, off, lam)
 
 
-@dataclass(frozen=True)
-class KindFacts:
+class KindFacts(NamedTuple):
     """Everything the solver and the command line need to know about a kind."""
 
     branch: Optional[str] = None  # closed-form branch in ``analytic``
@@ -218,19 +218,17 @@ class ConvergenceError(RuntimeError):
     """A numeric stage (LAPACK eigenvalues or eigenvectors, truncation check) failed."""
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(namedtuple("Grid", "x_min x_max n")):
     """Uniform grid with Dirichlet zeros at both endpoints; nodes are interior."""
 
-    x_min: float
-    x_max: float
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.x_min < self.x_max:
-            raise ValueError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
-        if self.n < 16:
-            raise ValueError(f"need at least 16 interior points, got {self.n}")
+    def __new__(cls, x_min: float, x_max: float, n: int):
+        if not x_min < x_max:
+            raise ValueError(f"need x_min < x_max, got [{x_min}, {x_max}]")
+        if n < 16:
+            raise ValueError(f"need at least 16 interior points, got {n}")
+        return super().__new__(cls, x_min, x_max, n)
 
     @property
     def h(self) -> float:
@@ -250,18 +248,16 @@ class Grid:
         return Grid(self.x_min, self.x_max, 2 * self.n + 1)
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(namedtuple("ProblemSpec", "kind params b order")):
     """Which stationary ODE to solve, with its fixed energy scaling."""
 
-    kind: str
-    params: PhysicalParams = field(default_factory=PhysicalParams)
-    b: Optional[float] = None
-    order: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown problem kind {self.kind!r}")
+    def __new__(cls, kind: str, params: Optional[PhysicalParams] = None,
+                b: Optional[float] = None, order: Optional[int] = None):
+        if kind not in KINDS:
+            raise ValueError(f"unknown problem kind {kind!r}")
+        self = super().__new__(cls, kind, PhysicalParams() if params is None else params, b, order)
         facts = self.facts
         if facts.takes_b:
             if self.b is None or not 0 <= self.b < math.inf:
@@ -293,6 +289,7 @@ class ProblemSpec:
                 f"b = {self.b} put the energy and length scales or the barrier out of "
                 f"float range"
             )
+        return self
 
     @property
     def facts(self) -> KindFacts:
@@ -322,23 +319,20 @@ class ProblemSpec:
         return -self.b if self.facts.takes_b else 0.0
 
 
-@dataclass(frozen=True)
-class TridiagonalMatrix:
+class TridiagonalMatrix(namedtuple("TridiagonalMatrix", "diag off")):
     """Symmetric tridiagonal matrix (diagonal plus one off-diagonal band).
 
     Both bands are stored as array('d'); other float sequences are copied into one.
     """
 
-    diag: array
-    off: array
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("diag", "off"):
-            band = getattr(self, name)
-            if not (isinstance(band, array) and band.typecode == "d"):
-                object.__setattr__(self, name, array("d", band))
-        if len(self.off) != len(self.diag) - 1:
+    def __new__(cls, diag: array, off: array):
+        diag, off = (band if isinstance(band, array) and band.typecode == "d"
+                     else array("d", band) for band in (diag, off))
+        if len(off) != len(diag) - 1:
             raise ValueError("off-diagonal must be one shorter than the diagonal")
+        return super().__new__(cls, diag, off)
 
     @property
     def n(self) -> int:
@@ -354,8 +348,7 @@ class Level(NamedTuple):
     lam_fine: float  # fine-grid eigenvalue, the one ``eigenvector`` takes
 
 
-@dataclass(frozen=True)
-class EigenResult:
+class EigenResult(NamedTuple):
     """Solved levels with the fine grid and the fine-grid matrix."""
 
     levels: List[Level]
@@ -494,21 +487,20 @@ def eigenvector(matrix: TridiagonalMatrix, lam: float, h: float) -> array:
     return v
 
 
-@dataclass(frozen=True)
-class GridPolicy:
+class GridPolicy(namedtuple("GridPolicy", "n domain check_truncation")):
     """Coarse node count and domain for solve() (None: sized from the problem).
 
     Energies are always extrapolated over the grid pair; check_truncation
     re-solves on a 1.5x wider domain.
     """
 
-    n: Optional[int] = None
-    domain: Optional[Tuple[float, float]] = None
-    check_truncation: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.domain is not None and not all(map(math.isfinite, self.domain)):
-            raise ValueError(f"grid domain must be finite, got {self.domain}")
+    def __new__(cls, n: Optional[int] = None, domain: Optional[Tuple[float, float]] = None,
+                check_truncation: bool = False):
+        if domain is not None and not all(map(math.isfinite, domain)):
+            raise ValueError(f"grid domain must be finite, got {domain}")
+        return super().__new__(cls, n, domain, check_truncation)
 
 
 TRUNCATION_TOL = 1e-8  # relative energy shift the 1.5x wider re-solve may show

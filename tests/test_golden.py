@@ -9,6 +9,9 @@ such a change has to be made on purpose and the digests re-recorded.
 import contextlib
 import hashlib
 import io
+import json
+import os
+import tempfile
 
 import pytest
 
@@ -44,11 +47,40 @@ GOLDEN = {
     "sweep-default": "be75644cd2c9ef8fe0e0237e161b41aecac4c599138a60ef77cf7f9b3b8ad067",
     "sweep-seeded": "3796f982225c6140d340e0551113a736b330aa4fb70b1212ca23567d7f3da12e",
     "check": "ff9d13ea1dbf05499d39742e8da6737aeae85eff321ed204568f2db95f5d1059",
+    "coupled-csv": "647b2013b6d5ee4249cc77aba66571352bde224fd3950fac631205bf1da2e6d2",
+    "coupled-json": "58f7c6e394cc1eeb6b9ac16f0bf53c23687e01e7b23a7d978d8eaf34b9342d16",
+    "specfun-1f1": "b7bb90e948b9795ea3abd70d487e474bb0b674cfa1cd04b62dddb17949667c9a",
+    "specfun-hermite": "d82a97bedeadf55c520560ee7aa392324f28f1527468442be27f7a151f5215d8",
+    "specfun-laguerre": "d9a8cdaa9aa30f34f27b8388a1cc2cee44c7a323a6d413648ac2dcd8eb9145ee",
+    "dump-config-spectrum": "8dcd479754ee96f50f53389d187efd26da84e3c15980a0c5787d68234d0e89ce",
+    "dump-config-coupled": "452d906b730fd89379e971ad0ec7ceb3676b388d23021c3e291a6e96088b6ac1",
+    "dump-config-sweep": "0952a3400c0f4ad43ac3d19358592d17f79309925093d815de421b6ec1c8f531",
+    "dump-config-specfun": "4b624d91086116043c215f6bac96085a8134c0cc2a6c94a87ad18954d1c97005",
+    "dump-config-check": "3a9e88b896a8cc0184fbc25c38e4b8069ed1267cd36445267bb73c6d485a3d4e",
+    "dump-config-file": "eee13de38b62101dc85c425a578828dac2323ab705bdac61cdc7eac1928ce971",
 }
 
+# a config file mixing integers and floats, in float and integer fields alike
+CONFIG_FILE = {"m": 2, "omega": 1.5, "hbar": 1, "g": 0, "levels": 3, "b": 1, "order": 2,
+               "b_values": [0, 1.5, 3], "grid_n": 100, "fn_param": 3, "points": [1, 2.5, -4]}
 
-def golden_argv(case):
-    """The command line of one pinned case."""
+
+def golden_argv(case, tmp):
+    """The command line of one pinned case; tmp is a directory for its files."""
+    if case.startswith("coupled-"):  # CSV to a file writes the _branches companion as well
+        fmt = case.partition("-")[2]
+        out = ["--out", os.path.join(tmp, "coupled.csv")] if fmt == "csv" else ["--format", fmt]
+        return ["coupled", "--g", "0.6", "--count", "1000", *out]
+    if case.startswith("specfun-"):
+        return ["specfun", "--fn", case.partition("-")[2], "--n", "7", "--param", "1.5",
+                "--points=-3,-0.5,0,0.25,1,2.75,12", "--format", "json"]
+    if case == "dump-config-file":
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as handle:
+            json.dump(CONFIG_FILE, handle)
+        return ["sweep", "--config", path, "--levels", "5", "--g", "0.25", "--dump-config"]
+    if case.startswith("dump-config-"):
+        return [case.rpartition("-")[2], "--dump-config"]
     if case == "samples-all-nodes":  # as many samples as the 33 fine-grid nodes
         return ["spectrum", "--levels", "2", "--grid-n", "16", "--samples", "33",
                 "--format", "json"]
@@ -68,19 +100,23 @@ def golden_argv(case):
     return [command]
 
 
-def digest(argv):
-    """sha256 of what cli.main writes to stdout, with its exit code."""
+def digest(case):
+    """sha256 of what cli.main writes to stdout and then to CSV files, by name, with its exit code."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+        code = cli.main(golden_argv(case, tmp))
+        for name in sorted(os.listdir(tmp)):
+            if name.endswith(".csv"):
+                with open(os.path.join(tmp, name)) as handle:
+                    out.write(handle.read())
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 @pytest.mark.parametrize("case", GOLDEN)
 def test_output_bytes_pinned(case):
-    assert digest(golden_argv(case)) == (0, GOLDEN[case])
+    assert digest(case) == (0, GOLDEN[case])
 
 
 if __name__ == "__main__":  # print the digests of the code as it stands
     for case in GOLDEN:
-        print(f'    "{case}": "{digest(golden_argv(case))[1]}",')
+        print(f'    "{case}": "{digest(case)[1]}",')

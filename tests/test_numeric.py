@@ -524,6 +524,10 @@ def loaded():
     \"\"\"Which of numpy's core extension and scipy's f2py LAPACK extension are loaded.\"\"\"
     names = {m.rsplit(".", 1)[-1] for m in sys.modules}
     return sorted(names & {"_multiarray_umath", "_flapack"})
+
+def startup_extras():
+    \"\"\"Which of dataclasses, inspect (which dataclasses imports) and the check suite are loaded.\"\"\"
+    return sorted(sys.modules.keys() & {"dataclasses", "inspect", "affineosc.checks"})
 """
 
 IMPORT_FOOTPRINT_SCRIPT = FOOTPRINT_HELPERS + """
@@ -536,6 +540,7 @@ assert not loaded(), loaded()
 assert numeric._lapack.cache_info().currsize == 0, "LAPACK bound by import affineosc"
 assert specfun._legendre_pair.cache_info().currsize == 0, "rules built by import affineosc"
 assert "numpy.polynomial" not in sys.modules, "loaded by import affineosc"
+assert not startup_extras(), startup_extras()
 csv = os.path.join(tempfile.mkdtemp(), "coupled.csv")
 assert run("coupled", "--g", "0.6", "--count", "5", "--out", csv)[0] == 0
 assert open(csv).read().startswith("n1,n2,energy\\n0,0,")
@@ -546,7 +551,11 @@ code, out, _ = run("coupled", "--count", "1000", "--dump-config")
 assert code == 0 and '"count": 1000' in out, out
 code, _, err = run("coupled", "--g", "2.0")
 assert code == 1 and err.startswith("validation error:"), err
+for command in ("spectrum", "coupled", "sweep", "specfun", "check"):
+    code, out, _ = run(command, "--dump-config")
+    assert code == 0 and out.startswith('{\\n  "command": "%s",' % command), out
 assert not loaded(), loaded()
+assert not startup_extras(), startup_extras()
 
 # 2. Energies and eigenvectors load no numpy: spectrum with and without
 #    --samples, both sweeps, the truncated-series sweep and a solve with the
@@ -572,12 +581,18 @@ assert [len(e) for e in result.energies.values()] == [4] * 5, result
 policy = numeric.GridPolicy(check_truncation=True)
 assert len(numeric.solve(numeric.ProblemSpec(kind="hext1", b=2.0), 4, policy).levels) == 4
 assert not loaded(), loaded()
+assert not startup_extras(), startup_extras()
 assert numeric._lapack().source.endswith(".so"), numeric._lapack().source
 
-# 3. check loads numpy, still not scipy's f2py LAPACK.
+# 3. specfun and check load numpy, still not scipy's f2py LAPACK.  numpy imports
+#    inspect; only check loads the check suite.
 assert "numpy.polynomial" not in sys.modules, "loaded by spectrum or coupled"
+code, out, _ = run("specfun", "--fn", "laguerre", "--n", "3", "--points", "0.5,2")
+assert code == 0 and out.startswith("x,value\\n5.0"), out
+assert startup_extras() == ["inspect"], startup_extras()
 code, out, _ = run("check")
 assert code == 0 and "[FAIL]" not in out, out
+assert "affineosc.checks" in sys.modules
 import numpy as np
 value = specfun.integrate_halfline(lambda x: np.exp(-x * x) * (1.0 + x), 0.5, 1.0)
 exact = math.sqrt(math.pi) / 2.0 * math.erfc(0.5) + math.exp(-0.25) / 2.0
