@@ -22,11 +22,8 @@ import heapq
 import math
 from typing import Callable, List, NamedTuple
 
-from ._lazy import lazy_import
 from .core import PhysicalParams
 from .specfun import confluent_1f1_neg, hermite
-
-np = lazy_import("numpy")
 
 HALF_HO = "half_ho"
 COUPLED_Y1 = "coupled_y1"
@@ -57,7 +54,7 @@ class EigenPair(NamedTuple):
     energy: float
     branch: str
     params: PhysicalParams
-    wavefunction: Callable[[np.ndarray], np.ndarray]
+    wavefunction: Callable  # phi(x) for a float or a numpy array of x
 
 
 class CompositeLevel(NamedTuple):
@@ -72,6 +69,8 @@ def _halfline_wavefunction(n: int, alpha: float):
     """Normalized x^(3/2)-type eigenfunction with scale alpha, zero for x <= 0."""
 
     def phi(x):
+        import numpy as np  # here, not in the factory: building an EigenPair loads no numpy
+
         x = np.asarray(x, dtype=float)
         pos = x > 0
         xp = np.where(pos, x, 1.0)
@@ -80,7 +79,7 @@ def _halfline_wavefunction(n: int, alpha: float):
             * alpha
             * xp**1.5
             * np.exp(-0.5 * alpha * xp**2)
-            * np.asarray(confluent_1f1_neg(n, 2.0, alpha * xp**2))
+            * confluent_1f1_neg(n, 2.0, alpha * xp**2)
         )
         out = np.where(pos, val, 0.0)
         return out if out.ndim else float(out)
@@ -96,9 +95,11 @@ def _hermite_wavefunction(n: int, alpha: float):
     norm = math.exp(log_norm)
 
     def phi(y):
+        import numpy as np
+
         y = np.asarray(y, dtype=float)
         s = math.sqrt(alpha) * y
-        val = norm * np.exp(-0.5 * alpha * y**2) * np.asarray(hermite(n, s))
+        val = norm * np.exp(-0.5 * alpha * y**2) * hermite(n, s)
         return val if val.ndim else float(val)
 
     return phi

@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Tuple
 
-from . import analytic, core, numeric, specfun
-from ._lazy import lazy_import
+import numpy as np
 
-np = lazy_import("numpy")
+from . import analytic, core, numeric, specfun
 
 CheckResult = Tuple[str, bool, str]
 

@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import numbers
+import os
 import sys
 import types
 import typing
@@ -227,10 +228,9 @@ def _write(text: str, path: Optional[str]):
 
 
 def _companion(path: str, tag: str) -> str:
-    if "." in path.rsplit("/", 1)[-1]:
-        stem, ext = path.rsplit(".", 1)
-        return f"{stem}_{tag}.{ext}"
-    return f"{path}_{tag}"
+    """path with _<tag> before its extension; a dotfile's leading dot is no extension."""
+    stem, ext = os.path.splitext(path)
+    return f"{stem}_{tag}{ext}"
 
 
 def _emit(config: RunConfig, header: List[str], rows: List[List], doc: dict, companions=()):
@@ -346,6 +346,12 @@ def run_coupled(config: RunConfig) -> int:
 
 
 def run_sweep(config: RunConfig) -> int:
+    # one solve per b value: cap the levels of all of them together as one spectrum run's
+    if config.levels * len(config.b_values) > MAX_LEVELS:
+        raise ValueError(
+            f"field 'b_values' times levels must be at most {MAX_LEVELS}, "
+            f"got {len(config.b_values)} b values x {config.levels} levels"
+        )
     policy = GridPolicy(n=config.grid_n)
     result = interp.b_sweep(config.params(), config.b_values, config.levels, policy)
     header = ["b", "n", "energy", "dev_half", "dev_full"]

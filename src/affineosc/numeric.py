@@ -13,8 +13,8 @@ OpenBLAS that scipy bundles, and so are the three CBLAS routines (``ddot``,
 ``scipy.linalg.lapack`` and ``scipy.linalg.blas`` as the fallback (see
 ``_lapack``).  Matrix rows, node positions and eigenvectors are ``array('d')``
 or lists built in plain Python, so neither a solve nor an eigenvector loads
-numpy.  Only ``sign_changes`` uses numpy, which loads at its first use;
-importing this module loads neither numpy nor LAPACK.
+numpy.  Only ``sign_changes`` and the scipy fallback use numpy, and they
+import it when called; importing this module loads neither numpy nor LAPACK.
 
 For the singular kinds the boundary node sits one spacing away from the
 singularity; the physical solutions vanish there like (distance)^(3/2), so a
@@ -45,11 +45,8 @@ from array import array
 from collections import namedtuple
 from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
-from ._lazy import lazy_import
 from .analytic import BRANCHES, COUPLED_Y1, COUPLED_Y2, HALF_HO, Branch
 from .core import DomainError, PhysicalParams
-
-np = lazy_import("numpy")
 
 
 class _Lapack(NamedTuple):
@@ -139,6 +136,7 @@ def _lapacke(path: str) -> _Lapack:
 
 def _scipy_lapack() -> _Lapack:
     """The same routines through scipy's public f2py wrappers."""
+    import numpy as np
     from scipy.linalg import blas, lapack
 
     def dstebz(diag, off, k, tol):
@@ -605,6 +603,8 @@ NODE_FLOOR = 1e-6  # samples below this fraction of the peak are noise for sign_
 
 def sign_changes(samples) -> int:
     """Count sign changes of a sampled eigenfunction, ignoring noise-level values."""
+    import numpy as np  # here, not at the top: no solve needs numpy
+
     samples = np.asarray(samples)
     floor = NODE_FLOOR * np.max(np.abs(samples))
     signs = np.sign(samples[np.abs(samples) > floor])

@@ -4,6 +4,8 @@ The closed-form eigenfunctions need the terminating confluent hypergeometric
 series 1F1(-n, b, z), physicists' Hermite polynomials and associated Laguerre
 polynomials.  All three are evaluated by three-term recurrences so they stay
 exact (to rounding) up to degree 64 without overflowing intermediate factorials.
+The recurrences are plain arithmetic, run unchanged on a float and on a numpy
+array, so evaluating them at floats loads no numpy.
 """
 
 from __future__ import annotations
@@ -11,28 +13,9 @@ from __future__ import annotations
 import functools
 import math
 
-from ._lazy import lazy_import
-
-np = lazy_import("numpy")
-
 
 class QuadratureError(RuntimeError):
     """Half-line quadrature failed to reach the requested tolerance."""
-
-
-def _quiet_overflow(fn):
-    """fn run under np.errstate, entered at call time so that defining fn loads no numpy.
-
-    Large or non-finite arguments overflow the recurrences to inf or nan, which
-    is the value reported; numpy's overflow warnings would only add stderr noise.
-    """
-
-    @functools.wraps(fn)
-    def quiet(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return fn(*args, **kwargs)
-
-    return quiet
 
 
 def _check_degree(n: int) -> int:
@@ -41,66 +24,67 @@ def _check_degree(n: int) -> int:
     return int(n)
 
 
-@_quiet_overflow
 def confluent_1f1_neg(n: int, b_param: float, z):
     """Terminating confluent hypergeometric polynomial 1F1(-n, b_param, z).
 
     Evaluated with the contiguous three-term recurrence in the degree,
     f_{k+1} = ((2k + b - z) f_k - k f_{k-1}) / (k + b),
     which avoids the catastrophic cancellation of the naive alternating
-    term-by-term sum for moderate z.
+    term-by-term sum for moderate z.  z is a float (or an int), a numpy float64
+    or a float ndarray, and the value has its type (a float for an int) and
+    shape.  A large or non-finite float z overflows to inf or nan silently; an
+    array warns as numpy arithmetic does.
     """
     n = _check_degree(n)
     if b_param <= 0:
         raise ValueError(f"b_param must be positive, got {b_param}")
-    z = np.asarray(z, dtype=float)
-    f_prev = np.ones_like(z)
+    f_prev = z**0.0  # 1.0, or ones of z's shape
     if n == 0:
-        return f_prev if f_prev.ndim else float(f_prev)
+        return f_prev
     f_cur = 1.0 - z / b_param
     for k in range(1, n):
         f_cur, f_prev = (
             ((2 * k + b_param - z) * f_cur - k * f_prev) / (k + b_param),
             f_cur,
         )
-    return f_cur if f_cur.ndim else float(f_cur)
+    return f_cur
 
 
-@_quiet_overflow
 def hermite(n: int, x):
-    """Physicists' Hermite polynomial H_n via H_{k+1} = 2x H_k - 2k H_{k-1}."""
+    """Physicists' Hermite polynomial H_n via H_{k+1} = 2x H_k - 2k H_{k-1}.
+
+    x and the value are typed as in ``confluent_1f1_neg``.
+    """
     n = _check_degree(n)
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
+    h_prev = x**0.0
     if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
+        return h_prev
     h = 2.0 * x
     for k in range(1, n):
         h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
-    return h if h.ndim else float(h)
+    return h
 
 
-@_quiet_overflow
 def laguerre_assoc(n: int, alpha: float, z):
     """Associated Laguerre polynomial L_n^(alpha) by three-term recurrence.
 
     Related to the terminating confluent series by
     1F1(-n, alpha+1, z) = L_n^(alpha)(z) / binom(n + alpha, n).
+    z and the value are typed as in ``confluent_1f1_neg``.
     """
     n = _check_degree(n)
     if alpha <= -1:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
-    z = np.asarray(z, dtype=float)
-    l_prev = np.ones_like(z)
+    l_prev = z**0.0
     if n == 0:
-        return l_prev if l_prev.ndim else float(l_prev)
+        return l_prev
     l_cur = 1.0 + alpha - z
     for k in range(1, n):
         l_cur, l_prev = (
             ((2 * k + 1 + alpha - z) * l_cur - (k + alpha) * l_prev) / (k + 1),
             l_cur,
         )
-    return l_cur if l_cur.ndim else float(l_cur)
+    return l_cur
 
 
 QUAD_NODES = 160  # n of the n- and 2n-node Gauss-Legendre pair
@@ -110,7 +94,8 @@ QUAD_TOL = 1e-10  # absolute error integrate_halfline must reach
 @functools.cache
 def _legendre_pair():
     """Nodes of both rules, mapped to [0, 2], in one array; one weight row per rule."""
-    from numpy.polynomial.legendre import leggauss  # imported here: only quadrature needs it
+    import numpy as np  # here and below, not at the top: only quadrature needs numpy
+    from numpy.polynomial.legendre import leggauss
 
     (xn, wn), (x2n, w2n) = leggauss(QUAD_NODES), leggauss(2 * QUAD_NODES)
     return np.r_[xn, x2n] + 1.0, np.array([np.r_[wn, 0.0 * w2n], np.r_[0.0 * wn, w2n]])
@@ -124,6 +109,8 @@ def integrate_halfline(f, lower: float, decay_scale: float) -> float:
     once, on an array of nodes, and may return an array or a scalar.  The value is
     the 2n-node Gauss-Legendre sum and its distance from the n-node sum the error.
     """
+    import numpy as np
+
     if decay_scale <= 0:
         raise ValueError(f"decay_scale must be positive, got {decay_scale}")
     tol = QUAD_TOL

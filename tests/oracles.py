@@ -1,11 +1,14 @@
 """Independent test oracles, kept deliberately naive and exact.
 
-Rational-arithmetic evaluation of the polynomial special functions, and
-brute-force enumeration of composite levels.  Nothing here shares code with
-the package implementations.
+Rational-arithmetic evaluation of the polynomial special functions, the
+earlier numpy evaluation of the same recurrences (the bit-for-bit reference
+for the plain-arithmetic ones), and brute-force enumeration of composite
+levels.  Nothing here shares code with the package implementations.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 
 def f1_rational(n: int, b_param: int, z: Fraction) -> Fraction:
@@ -40,6 +43,55 @@ def laguerre_rational(n: int, alpha: int, z: Fraction) -> Fraction:
     for k in range(1, n):
         l_cur, l_prev = ((2 * k + 1 + alpha - z) * l_cur - (k + alpha) * l_prev) / (k + 1), l_cur
     return l_cur
+
+
+def _numpy_result(value):
+    return value if value.ndim else float(value)
+
+
+def f1_numpy(n: int, b_param: float, z):
+    """1F1(-n, b_param, z) by the degree recurrence on float64 arrays, overflow silenced."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.asarray(z, dtype=float)
+        f_prev = np.ones_like(z)
+        if n == 0:
+            return _numpy_result(f_prev)
+        f_cur = 1.0 - z / b_param
+        for k in range(1, n):
+            f_cur, f_prev = (
+                ((2 * k + b_param - z) * f_cur - k * f_prev) / (k + b_param),
+                f_cur,
+            )
+        return _numpy_result(f_cur)
+
+
+def hermite_numpy(n: int, x):
+    """H_n by its recurrence on float64 arrays, overflow silenced."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.asarray(x, dtype=float)
+        h_prev = np.ones_like(x)
+        if n == 0:
+            return _numpy_result(h_prev)
+        h = 2.0 * x
+        for k in range(1, n):
+            h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
+        return _numpy_result(h)
+
+
+def laguerre_numpy(n: int, alpha: float, z):
+    """L_n^(alpha) by its recurrence on float64 arrays, overflow silenced."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.asarray(z, dtype=float)
+        l_prev = np.ones_like(z)
+        if n == 0:
+            return _numpy_result(l_prev)
+        l_cur = 1.0 + alpha - z
+        for k in range(1, n):
+            l_cur, l_prev = (
+                ((2 * k + 1 + alpha - z) * l_cur - (k + alpha) * l_prev) / (k + 1),
+                l_cur,
+            )
+        return _numpy_result(l_cur)
 
 
 def binom(n: int, k: int) -> int:

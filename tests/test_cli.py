@@ -188,6 +188,20 @@ class TestCoupledCommand:
         assert header == ["branch", "n", "energy"]
         assert len(rows) == 6  # both branches, three levels each
 
+    @pytest.mark.parametrize("out,companion", [
+        (".hidden", ".hidden_branches"),
+        ("dir/.cfg", "dir/.cfg_branches"),
+        ("out.csv", "out_branches.csv"),
+        ("out", "out_branches"),
+        ("out.tar.gz", "out.tar_branches.gz"),
+        ("dir.v2/out", "dir.v2/out_branches"),
+    ])
+    def test_companion_name(self, tmp_path, out, companion):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "dir.v2").mkdir()
+        assert main(["coupled", "--g", "0.6", "--count", "2", "--out", str(tmp_path / out)]) == 0
+        assert read(tmp_path / companion).startswith("branch,n,energy\n")
+
     def test_json_document(self, tmp_path):
         out = tmp_path / "coupled.json"
         assert main(["coupled", "--g", "0.6", "--count", "2", "--format", "json",
@@ -206,6 +220,18 @@ class TestSweepCommand:
         assert header == ["b", "n", "energy", "dev_half", "dev_full"]
         assert len(rows) == 2
         assert float(rows[0][2]) == pytest.approx(2.0, rel=1e-6)
+
+
+    def test_levels_times_b_values_capped(self, capsys):
+        assert main(["sweep", "--levels", "1000", "--b-values", "0,1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "validation error: field 'b_values' times levels must be at most 1000, "
+            "got 2 b values x 1000 levels\n"
+        )
+        assert main(["sweep"]) == 0
+        assert capsys.readouterr().out.startswith("b,n,energy,dev_half,dev_full\n")
 
 
 class TestSpecfunCommand:
@@ -611,8 +637,7 @@ for argv in (["spectrum", "--levels", "2"], ["spectrum", "--levels", "2", "--sam
 
 
 def test_no_python_threads_started():
-    # the lazy numpy binding is not thread-safe before Python 3.12; the package
-    # relies on running in one thread
+    # no command starts a thread of its own, so none runs beside the caller's
     import os
     import subprocess
     import sys

@@ -584,12 +584,13 @@ assert not loaded(), loaded()
 assert not startup_extras(), startup_extras()
 assert numeric._lapack().source.endswith(".so"), numeric._lapack().source
 
-# 3. specfun and check load numpy, still not scipy's f2py LAPACK.  numpy imports
-#    inspect; only check loads the check suite.
-assert "numpy.polynomial" not in sys.modules, "loaded by spectrum or coupled"
+# 3. specfun loads neither numpy nor inspect (which numpy imports); only check
+#    loads numpy and the check suite, still not scipy's f2py LAPACK.
 code, out, _ = run("specfun", "--fn", "laguerre", "--n", "3", "--points", "0.5,2")
 assert code == 0 and out.startswith("x,value\\n5.0"), out
-assert startup_extras() == ["inspect"], startup_extras()
+assert not loaded(), loaded()
+assert not startup_extras(), startup_extras()
+assert "numpy" not in sys.modules, "loaded by specfun"
 code, out, _ = run("check")
 assert code == 0 and "[FAIL]" not in out, out
 assert "affineosc.checks" in sys.modules
@@ -629,12 +630,18 @@ print(loaded())
 """
 
 
-@pytest.mark.parametrize("argv", [["check"], ["specfun", "--points", "1,2.5"]],
-                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", [["check"]], ids=lambda argv: argv[0])
 def test_array_work_loads_numpy(argv):
     proc = run_script(LOADED_SCRIPT, *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['_multiarray_umath']\n"
+
+
+def test_specfun_loads_no_numpy():
+    # the recurrences run on the float points in plain arithmetic
+    proc = run_script(LOADED_SCRIPT, "specfun", "--points", "1,2.5")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -646,6 +653,38 @@ def test_samples_load_no_numpy(fmt, tmp_path):
     assert proc.stdout == "[]\n"
     if fmt == "csv":
         assert (tmp_path / "spectrum_wavefunctions.csv").read_text().startswith("n,x,value\n0,")
+
+
+HIDDEN_LOAD_SCRIPT = FOOTPRINT_HELPERS + """
+import importlib.util
+
+def assert_no_numpy(after):
+    # find_spec of a module already in sys.modules reads that module's __spec__
+    assert "numpy" not in sys.modules, after
+    assert importlib.util.find_spec("numpy") is not None
+    assert "_multiarray_umath" not in loaded(), after
+
+import affineosc
+from affineosc import cli, interp, numeric, specfun
+assert_no_numpy("import affineosc")
+csv = os.path.join(tempfile.mkdtemp(), "spectrum.csv")
+for argv in (["coupled", "--g", "0.6", "--count", "5"],
+             ["spectrum", "--samples", "8", "--out", csv],
+             ["spectrum", "--samples", "8", "--format", "json"],
+             ["sweep"],
+             ["specfun", "--points", "1,1e200,nan"]):
+    code, _, err = run(*argv)
+    assert code == 0 and err == "", (argv, err)
+    assert_no_numpy(argv)
+assert open(csv[:-4] + "_wavefunctions.csv").read().startswith("n,x,value\\n0,")
+print("ok")
+"""
+
+
+def test_no_hidden_numpy_load():
+    proc = run_script(HIDDEN_LOAD_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 NO_SCIPY_LINALG_SCRIPT = """

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,15 @@ from affineosc.specfun import (
     integrate_halfline,
     laguerre_assoc,
 )
-from oracles import binom, f1_rational, hermite_rational, laguerre_rational
+from oracles import (
+    binom,
+    f1_numpy,
+    f1_rational,
+    hermite_numpy,
+    hermite_rational,
+    laguerre_numpy,
+    laguerre_rational,
+)
 
 
 class TestConfluent:
@@ -122,6 +131,94 @@ class TestLaguerre:
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
             laguerre_assoc(2, -1.0, 1.0)
+
+
+# each special function with a parameter, and its earlier numpy evaluation
+RECURRENCES = {
+    "1f1 b=2": (lambda n, x: confluent_1f1_neg(n, 2.0, x), lambda n, x: f1_numpy(n, 2.0, x)),
+    "1f1 b=0.5": (lambda n, x: confluent_1f1_neg(n, 0.5, x), lambda n, x: f1_numpy(n, 0.5, x)),
+    "hermite": (hermite, hermite_numpy),
+    "laguerre a=1": (lambda n, x: laguerre_assoc(n, 1.0, x),
+                     lambda n, x: laguerre_numpy(n, 1.0, x)),
+    "laguerre a=-0.5": (lambda n, x: laguerre_assoc(n, -0.5, x),
+                        lambda n, x: laguerre_numpy(n, -0.5, x)),
+}
+EDGE_POINTS = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.5, -2.5, 37.0, -37.0,
+               1e200, -1e200, math.inf, -math.inf, math.nan]
+_rng = np.random.default_rng(15)
+RANDOM_POINTS = (_rng.uniform(-40.0, 40.0, 6).tolist()
+                 + (_rng.standard_normal(6) * 10.0 ** _rng.integers(-8, 9, 6)).tolist())
+POINTS = EDGE_POINTS + RANDOM_POINTS
+DEGREES = list(range(65)) + [10000]
+CANONICAL_NAN = np.uint64(0x7FF8000000000000)
+
+
+def bits(values):
+    """The float64 bit patterns of values, with every nan given one pattern."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.where(np.isnan(values), CANONICAL_NAN, values.view(np.uint64)).tolist()
+
+
+class TestAgainstNumpyRecurrences:
+    """The plain-arithmetic recurrences give the bits of the numpy ones they replaced."""
+
+    @pytest.mark.parametrize("name", RECURRENCES)
+    def test_float_arguments(self, name):
+        fn, reference = RECURRENCES[name]
+        for n in DEGREES:
+            # the numpy reference, elementwise on one array, as it ran on each 0-d array
+            expected = bits(reference(n, np.array(POINTS)))
+            got = [fn(n, x) for x in POINTS]
+            assert {type(v) for v in got} == {float}, (name, n)
+            assert bits(got) == expected, (name, n)
+        assert bits([reference(n, x) for n in (0, 3, 64) for x in POINTS]) == bits(
+            [fn(n, x) for n in (0, 3, 64) for x in POINTS])
+
+    @pytest.mark.parametrize("name", RECURRENCES)
+    def test_float64_arguments(self, name):
+        fn, reference = RECURRENCES[name]
+        for n in DEGREES:
+            expected = bits(reference(n, np.array(POINTS)))
+            with np.errstate(all="ignore"):  # numpy scalars warn where they overflow
+                got = [fn(n, np.float64(x)) for x in POINTS]
+            assert {type(v) for v in got} == {np.float64}, (name, n)
+            assert bits(got) == expected, (name, n)
+
+    @pytest.mark.parametrize("name", RECURRENCES)
+    def test_array_arguments(self, name):
+        fn, reference = RECURRENCES[name]
+        for shape in ((len(POINTS),), (3, len(POINTS) // 3)):
+            xs = np.array(POINTS).reshape(shape)
+            for n in DEGREES:
+                with np.errstate(all="ignore"):  # arrays warn where they overflow
+                    got = fn(n, xs)
+                assert type(got) is np.ndarray and got.dtype == np.float64, (name, n)
+                assert got.shape == shape, (name, n)
+                assert bits(got) == bits(reference(n, xs)), (name, n)
+
+    def test_int_argument_gives_float(self):
+        for value in (hermite(0, 2), hermite(3, 2), confluent_1f1_neg(2, 2, 1),
+                      laguerre_assoc(2, 1, 1)):
+            assert type(value) is float
+        assert hermite(3, 2) == 40.0
+
+    def test_list_argument_is_type_error(self):
+        for call in (lambda: hermite(2, [1.0, 2.0]), lambda: confluent_1f1_neg(2, 2.0, [1.0]),
+                     lambda: laguerre_assoc(0, 1.0, [1.0])):
+            with pytest.raises(TypeError):
+                call()
+
+    def test_float_overflow_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [hermite(3, 1e200), hermite(64, -1e300), hermite(5, math.inf),
+                      confluent_1f1_neg(40, 2.0, 1e200), confluent_1f1_neg(3, 2.0, -math.inf),
+                      laguerre_assoc(40, 1.0, -1e300), laguerre_assoc(3, 1.0, math.nan)]
+        assert not any(math.isfinite(v) for v in values), values
+
+    def test_array_overflow_warns(self):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            hermite(3, np.array([1e200]))
 
 
 class TestHalflineQuadrature:
