@@ -1,7 +1,7 @@
 """Spectral toolkit for half-line and coupled oscillator problems.
 
 Closed-form eigenpairs for the half harmonic oscillator and the decoupled
-normal modes of two coupled half-line oscillators, a finite-difference
+normal modes of two coupled half-line oscillators, a finite-volume
 Sturm-Liouville eigensolver for the corresponding singular ODEs, and the
 moving-endpoint interpolation between the half-line and full-line spectra.
 """

@@ -66,7 +66,11 @@ class CompositeLevel(NamedTuple):
 
 
 def _halfline_wavefunction(n: int, alpha: float):
-    """Normalized x^(3/2)-type eigenfunction with scale alpha, zero for x <= 0."""
+    """Normalized x^(3/2)-type eigenfunction with scale alpha, zero for x <= 0.
+
+    Far in the tail the polynomial overflows where the Gaussian envelope has
+    underflowed to 0; the value there is 0, not nan.
+    """
 
     def phi(x):
         import numpy as np  # here, not in the factory: building an EigenPair loads no numpy
@@ -74,21 +78,23 @@ def _halfline_wavefunction(n: int, alpha: float):
         x = np.asarray(x, dtype=float)
         pos = x > 0
         xp = np.where(pos, x, 1.0)
-        val = (
-            math.sqrt(2.0 * (n + 1))
-            * alpha
-            * xp**1.5
-            * np.exp(-0.5 * alpha * xp**2)
-            * confluent_1f1_neg(n, 2.0, alpha * xp**2)
-        )
-        out = np.where(pos, val, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            envelope = np.exp(-0.5 * alpha * xp**2)
+            val = (
+                math.sqrt(2.0 * (n + 1))
+                * alpha
+                * xp**1.5
+                * envelope
+                * confluent_1f1_neg(n, 2.0, alpha * xp**2)
+            )
+        out = np.where(pos & (envelope > 0.0), val, 0.0)
         return out if out.ndim else float(out)
 
     return phi
 
 
 def _hermite_wavefunction(n: int, alpha: float):
-    """Standard normalized oscillator eigenfunction with scale alpha."""
+    """Standard normalized oscillator eigenfunction with scale alpha; 0 where exp underflows."""
     log_norm = 0.25 * math.log(alpha / math.pi) - 0.5 * (
         n * math.log(2.0) + math.lgamma(n + 1)
     )
@@ -99,7 +105,9 @@ def _hermite_wavefunction(n: int, alpha: float):
 
         y = np.asarray(y, dtype=float)
         s = math.sqrt(alpha) * y
-        val = norm * np.exp(-0.5 * alpha * y**2) * hermite(n, s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            envelope = np.exp(-0.5 * alpha * y**2)
+            val = np.where(envelope > 0.0, norm * envelope * hermite(n, s), 0.0)
         return val if val.ndim else float(val)
 
     return phi

@@ -44,6 +44,7 @@ MAX_COUNT = 100_000
 MAX_FN_N = 10_000
 MAX_B_VALUES = 100
 MAX_SAMPLE_VALUES = 10**6  # samples, and levels x written samples, of one spectrum run
+ERR_EST_WARN = 1e-6  # relative error estimate above which spectrum and sweep warn on stderr
 
 
 def _type_error(value, hint) -> Optional[str]:
@@ -284,23 +285,34 @@ def _sample_indices(n: int, count: int) -> List[int]:
 
 
 def _downsample(grid, samples, count):
-    """[x, value] rows at count evenly spread nodes; never more rows than nodes."""
+    """[x, value] rows at count evenly spread cell centres; never more rows than cells."""
     idx = _sample_indices(len(samples), count)
-    return [[x, samples[i]] for x, i in zip(grid.nodes_at([i + 1 for i in idx]), idx)]
+    return [[x, samples[i]] for x, i in zip(grid.nodes_at(idx), idx)]
+
+
+def _warn_err_est(levels):
+    """One stderr line when some (n, energy, err_est) has an estimate above ERR_EST_WARN."""
+    over = [(err / abs(energy) if energy else math.inf, n)
+            for n, energy, err in levels if err > ERR_EST_WARN * abs(energy)]
+    if over:
+        rel, n = max(over)
+        print(f"warning: level {n} has a discretization error estimate of {rel:.1e} relative, "
+              f"above {ERR_EST_WARN:.0e}; a larger --grid-n lowers it", file=sys.stderr)
 
 
 def run_spectrum(config: RunConfig) -> int:
     spec = _problem_spec(config)
     policy = GridPolicy(n=config.grid_n)
     if config.samples > 0:
-        # at most one sample per fine-grid node is written
-        nodes = numeric.coarse_grid(spec, config.levels, policy).refined().n
-        if config.levels * min(config.samples, nodes) > MAX_SAMPLE_VALUES:
+        # at most one sample per cell of the finest grid is written
+        cells = numeric.coarse_grid(spec, config.levels, policy).refined().refined().n
+        if config.levels * min(config.samples, cells) > MAX_SAMPLE_VALUES:
             raise ValueError(
                 f"field 'samples' times levels must be at most {MAX_SAMPLE_VALUES}, "
-                f"counting at most the {nodes} fine-grid nodes per level"
+                f"counting at most the {cells} finest-grid cells per level"
             )
     result = numeric.solve(spec, config.levels, policy)
+    _warn_err_est([(lv.n, lv.energy, err) for lv, err in zip(result.levels, result.err_est)])
     branch = spec.facts.branch
     header = ["n", "energy_analytic", "energy_numeric", "abs_diff"]
     rows = []
@@ -354,6 +366,7 @@ def run_sweep(config: RunConfig) -> int:
         )
     policy = GridPolicy(n=config.grid_n)
     result = interp.b_sweep(config.params(), config.b_values, config.levels, policy)
+    _warn_err_est([(row.n, row.energy, row.err_est) for row in result.rows])
     header = ["b", "n", "energy", "dev_half", "dev_full"]
     rows = [[row.b, row.n, row.energy, row.dev_half, row.dev_full] for row in result.rows]
     doc = {

@@ -22,6 +22,7 @@ class SweepRow(NamedTuple):
     energy: float
     dev_half: float  # |E - 2(n+1) hbar omega|
     dev_full: float  # |E - (n+1/2) hbar omega|
+    err_est: float  # the level's discretization error estimate, from solve
 
 
 class SweepResult(NamedTuple):
@@ -62,7 +63,7 @@ def b_sweep(
         result = solve(spec, k, policy)
         grid = result.grid
         grid_meta[b] = (grid.n, grid.x_min, grid.x_max)
-        for level in result.levels:
+        for level, err_est in zip(result.levels, result.err_est):
             n, energy = level.n, level.energy
             rows.append(
                 SweepRow(
@@ -71,6 +72,7 @@ def b_sweep(
                     energy=energy,
                     dev_half=abs(energy - 2.0 * (n + 1) * hw),
                     dev_full=abs(energy - (n + 0.5) * hw),
+                    err_est=err_est,
                 )
             )
     return SweepResult(rows=rows, grid_meta=grid_meta)

@@ -2,13 +2,16 @@
 
 Rational-arithmetic evaluation of the polynomial special functions, the
 earlier numpy evaluation of the same recurrences (the bit-for-bit reference
-for the plain-arithmetic ones), and brute-force enumeration of composite
-levels.  Nothing here shares code with the package implementations.
+for the plain-arithmetic ones), brute-force enumeration of composite levels,
+and a Rayleigh-Ritz solve of the moving-endpoint problem.  Nothing here shares
+code with the package implementations.
 """
 
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.laguerre import laggauss
+from scipy.special import eval_genlaguerre, gammaln
 
 
 def f1_rational(n: int, b_param: int, z: Fraction) -> Fraction:
@@ -110,3 +113,30 @@ def brute_force_composite(e_y1, e_y2, n_max: int, count: int):
     ]
     levels.sort(key=lambda t: (t[2], t[0], t[1]))
     return levels[:count]
+
+
+def hext1_ritz(b: float, size: int = 100, beta: float = 10.0):
+    """Ritz values of -d^2/dx^2 + 3/(4 (x + b)^2) + x^2 on x > -b, ascending.
+
+    The operator of the ``hext1`` kind at unit parameters (energies are half
+    these values).  The basis is f_n = t^(3/2) e^(-t/2) L_n^(3)(t) / sqrt(Gamma(n + 4)/n!),
+    n < size, with t = beta (x + b): complete on the half line, orthonormal in
+    t, and with the x^(3/2) behaviour at the barrier built in.  So the
+    problem is beta^2 K + V with K_mn the integral of f_m' f_n' + 3/(4 t^2) f_m f_n
+    (the kinetic term by parts; L_n^(3)' = -L_(n-1)^(4)) and V_mn that of
+    (t/beta - b)^2 f_m f_n.  Every integrand is a polynomial of degree at
+    most 2 size + 3 times e^(-t), which Gauss-Laguerre with size + 10 nodes
+    integrates exactly.  Ritz values are upper bounds of the exact eigenvalues
+    (MacDonald, Phys. Rev. 43, 830 (1933)).
+    """
+    t, w = laggauss(size + 10)
+    n = np.arange(size)[:, None]
+    norm = np.exp(0.5 * (gammaln(n + 1) - gammaln(n + 4)))
+    root = norm * np.sqrt(w) * t**1.5  # the weight e^(-t) split between both factors
+    lag = eval_genlaguerre(n, 3, t)
+    dlag = np.where(n > 0, -eval_genlaguerre(np.maximum(n - 1, 0), 4, t), 0.0)
+    f = root * lag
+    df = root * ((1.5 / t - 0.5) * lag + dlag)
+    kinetic = df @ df.T + (f * (0.75 / t**2)) @ f.T
+    potential = (f * (t / beta - b) ** 2) @ f.T
+    return np.linalg.eigvalsh(beta**2 * kinetic + potential)

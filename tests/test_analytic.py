@@ -120,6 +120,21 @@ class TestWavefunctions:
         norm = checks.gram_matrix([coupled_y2_eigen(n, COUPLED)])[0, 0]
         assert norm == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("pair,x", [
+        (coupled_y2_eigen(200, COUPLED), np.array([50.0])),
+        (half_ho_eigen(40, UNIT), 1e5),
+        (half_ho_eigen(40, UNIT), np.array([1e200, 1e5, -1.0])),
+    ], ids=["y2-200", "half-40", "half-40-array"])
+    def test_zero_far_in_the_tail(self, pair, x):
+        # the polynomial overflows where exp(-alpha x^2 / 2) has underflowed to 0
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = pair.wavefunction(x)
+        assert np.array_equal(value, np.zeros_like(x))
+        assert type(value) is type(x)
+
     def test_node_counts(self):
         xs_half = np.linspace(1e-4, 9.0, 30001)
         xs_full = np.linspace(-9.0, 9.0, 30001)

@@ -101,14 +101,25 @@ class TestSpectrumCommand:
         assert doc["meta"]["params"]["omega"] == 1.0
         assert len(doc["wavefunctions"][0]["samples"]) == 32
 
+    def test_coarse_grid_warns_on_stderr_only(self, capsys):
+        # the error estimate of --grid-n 16 is far above 1e-6; by default it is not
+        assert main(["spectrum", "--grid-n", "16"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("n,energy_analytic,energy_numeric,abs_diff\n0,")
+        assert err.startswith("warning: level ") and err.count("\n") == 1, err
+        assert "relative, above 1e-06" in err
+        for argv in (["spectrum"], ["spectrum", "--kind", "eqo2", "--g", "0.6", "--levels", "20"]):
+            assert main(argv) == 0
+            assert capsys.readouterr().err == "", argv
+
     def test_samples_clamped_to_fine_grid(self, capsys):
-        # --grid-n 16 gives a fine grid of 33 nodes
+        # --grid-n 16 gives a finest grid of 64 cells
         argv = ["spectrum", "--levels", "1", "--grid-n", "16", "--format", "json"]
         assert main([*argv, "--samples", "5000"]) == 0
         clamped = capsys.readouterr().out
         rows = json.loads(clamped)["wavefunctions"][0]["samples"]
-        assert len(rows) == len({x for x, _ in rows}) == 33
-        assert main([*argv, "--samples", "33"]) == 0
+        assert len(rows) == len({x for x, _ in rows}) == 64
+        assert main([*argv, "--samples", "64"]) == 0
         assert capsys.readouterr().out == clamped
 
     @pytest.mark.parametrize("coarse_n,counts", [
@@ -221,6 +232,14 @@ class TestSweepCommand:
         assert len(rows) == 2
         assert float(rows[0][2]) == pytest.approx(2.0, rel=1e-6)
 
+
+    def test_coarse_grid_warns_on_stderr_only(self, capsys):
+        assert main(["sweep", "--b-values", "0,1", "--levels", "2", "--grid-n", "16"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("b,n,energy,dev_half,dev_full\n")
+        assert err.startswith("warning: level ") and err.count("\n") == 1, err
+        assert main(["sweep", "--b-values", "0,1", "--levels", "2"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_levels_times_b_values_capped(self, capsys):
         assert main(["sweep", "--levels", "1000", "--b-values", "0,1"]) == 1
@@ -542,15 +561,15 @@ class TestOutputBytes:
 
     def test_spectrum_json_samples_with_non_finite_values(self, monkeypatch, capsys):
         # a fixed solver result, so the bytes do not depend on LAPACK; the
-        # four downsampled nodes x = 1, 6, 11, 16 carry 0.25, nan, -inf, inf
+        # four downsampled cell centres x = 1, 6, 11, 16 carry 0.25, nan, -inf, inf
         import numpy as np
 
         from affineosc import numeric
 
-        grid = numeric.Grid(0.0, 17.0, 16)
+        grid = numeric.Grid(0.5, 16.5, 16)
         wf = np.full(16, 0.25)
         wf[[5, 10, 15]] = [math.nan, -math.inf, math.inf]
-        result = numeric.EigenResult([numeric.Level(0, 4.0, 2.0, 4.0)], grid, matrix=None)
+        result = numeric.EigenResult([numeric.Level(0, 4.0, 2.0, 4.0)], grid, None, [0.0])
         monkeypatch.setattr(numeric, "solve", lambda spec, k, policy: result)
         monkeypatch.setattr(numeric, "eigenvector", lambda matrix, lam, h: wf)
         assert main(["spectrum", "--levels", "1", "--samples", "4", "--format", "json"]) == 0
@@ -559,7 +578,7 @@ class TestOutputBytes:
             '  "levels": [{"n": 0, "energy_analytic": 2.00000000000000e+00, '
             '"energy_numeric": 2.00000000000000e+00, "abs_diff": 0.00000000000000e+00}],\n'
             f'  "meta": {{"tool_version": "0.1.0", "params": {PARAMS_UNIT}, '
-            '"grid": {"n": 16, "x_min": 0.00000000000000e+00, "x_max": 1.70000000000000e+01}, '
+            '"grid": {"n": 16, "x_min": 5.00000000000000e-01, "x_max": 1.65000000000000e+01}, '
             '"kind": "eqintro"},\n'
             '  "wavefunctions": [{"n": 0, "samples": [[1.00000000000000e+00, 2.50000000000000e-01], '
             "[6.00000000000000e+00, null], [1.10000000000000e+01, null], "

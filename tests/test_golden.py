@@ -1,6 +1,6 @@
 """Byte-identity of command-line outputs against pinned sha256 digests.
 
-The digests were recorded from the unchanged outputs of the finite-difference
+The digests were recorded from the outputs of the three-grid finite-volume
 solver (x86-64 Linux, Python 3.11, numpy 2.4, scipy 1.17 with its bundled
 OpenBLAS).  A change to the numerics that moves any printed digit fails here;
 such a change has to be made on purpose and the digests re-recorded.
@@ -26,27 +26,27 @@ KIND_ARGS = {
 }
 
 GOLDEN = {
-    "spectrum-eqintro-4": "25f084e52d0964c72044c337e87a1403289a78d03134ea31b8eb066cadc12913",
-    "spectrum-eqo1-4": "5fdfdc458b019852492a1f5dafcd741ed9477d8502248fa37e0b3d79c67f464b",
-    "spectrum-eqo2-4": "efde13f5b2968f453b26dbc3725c5320ecd878b2ab609a375053a54d8ea9f03b",
-    "spectrum-hext1-4": "371d75835d07b2c47261fcec7a34f87d00afaa9d5f75ff8509d4c4b6ac6715c0",
-    "spectrum-truncated-4": "baa26e3d412552ce794c4ca2a9a1b3f82602b788720ad7ad8b5e3659ff00163f",
-    "spectrum-eqintro-20": "4c2a4070c1769391115e8553152ec64deb7cc2d0f191bddf0a56ee249c099545",
-    "spectrum-eqo1-20": "450a0f0c3eba68dfaa6f365c003555630294e5d5dbe29db94e07c9d2f65c7e1b",
-    "spectrum-eqo2-20": "c6cbfef96a721e86d9b86cab26ef817466077fa3fd7c08eae322a95ef8e53c93",
-    "spectrum-hext1-20": "619354cbf1f5be68bebdca672452b943652915f905a8e6c787e8617a43a4b406",
-    "spectrum-truncated-20": "2742db81cc387e26e9d635231a35b136a696a0235ea78efaaf1acfceae260922",
-    "samples-eqintro": "f4fb50e1dc1e53bffbb4ab755d9ffc8772efa05bf80d60adddab5b2030471674",
-    "samples-eqo1": "3deba8c08630897ed49706a7b644b833392bbcd082da35c4b53707bd1170e3ad",
-    "samples-eqo2": "bf3b34f32713bd6d5397072da51c1aa8ecb891ca48dbf6e899f27929b5570072",
-    "samples-hext1": "80cf5397ddd273e81cda9d80260081817c9679c55630611471531265d0397dc1",
-    "samples-truncated": "462a4bfba21ef0120bd745478c9893503b9f368b096715486f65a8699c99195e",
-    "samples-all-nodes": "54e63539645de266dd2a00f40c063abf32efc41adf369ba1397c94add6675877",
-    "samples-eqo2-20": "391b0ae8bd929758bbac2e7194194f3e8ea46025ef136b26ff3db0b1aa2aa3db",
-    "samples-hext1-20": "964bee7ef19308a9822e94a0fd858d3573eb5ddc31d1cdaf30226f6873cb64ae",
-    "sweep-default": "be75644cd2c9ef8fe0e0237e161b41aecac4c599138a60ef77cf7f9b3b8ad067",
-    "sweep-seeded": "3796f982225c6140d340e0551113a736b330aa4fb70b1212ca23567d7f3da12e",
-    "check": "ff9d13ea1dbf05499d39742e8da6737aeae85eff321ed204568f2db95f5d1059",
+    "spectrum-eqintro-4": "a12b0c2fd1ff7bab28a988d91f5ea18e1a339ac63b744038bfe8c28dff3328ae",
+    "spectrum-eqo1-4": "a10bd686cdcafd3bf10e2c8de0d7bec1fc99d69605e2a8d9ec33aee78eb359dc",
+    "spectrum-eqo2-4": "2008da008bee3e301be34b024fa7954ee9d60fae03be682e1dc2f32ab7fcf26c",
+    "spectrum-hext1-4": "e73286f98194a0e80f42493f0582b66d2b4acb2cf8c1e76380ab53fc66d64f22",
+    "spectrum-truncated-4": "ff78bbc3f3a87f5099c8fff05b8479b8e45e27b2d8c9757323c1bda7dd7e9cfb",
+    "spectrum-eqintro-20": "7bc34620b02b431b14083097306580bd220be31ec99dc57fda58beb1a44bc994",
+    "spectrum-eqo1-20": "943d64e64b931fdb926de7944ea9bbce8588a7966e48d83a115fd5c913b5b8e8",
+    "spectrum-eqo2-20": "5b79dc04c7bf04429c5f759e5356b058adf468462689e3cf770748d79b5d058a",
+    "spectrum-hext1-20": "b0789b61c4bf9f6e80e9f200f3247b967dfd1af521adc078e189816f00135793",
+    "spectrum-truncated-20": "be4e86d35f42bc3efd351765fd60ba2fcb5dd2a1b7026b67516577e035f288f8",
+    "samples-eqintro": "a0b0fd42099a68187754adb4afcc31d80190d6f3556fad782ab226f5307ee0e7",
+    "samples-eqo1": "2b520a88f3e940223d412eba38e9669bc0c908488338d9fec43cc314ddbee7ac",
+    "samples-eqo2": "6a46b657c67db0a30618240ae2399b489cf840e27d420a216c12d86c9e496faa",
+    "samples-hext1": "30c950077fa5ad27b04d0c0f66555703ed0833547a558c938722a2e27c484f14",
+    "samples-truncated": "5f01dc58c155b01bb1f29df0f63572863029133e8d0a0eacfcd921914919a3c1",
+    "samples-all-nodes": "faf2b9c528a9ba39f99ad4761b7b98b9719af9f8c8c7ffcf134128b020c4ecd8",
+    "samples-eqo2-20": "b8178fc6a86eab32375e72c8295cf1461c751b047a2f61280f73946d57b1a5f1",
+    "samples-hext1-20": "6e020c5f338513758e44a876aea3f40577a2c2ea9ee8f02df323d821738072f0",
+    "sweep-default": "dee4fdce53138e60521c2d814ce8fac63658cb5b5136868a37bb6f833bd7baa7",
+    "sweep-seeded": "ccbc153f85abf223b09f92666a52b8985456014456f6b4d8e232775c53d114d0",
+    "check": "b137cc7b70d6e8b48ce166c5994371896ee0536ff5df015f59159ae4627ef42e",
     "coupled-csv": "647b2013b6d5ee4249cc77aba66571352bde224fd3950fac631205bf1da2e6d2",
     "coupled-json": "58f7c6e394cc1eeb6b9ac16f0bf53c23687e01e7b23a7d978d8eaf34b9342d16",
     "specfun-1f1": "b7bb90e948b9795ea3abd70d487e474bb0b674cfa1cd04b62dddb17949667c9a",
@@ -81,8 +81,8 @@ def golden_argv(case, tmp):
         return ["sweep", "--config", path, "--levels", "5", "--g", "0.25", "--dump-config"]
     if case.startswith("dump-config-"):
         return [case.rpartition("-")[2], "--dump-config"]
-    if case == "samples-all-nodes":  # as many samples as the 33 fine-grid nodes
-        return ["spectrum", "--levels", "2", "--grid-n", "16", "--samples", "33",
+    if case == "samples-all-nodes":  # as many samples as the 64 finest-grid cells
+        return ["spectrum", "--levels", "2", "--grid-n", "16", "--samples", "64",
                 "--format", "json"]
     if case == "sweep-seeded":
         return ["sweep", "--b-values", "0,0.75,3.2,8.9", "--levels", "4", "--format", "json"]

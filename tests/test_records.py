@@ -48,10 +48,11 @@ RECORDS = [
     (ProblemSpec, {"kind": "eqintro", "params": PhysicalParams(m=2.0), "b": None, "order": None},
      {"params": UNIT, "b": None, "order": None}),
     (TridiagonalMatrix, {"diag": array("d", [1.0, 2.0]), "off": array("d", [0.5])}, {}),
-    (EigenResult, {"levels": [], "grid": GRID, "matrix": MATRIX}, {}),
+    (EigenResult, {"levels": [], "grid": GRID, "matrix": MATRIX, "err_est": []}, {}),
     (GridPolicy, {"n": 100, "domain": (0.0, 5.0), "check_truncation": True},
      {"n": None, "domain": None, "check_truncation": False}),
-    (SweepRow, {"b": 1.0, "n": 0, "energy": 1.5, "dev_half": 0.5, "dev_full": 1.0}, {}),
+    (SweepRow, {"b": 1.0, "n": 0, "energy": 1.5, "dev_half": 0.5, "dev_full": 1.0,
+                "err_est": 1e-12}, {}),
     (SweepResult, {"rows": [], "grid_meta": {1.0: (16, -1.0, 5.0)}}, {}),
     (TruncatedSweepResult, {"b": 2.0, "energies": {0: [1.0]}, "exact": [1.5]}, {}),
 ]
