@@ -48,6 +48,7 @@ import math
 import os
 from array import array
 from collections import namedtuple
+from itertools import islice
 from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from .analytic import BRANCHES, COUPLED_Y1, COUPLED_Y2, HALF_HO, Branch
@@ -415,25 +416,32 @@ def assemble(spec: ProblemSpec, grid: Grid) -> TridiagonalMatrix:
     sqrt(w_i) u_i, which approximates psi at the centres.
     """
     _check_domain(spec, grid)
-    n, h = grid.n, grid.h
+    # Row-long sequences are array('d'), built from one list at a time or from
+    # a generator, so that a grid at the cap needs little more memory than its
+    # matrix.
+    n, h, x_min = grid.n, grid.h, grid.x_min
     if spec.facts.barrier:
-        first = (grid.x_min - spec.singular_point) / h  # the lower face, in units of h
-        faces = [first + i for i in range(n + 1)]
-        flux = [t * t * t for t in faces]
+        first = (x_min - spec.singular_point) / h  # the lower face, in units of h
+        flux = array("d", [(t := first + i) * t * t for i in range(n + 1)])
         # ((t + 1)^4 - t^4) / 4 over cell [t, t + 1], in Horner form: positive terms only
-        weight = [((t + 1.5) * t + 1.0) * t + 0.25 for t in faces[:n]]
+        weight = array("d", [(((t := first + i) + 1.5) * t + 1.0) * t + 0.25 for i in range(n)])
         c = spec.quad_coeff
-        v = [c * (x * x) for x in grid.nodes]
+
+        def v(x):
+            return c * (x * x)
+
     else:
-        flux, weight = [1.0] * (n + 1), [1.0] * n
-        v = list(map(potential_of(spec), grid.nodes))
+        flux, weight = array("d", [1.0]) * (n + 1), array("d", [1.0]) * n
+        v = potential_of(spec)
     flux[0] *= 2.0
     flux[n] *= 2.0
     scale = 1.0 / (h * h)
-    root = [math.sqrt(w) for w in weight]
-    diag = array("d", [(f0 + f1) / w * scale + vi
-                       for f0, f1, w, vi in zip(flux, flux[1:], weight, v)])
-    off = array("d", [-f / (r0 * r1) * scale for f, r0, r1 in zip(flux[1:n], root, root[1:])])
+    # the centres x_min + h (i + 1/2) of grid.nodes, computed in place
+    diag = array("d", ((f0 + f1) / w * scale + v(x_min + h * (i + 0.5)) for i, f0, f1, w
+                       in zip(range(n), flux, islice(flux, 1, None), weight)))
+    root = array("d", map(math.sqrt, weight))
+    off = array("d", (-f / (r0 * r1) * scale
+                      for f, r0, r1 in zip(islice(flux, 1, n), root, islice(root, 1, None))))
     return TridiagonalMatrix(diag=diag, off=off)
 
 
