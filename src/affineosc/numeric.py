@@ -1,30 +1,20 @@
 """Finite-volume eigensolver for the stationary oscillator ODEs.
 
-Each problem is reduced to the operator -d^2/dx^2 + V(x) with Dirichlet zeros
-at both ends of its domain, discretized on a uniform cell-centred grid (see
-``assemble``): the 3-point stencil without a barrier, and finite volumes for
--(s^3 u')'/s^3 with psi = s^(3/2) u at the 3/(4 s^2) barrier, symmetrized by
-the square roots of the cell weights.  Either way the matrix is symmetric
-tridiagonal.  Its lowest eigenvalues come from LAPACK bisection (?stebz) on
-three nested grids of N, 2N and 4N cells, and the energies are their Romberg
-value (64 lambda_4N - 20 lambda_2N + lambda_N) / 45, with the distance to the
-two-grid Richardson value as a per-level error estimate.  N comes from a
-spacing in the well's natural length that shrinks with the number of levels.
-An eigenvector is computed only on request, from the finest-grid matrix, by
-LAPACK inverse iteration (?stein, which starts from its own fixed
-pseudo-random vector), and normalized by a correctly rounded ``math.fsum``.
-Both routines are called through ctypes, as the LAPACKE C entry points of the
-OpenBLAS that scipy bundles, and so are the two CBLAS routines (``dscal``,
-``idamax``) that scale an eigenvector, with ``scipy.linalg.lapack`` and
-``scipy.linalg.blas`` as the fallback (see ``_lapack``).  Matrix rows, cell
-centres and eigenvectors are ``array('d')`` or lists built in plain Python, so
-neither a solve nor an eigenvector loads numpy.  Only ``sign_changes`` and
-the scipy fallback use numpy, and they import it when called; importing this
-module loads neither numpy nor LAPACK.
-
-For the singular kinds the domain starts at the singular point, which is the
-face of the first cell; the flux through it vanishes, and V is never
-evaluated there, since only the well c x^2 is taken at the cell centres.
+Each problem is the operator -d^2/dx^2 + V(x) with Dirichlet zeros at both
+ends of its domain, discretized on uniform cell-centred grids by ``assemble``
+into a symmetric tridiagonal matrix.  ``solve`` takes the lowest eigenvalues
+on three nested grids by LAPACK bisection (?stebz) and reports their Romberg
+value, with a per-level error estimate; an eigenvector is computed only on
+request, from the finest-grid matrix, by LAPACK inverse iteration (?stein,
+which starts from its own fixed pseudo-random vector).  Both are called
+through ctypes, as the LAPACKE C entry points of the OpenBLAS that scipy
+bundles, and so are the CBLAS ``dscal`` and ``idamax`` that scale an
+eigenvector, with ``scipy.linalg.lapack`` and ``scipy.linalg.blas`` as the
+fallback (see ``_lapack``).  Matrix rows, cell centres and eigenvectors are
+``array('d')`` or lists built in plain Python, so neither a solve nor an
+eigenvector loads numpy.  Only ``sign_changes`` and the scipy fallback use
+numpy, and they import it when called; importing this module loads neither
+numpy nor LAPACK.
 
 Problem kinds and their energy maps (lambda is the discrete operator
 eigenvalue):
@@ -402,18 +392,16 @@ def potential_of(spec: ProblemSpec) -> Callable[[float], float]:
 def assemble(spec: ProblemSpec, grid: Grid) -> TridiagonalMatrix:
     """Finite volumes for -d^2/dx^2 + V on the grid's cells, as one symmetric matrix.
 
-    A cell i exchanges the flux F_f (u_i - u_j) with its neighbour j across face
-    f, and the outer faces are Dirichlet zeros through ghost cells (u = -u_i
-    beyond them, so their flux counts twice).  Without a barrier F = 1/h^2 on
-    every face, the 3-point stencil on the cell centres.  With the barrier,
-    psi = s^(3/2) u turns -psi'' + 3/(4 s^2) psi into -(s^3 u')'/s^3, with s the
-    distance to the singular point: face f carries s_f^3/h^2, cell i has the
-    weight w_i, the cell average of s^3, and only the rest of V, the well
-    quad_coeff x^2, is evaluated at the centre.  A face at s = 0 carries no
-    flux.  Both are formed in units of h (s = h t), so that ratios stay near 1
-    whatever the length scale, and the generalized problem A u = lambda W u is
-    symmetrized as W^(-1/2) A W^(-1/2).  Its eigenvectors are then
-    sqrt(w_i) u_i, which approximates psi at the centres.
+    Cells exchange the flux F_f (u_i - u_j) across each face f; the outer faces
+    are Dirichlet zeros through ghost cells (u = -u_i beyond, so their flux
+    counts twice).  Without a barrier F = 1/h^2: the 3-point stencil on the
+    centres.  At the barrier psi = s^(3/2) u turns -psi'' + 3/(4 s^2) psi into
+    -(s^3 u')'/s^3, s the distance to the singular point: face f carries
+    t_f^3/h^2 and cell i the weight w_i = ((t_i + 1)^4 - t_i^4)/4, in units
+    t = s/h so that no power of h is taken, and only the well quad_coeff x^2
+    is evaluated at the centres.  A face at s = 0 carries no flux.  The problem
+    A u = lambda W u is symmetrized as W^(-1/2) A W^(-1/2), whose eigenvectors
+    sqrt(w_i) u_i approximate psi at the centres.
     """
     _check_domain(spec, grid)
     # Row-long sequences are array('d'), built from one list at a time or from
