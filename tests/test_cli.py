@@ -232,7 +232,6 @@ class TestSweepCommand:
         assert len(rows) == 2
         assert float(rows[0][2]) == pytest.approx(2.0, rel=1e-6)
 
-
     def test_coarse_grid_warns_on_stderr_only(self, capsys):
         assert main(["sweep", "--b-values", "0,1", "--levels", "2", "--grid-n", "16"]) == 0
         out, err = capsys.readouterr()

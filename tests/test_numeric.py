@@ -871,7 +871,6 @@ class TestConvergenceOrder:
         assert len(ratios) == 2
         assert all(3.6 <= ratio <= 4.4 for ratio in ratios)
 
-
     @pytest.mark.parametrize("spec", [
         ProblemSpec(kind="eqintro"),
         ProblemSpec(kind="eqo1", params=COUPLED),
