@@ -245,7 +245,7 @@ def check_convergence_order() -> CheckResult:
     for spec in specs:
         ratios.extend(convergence_ratios(spec))
     ok = all(3.6 <= r <= 4.4 for r in ratios)
-    return ("finite-difference convergence order", ok,
+    return ("finite-volume convergence order", ok,
             "ratios " + ", ".join(f"{r:.2f}" for r in ratios))
 
 
