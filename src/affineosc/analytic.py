@@ -11,6 +11,8 @@ Three branches, each the well alpha^2 x^2 (r = g/(m omega^2)):
 
 Half-line eigenfunctions are x^(3/2) exp(-alpha x^2 / 2) 1F1(-n, 2, alpha x^2),
 full-line ones Hermite functions; quantum numbers start at n = 0 in all three.
+Both are evaluated by the recurrences of the normalized functions, on the
+functions' values rather than the polynomials', so they stay finite at large n.
 ``BRANCHES`` holds each branch's alpha, family and mass, read here and by the
 solver in ``numeric``.  ``branch_energy`` keeps the paper's formulas as
 written: they are the reference the solver is checked against.
@@ -23,6 +25,7 @@ import math
 from typing import Callable, List, NamedTuple
 
 from .core import PhysicalParams
+# re-exported: bench/spans.py wraps these names of this module
 from .specfun import confluent_1f1_neg, hermite
 
 HALF_HO = "half_ho"
@@ -68,47 +71,60 @@ class CompositeLevel(NamedTuple):
 def _halfline_wavefunction(n: int, alpha: float):
     """Normalized x^(3/2)-type eigenfunction with scale alpha, zero for x <= 0.
 
-    Far in the tail the polynomial overflows where the Gaussian envelope has
-    underflowed to 0; the value there is 0, not nan.
+    phi_n = sqrt(2) alpha x^(3/2) exp(-z/2) l_n(z) with z = alpha x^2 and
+    l_k = L_k^(1)(z) / sqrt(k + 1) the normalized Laguerre polynomials, whose
+    recurrence l_{k+1} = ((2k + 2 - z) l_k - sqrt(k (k+1)) l_{k-1}) / sqrt((k+1)(k+2))
+    runs on the function's values.  exp(-z/2) underflows beyond z = 1490,
+    inside the turning point z = 4(n + 1) once n > 370, so the envelope enters
+    as n + 1 factors exp(-z/(2n + 2)), one per step; where one factor
+    underflows, the value is 0.
     """
 
     def phi(x):
         import numpy as np  # here, not in the factory: building an EigenPair loads no numpy
 
         x = np.asarray(x, dtype=float)
-        pos = x > 0
-        xp = np.where(pos, x, 1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            envelope = np.exp(-0.5 * alpha * xp**2)
-            val = (
-                math.sqrt(2.0 * (n + 1))
-                * alpha
-                * xp**1.5
-                * envelope
-                * confluent_1f1_neg(n, 2.0, alpha * xp**2)
+        with np.errstate(over="ignore"):
+            factor = np.exp(-0.5 * alpha * x * x / (n + 1))
+        x = np.where((x > 0) & (factor > 0.0), x, 0.0)  # where x = 0 gives the value 0
+        z = alpha * x * x
+        factor = np.exp(-0.5 * z / (n + 1))
+        psi_prev, psi = 0.0, math.sqrt(2.0) * alpha * x**1.5 * factor
+        for k in range(n):
+            psi, psi_prev = (
+                ((2 * k + 2 - z) * factor * psi - math.sqrt(k * (k + 1)) * factor**2 * psi_prev)
+                / math.sqrt((k + 1) * (k + 2)),
+                psi,
             )
-        out = np.where(pos & (envelope > 0.0), val, 0.0)
-        return out if out.ndim else float(out)
+        return psi if psi.ndim else float(psi)
 
     return phi
 
 
 def _hermite_wavefunction(n: int, alpha: float):
-    """Standard normalized oscillator eigenfunction with scale alpha; 0 where exp underflows."""
-    log_norm = 0.25 * math.log(alpha / math.pi) - 0.5 * (
-        n * math.log(2.0) + math.lgamma(n + 1)
-    )
-    norm = math.exp(log_norm)
+    """Normalized oscillator eigenfunction with scale alpha.
+
+    The normalized Hermite functions' recurrence
+    psi_{k+1} = sqrt(2/(k+1)) s psi_k - sqrt(k/(k+1)) psi_{k-1}, s = sqrt(alpha) y,
+    runs on the function's values from psi_0 = (alpha/pi)^(1/4) exp(-s^2/2),
+    so no step overflows; where exp(-s^2/2) underflows, the value is 0.
+    """
+    root, start = math.sqrt(alpha), (alpha / math.pi) ** 0.25
 
     def phi(y):
         import numpy as np
 
-        y = np.asarray(y, dtype=float)
-        s = math.sqrt(alpha) * y
-        with np.errstate(over="ignore", invalid="ignore"):
-            envelope = np.exp(-0.5 * alpha * y**2)
-            val = np.where(envelope > 0.0, norm * envelope * hermite(n, s), 0.0)
-        return val if val.ndim else float(val)
+        s = root * np.asarray(y, dtype=float)
+        with np.errstate(over="ignore"):
+            envelope = np.exp(-0.5 * s * s)
+        live = envelope > 0.0
+        s, psi, psi_prev = np.where(live, s, 0.0), np.where(live, start * envelope, 0.0), 0.0
+        for k in range(n):
+            psi, psi_prev = (
+                math.sqrt(2.0 / (k + 1)) * s * psi - math.sqrt(k / (k + 1)) * psi_prev,
+                psi,
+            )
+        return psi if psi.ndim else float(psi)
 
     return phi
 

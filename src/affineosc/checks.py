@@ -3,34 +3,34 @@
 Each check returns (name, passed, detail).  The suite covers the classical
 layer (frame round trips, Hamiltonian equivalence, Poisson bracket table),
 the special functions, the analytic eigenpairs and the agreement between the
-finite-volume solver and the closed forms.
+finite-volume solver and the closed forms.  The seeded checks draw their
+inputs as floats from ``random.Random(seed)``, so only the quadrature, Gram
+matrix and node-count checks load numpy.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from typing import Callable, List, Tuple
-
-import numpy as np
 
 from . import analytic, core, numeric, specfun
 
 CheckResult = Tuple[str, bool, str]
 
 
-def _random_original_points(rng, count):
+def _random_original_points(rng: random.Random, count):
     pts = []
     for _ in range(count):
-        q1, q2 = rng.uniform(0.1, 4.0, size=2)
-        p1, p2 = rng.uniform(-4.0, 4.0, size=2)
+        q1, q2 = rng.uniform(0.1, 4.0), rng.uniform(0.1, 4.0)
+        p1, p2 = rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)
         pts.append(core.PhaseSpacePoint(q1, q2, p1, p2, frame=core.ORIGINAL))
     return pts
 
 
 def check_frame_round_trip() -> CheckResult:
-    rng = np.random.default_rng(0)
     worst = 0.0
-    for pt in _random_original_points(rng, 1000):
+    for pt in _random_original_points(random.Random(0), 1000):
         back = core.from_normal(core.to_normal(pt))
         worst = max(
             worst,
@@ -45,10 +45,9 @@ def check_frame_round_trip() -> CheckResult:
 
 
 def check_hamiltonian_equivalence() -> CheckResult:
-    rng = np.random.default_rng(1)
     params = core.PhysicalParams(g=0.6)
     worst = 0.0
-    for pt in _random_original_points(rng, 1000):
+    for pt in _random_original_points(random.Random(1), 1000):
         h1 = core.hamiltonian_original(pt, params)
         h2 = core.hamiltonian_normal(core.to_normal(pt), params)
         worst = max(worst, abs(h1 - h2) / max(1.0, abs(h1)))
@@ -57,10 +56,9 @@ def check_hamiltonian_equivalence() -> CheckResult:
 
 
 def check_affine_identity() -> CheckResult:
-    rng = np.random.default_rng(2)
     params = core.PhysicalParams(g=0.6)
     worst = 0.0
-    for pt in _random_original_points(rng, 1000):
+    for pt in _random_original_points(random.Random(2), 1000):
         nm = core.to_normal(pt)
         if nm.q1 <= 0:
             continue
@@ -109,10 +107,11 @@ def check_bracket_table() -> CheckResult:
 
 
 def check_laguerre_1f1_identity() -> CheckResult:
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     worst = 0.0
     for n in range(21):
-        for z in rng.uniform(0.0, 50.0, size=10):
+        for _ in range(10):
+            z = rng.uniform(0.0, 50.0)
             lhs = specfun.confluent_1f1_neg(n, 2.0, z)
             rhs = specfun.laguerre_assoc(n, 1.0, z) / (n + 1)
             worst = max(worst, abs(lhs - rhs) / max(1e-30, abs(rhs)))
@@ -121,10 +120,11 @@ def check_laguerre_1f1_identity() -> CheckResult:
 
 
 def check_hermite_parity() -> CheckResult:
-    rng = np.random.default_rng(4)
+    rng = random.Random(4)
     worst = 0.0
     for n in range(31):
-        for x in rng.uniform(0.0, 3.0, size=10):
+        for _ in range(10):
+            x = rng.uniform(0.0, 3.0)
             a = specfun.hermite(n, x)
             b = specfun.hermite(n, -x)
             worst = max(worst, abs(b - (-1.0) ** n * a) / max(1.0, abs(a)))
@@ -132,6 +132,8 @@ def check_hermite_parity() -> CheckResult:
 
 
 def check_laguerre_orthogonality() -> CheckResult:
+    import numpy as np  # here and in the other array code: the seeded checks need none
+
     worst = 0.0
     for mdeg in range(9):
         for ndeg in range(mdeg, 9):
@@ -175,6 +177,8 @@ def check_equal_spacing() -> CheckResult:
 
 def gram_matrix(pairs):
     """Overlap matrix of eigenfunctions of one branch by quadrature on its domain."""
+    import numpy as np
+
     record = analytic.BRANCHES[pairs[0].branch]
     alpha = record.alpha(pairs[0].params)
     if record.halfline:
@@ -195,6 +199,8 @@ def gram_matrix(pairs):
 
 
 def check_orthonormality() -> CheckResult:
+    import numpy as np
+
     params = core.PhysicalParams(g=0.6)
     worst = 0.0
     for pairs in _branch_pairs(params, count=6).values():
@@ -205,6 +211,8 @@ def check_orthonormality() -> CheckResult:
 
 
 def check_node_counts() -> CheckResult:
+    import numpy as np
+
     params = core.PhysicalParams(g=0.6)
     ok = True
     detail = []

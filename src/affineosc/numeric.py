@@ -389,6 +389,9 @@ def potential_of(spec: ProblemSpec) -> Callable[[float], float]:
     return v
 
 
+ROW_BLOCK = 2**9  # matrix rows assemble builds per pass
+
+
 def assemble(spec: ProblemSpec, grid: Grid) -> TridiagonalMatrix:
     """Finite volumes for -d^2/dx^2 + V on the grid's cells, as one symmetric matrix.
 
@@ -404,32 +407,38 @@ def assemble(spec: ProblemSpec, grid: Grid) -> TridiagonalMatrix:
     sqrt(w_i) u_i approximate psi at the centres.
     """
     _check_domain(spec, grid)
-    # Row-long sequences are array('d'), built from one list at a time or from
-    # a generator, so that a grid at the cap needs little more memory than its
-    # matrix.
     n, h, x_min = grid.n, grid.h, grid.x_min
     if spec.facts.barrier:
         first = (x_min - spec.singular_point) / h  # the lower face, in units of h
-        flux = array("d", [(t := first + i) * t * t for i in range(n + 1)])
-        # ((t + 1)^4 - t^4) / 4 over cell [t, t + 1], in Horner form: positive terms only
-        weight = array("d", [(((t := first + i) + 1.5) * t + 1.0) * t + 0.25 for i in range(n)])
         c = spec.quad_coeff
-
-        def v(x):
-            return c * (x * x)
-
     else:
-        flux, weight = array("d", [1.0]) * (n + 1), array("d", [1.0]) * n
         v = potential_of(spec)
-    flux[0] *= 2.0
-    flux[n] *= 2.0
     scale = 1.0 / (h * h)
-    # the centres x_min + h (i + 1/2) of grid.nodes, computed in place
-    diag = array("d", ((f0 + f1) / w * scale + v(x_min + h * (i + 0.5)) for i, f0, f1, w
-                       in zip(range(n), flux, islice(flux, 1, None), weight)))
-    root = array("d", map(math.sqrt, weight))
-    off = array("d", (-f / (r0 * r1) * scale
-                      for f, r0, r1 in zip(islice(flux, 1, n), root, islice(root, 1, None))))
+    # Rows are built ROW_BLOCK at a time in lists, which Python iterates faster
+    # than array('d'), and appended to the two bands: beside the matrix, any
+    # grid needs only one block's lists.
+    diag, off = array("d"), array("d")
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, n)
+        cells = min(hi + 1, n) - lo  # with the next block's first, for the off entry across
+        centres = grid.nodes_at(range(lo, hi))
+        if spec.facts.barrier:
+            faces = [first + i for i in range(lo, hi + 1)]
+            flux = [t * t * t for t in faces]
+            # ((t + 1)^4 - t^4) / 4 over cell [t, t + 1], in Horner form: positive terms only
+            weight = [((t + 1.5) * t + 1.0) * t + 0.25 for t in islice(faces, cells)]
+            well = [c * (x * x) for x in centres]
+        else:
+            flux, weight, well = [1.0] * (hi - lo + 1), [1.0] * cells, list(map(v, centres))
+        if lo == 0:
+            flux[0] *= 2.0
+        if hi == n:
+            flux[-1] *= 2.0
+        diag.extend([(f0 + f1) / w * scale + p for f0, f1, w, p
+                     in zip(flux, islice(flux, 1, None), weight, well)])
+        root = list(map(math.sqrt, weight))
+        off.extend([-f / (r0 * r1) * scale
+                    for f, r0, r1 in zip(islice(flux, 1, None), root, islice(root, 1, None))])
     return TridiagonalMatrix(diag=diag, off=off)
 
 

@@ -1,12 +1,14 @@
 """Independent test oracles, kept deliberately naive and exact.
 
-Rational-arithmetic evaluation of the polynomial special functions, the
+Rational-arithmetic evaluation of the polynomial special functions and of
+the large-n eigenfunctions built on them (in logs), the
 earlier numpy evaluation of the same recurrences (the bit-for-bit reference
 for the plain-arithmetic ones), brute-force enumeration of composite levels,
 and a Rayleigh-Ritz solve of the moving-endpoint problem.  Nothing here shares
 code with the package implementations.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +48,28 @@ def laguerre_rational(n: int, alpha: int, z: Fraction) -> Fraction:
     for k in range(1, n):
         l_cur, l_prev = ((2 * k + 1 + alpha - z) * l_cur - (k + alpha) * l_prev) / (k + 1), l_cur
     return l_cur
+
+
+def _signed_exp(poly: Fraction, log_factor: float) -> float:
+    """poly * exp(log_factor), with log|poly| taken from the exact rational."""
+    if poly == 0:
+        return 0.0
+    log_abs = math.log(abs(poly.numerator)) - math.log(poly.denominator)
+    return (1.0 if poly > 0 else -1.0) * math.exp(log_abs + log_factor)
+
+
+def hermite_function_log(n: int, alpha: float, y: float) -> float:
+    """Normalized oscillator eigenfunction at y: exact H_n(s), its norm and envelope in logs."""
+    s = math.sqrt(alpha) * y
+    log_norm = 0.25 * math.log(alpha / math.pi) - 0.5 * (n * math.log(2.0) + math.lgamma(n + 1))
+    return _signed_exp(hermite_rational(n, Fraction(s)), log_norm - 0.5 * s * s)
+
+
+def halfline_function_log(n: int, alpha: float, x: float) -> float:
+    """sqrt(2/(n+1)) alpha x^(3/2) exp(-z/2) L_n^(1)(z), z = alpha x^2 > 0, in logs."""
+    z = alpha * x * x
+    log_factor = 0.5 * math.log(2.0 / (n + 1)) + math.log(alpha) + 1.5 * math.log(x) - 0.5 * z
+    return _signed_exp(laguerre_rational(n, 1, Fraction(z)), log_factor)
 
 
 def _numpy_result(value):

@@ -12,7 +12,7 @@ from affineosc.analytic import (
 )
 from affineosc.core import PhysicalParams
 from affineosc.numeric import sign_changes
-from oracles import brute_force_composite
+from oracles import brute_force_composite, halfline_function_log, hermite_function_log
 
 UNIT = PhysicalParams()
 COUPLED = PhysicalParams(g=0.6)
@@ -135,6 +135,26 @@ class TestWavefunctions:
         assert np.array_equal(value, np.zeros_like(x))
         assert type(value) is type(x)
 
+    # gram_matrix's one 320-node window is sized for check's low levels: at
+    # these n it raises QuadratureError, so the norm uses 40-node panels
+    @pytest.mark.parametrize("pair,top,oracle,points", [
+        (coupled_y2_eigen(200, COUPLED), 60.0, hermite_function_log,
+         [0.3, 12.7, 25.9, 31.0, 40.0, 46.7]),
+        (half_ho_eigen(400, UNIT), 3.0 * math.sqrt(1602.0), halfline_function_log,
+         [1.0, 20.0, 38.0, 39.5, 41.0]),
+        (half_ho_eigen(500, UNIT), 3.0 * math.sqrt(2002.0), halfline_function_log,
+         [1.0, 20.0, 38.0, 38.3, 41.0, 44.0, 46.0]),
+    ], ids=["y2-200", "half-400", "half-500"])
+    def test_finite_and_normalized_at_large_n(self, pair, top, oracle, points):
+        record = analytic.BRANCHES[pair.branch]
+        lower = 0.0 if record.halfline else -top
+        xs = np.linspace(0.01 if record.halfline else 0.0, top, 20001)
+        assert np.all(np.isfinite(pair.wavefunction(xs)))
+        assert gl_norm(pair.wavefunction, lower, top, panels=400) == pytest.approx(1.0, abs=1e-8)
+        alpha = record.alpha(pair.params)
+        expected = [oracle(pair.n, alpha, x) for x in points]
+        assert pair.wavefunction(np.array(points)) == pytest.approx(expected, rel=0, abs=1e-11)
+
     def test_node_counts(self):
         xs_half = np.linspace(1e-4, 9.0, 30001)
         xs_full = np.linspace(-9.0, 9.0, 30001)
@@ -142,6 +162,15 @@ class TestWavefunctions:
             assert sign_changes(half_ho_eigen(n, UNIT).wavefunction(xs_half)) == n
             assert sign_changes(coupled_y1_eigen(n, COUPLED).wavefunction(xs_half)) == n
             assert sign_changes(coupled_y2_eigen(n, COUPLED).wavefunction(xs_full)) == n
+
+
+def gl_norm(phi, lower, upper, panels):
+    """Integral of phi^2 over [lower, upper] by 40-node Gauss-Legendre rules on equal panels."""
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    edges = np.linspace(lower, upper, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    xs = edges[:-1, None] + half * (nodes + 1.0)
+    return float(np.sum(half * weights * phi(xs.ravel()).reshape(xs.shape) ** 2))
 
 
 def ode_residual(pair, xs, h):

@@ -46,7 +46,7 @@ GOLDEN = {
     "samples-hext1-20": "6e020c5f338513758e44a876aea3f40577a2c2ea9ee8f02df323d821738072f0",
     "sweep-default": "dee4fdce53138e60521c2d814ce8fac63658cb5b5136868a37bb6f833bd7baa7",
     "sweep-seeded": "ccbc153f85abf223b09f92666a52b8985456014456f6b4d8e232775c53d114d0",
-    "check": "de2851a1e6844eb617706ce48f39e21f92f7b35d803d0b3f3a641afa41f4f439",
+    "check": "c36d3c4cccf667b51786d710df0020941e7aaddd5901d38a8a8418ce9b770fcc",
     "coupled-csv": "647b2013b6d5ee4249cc77aba66571352bde224fd3950fac631205bf1da2e6d2",
     "coupled-json": "58f7c6e394cc1eeb6b9ac16f0bf53c23687e01e7b23a7d978d8eaf34b9342d16",
     "specfun-1f1": "b7bb90e948b9795ea3abd70d487e474bb0b674cfa1cd04b62dddb17949667c9a",

@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import random
 import subprocess
 import sys
 from array import array
@@ -224,6 +225,23 @@ class TestAssemble:
             rtol=1e-15, atol=0,
         )
 
+    @pytest.mark.parametrize("spec", [
+        ProblemSpec(kind="eqintro"),
+        ProblemSpec(kind="eqo1", params=COUPLED),
+        ProblemSpec(kind="eqo2", params=COUPLED),
+        ProblemSpec(kind="hext1", b=2.0),
+        ProblemSpec(kind="truncated", b=5.0, order=4),
+    ], ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("n", [3180, 2 * numeric.ROW_BLOCK + 3])
+    def test_rows_bit_identical_to_one_pass_formulas(self, spec, n):
+        # the block-wise build gives the bits of the row formulas taken in one pass
+        domain = default_domain(spec, 4)
+        grid = Grid(domain[0], domain[1], n)
+        matrix = assemble(spec, grid)
+        diag, off = one_pass_rows(spec, grid)
+        assert matrix.diag.tobytes() == array("d", diag).tobytes()
+        assert matrix.off.tobytes() == array("d", off).tobytes()
+
     def test_bands_stored_as_float64_arrays(self):
         matrix = TridiagonalMatrix(diag=np.array([2.0, 3.0]), off=[-1])
         assert (matrix.diag, matrix.off) == (array("d", [2.0, 3.0]), array("d", [-1.0]))
@@ -237,6 +255,30 @@ class TestAssemble:
             assemble(ProblemSpec(kind="eqo2", params=COUPLED), Grid(-1.0, 4.0, 63))
         with pytest.raises(DomainError):
             assemble(ProblemSpec(kind="hext1", b=1.0), Grid(-2.0, 4.0, 63))
+
+
+def one_pass_rows(spec, grid):
+    """assemble's row formulas over the whole grid at once, with the same operations in order."""
+    n, h, x_min = grid.n, grid.h, grid.x_min
+    if spec.facts.barrier:
+        first = (x_min - spec.singular_point) / h
+        flux = [(t := first + i) * t * t for i in range(n + 1)]
+        weight = [(((t := first + i) + 1.5) * t + 1.0) * t + 0.25 for i in range(n)]
+        c = spec.quad_coeff
+
+        def v(x):
+            return c * (x * x)
+
+    else:
+        flux, weight, v = [1.0] * (n + 1), [1.0] * n, potential_of(spec)
+    flux[0] *= 2.0
+    flux[n] *= 2.0
+    scale = 1.0 / (h * h)
+    diag = [(flux[i] + flux[i + 1]) / weight[i] * scale + v(x_min + h * (i + 0.5))
+            for i in range(n)]
+    off = [-flux[i + 1] / (math.sqrt(weight[i]) * math.sqrt(weight[i + 1])) * scale
+           for i in range(n - 1)]
+    return diag, off
 
 
 def laplacian_3():
@@ -613,7 +655,8 @@ assert not startup_extras(), startup_extras()
 assert numeric._lapack().source.endswith(".so"), numeric._lapack().source
 
 # 3. specfun loads neither numpy nor inspect (which numpy imports); only check
-#    loads numpy and the check suite, still not scipy's f2py LAPACK.
+#    loads numpy and the check suite, still not scipy's f2py LAPACK, and its
+#    seeded inputs come from the random module, not numpy.random.
 code, out, _ = run("specfun", "--fn", "laguerre", "--n", "3", "--points", "0.5,2")
 assert code == 0 and out.startswith("x,value\\n5.0"), out
 assert not loaded(), loaded()
@@ -622,6 +665,7 @@ assert "numpy" not in sys.modules, "loaded by specfun"
 code, out, _ = run("check")
 assert code == 0 and "[FAIL]" not in out, out
 assert "affineosc.checks" in sys.modules
+assert "numpy.random" not in sys.modules, "loaded by check"
 import numpy as np
 value = specfun.integrate_halfline(lambda x: np.exp(-x * x) * (1.0 + x), 0.5, 1.0)
 exact = math.sqrt(math.pi) / 2.0 * math.erfc(0.5) + math.exp(-0.25) / 2.0
@@ -713,6 +757,18 @@ def test_no_hidden_numpy_load():
     proc = run_script(HIDDEN_LOAD_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+def test_check_draws_plain_floats():
+    # the seeded checks' phase-space points, in the order q1, q2, p1, p2
+    points = checks._random_original_points(random.Random(0), 3)
+    assert len(points) == 3
+    for pt in points:
+        assert all(type(v) is float for v in (pt.q1, pt.q2, pt.p1, pt.p2)), pt
+        assert 0.1 <= pt.q1 < 4.0 and 0.1 <= pt.q2 < 4.0
+        assert -4.0 <= pt.p1 < 4.0 and -4.0 <= pt.p2 < 4.0
+    rng = random.Random(0)
+    assert points[0].q1 == rng.uniform(0.1, 4.0) and points[0].q2 == rng.uniform(0.1, 4.0)
 
 
 NO_SCIPY_LINALG_SCRIPT = """
