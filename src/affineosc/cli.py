@@ -1,14 +1,11 @@
 """Command-line front end.
 
-Subcommands:
-
-* ``spectrum`` — numeric levels of one problem kind, next to the closed form
-  when one exists (``eqintro``, ``eqo1``, ``eqo2``).
-* ``coupled``  — lowest composite levels of the coupled pair plus both branch
-  ladders.
-* ``sweep``    — moving-endpoint study: levels and deviations per b.
-* ``specfun``  — evaluate a named special function on a list of points.
-* ``check``    — run the invariant suite, one line per property.
+``COMMANDS`` describes the command line once: each subcommand's help line and
+the config fields it takes as flags, besides ``COMMON_FLAGS`` (the physical
+parameters and the output), which every subcommand takes.  A field's flag is
+``--<field>`` with ``-`` for ``_``, but for ``--n`` and ``--param`` (fields
+``fn_n`` and ``fn_param``); it converts by the field's type in
+``CONFIG_FIELDS``, and subcommand X runs ``run_X``.
 
 Configuration can come from flags, from a JSON config file (``--config``), or
 both; flags override the file.  ``--dump-config`` prints the effective
@@ -16,7 +13,9 @@ configuration as JSON and exits.  Output files are deterministic: floats are
 written with 15 significant digits in scientific notation and rows are emitted
 in a fixed order.
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O failure.
+Exit codes: 0 success, 1 validation error (a bad flag or config value, an
+unknown flag or no subcommand), 2 numerical failure, 3 I/O failure.  A failure
+is reported on one stderr line.
 """
 
 from __future__ import annotations
@@ -36,8 +35,26 @@ from .core import PhysicalParams
 from .numeric import ConvergenceError, GridPolicy, ProblemSpec
 from .specfun import QuadratureError
 
-COMMANDS = ("spectrum", "coupled", "sweep", "specfun", "check")
+# subcommand -> (help line, the config fields it takes as flags besides COMMON_FLAGS)
+COMMANDS = {
+    "spectrum": ("numeric levels of one problem kind",
+                 ("kind", "levels", "b", "order", "grid_n", "samples")),
+    "coupled": ("composite spectrum of the coupled pair", ("count",)),
+    "sweep": ("moving-endpoint sweep over b", ("b_values", "levels", "grid_n")),
+    "specfun": ("evaluate a special function", ("fn", "fn_n", "fn_param", "points")),
+    "check": ("run the invariant suite", ()),
+}
+COMMON_FLAGS = ("m", "omega", "hbar", "g", "out", "format")
+FLAG_NAMES = {"fn_n": "n", "fn_param": "param"}  # every other field's flag is --<field>
+FLAG_HELP = {
+    "out": "output path (default: stdout)",
+    "b": "endpoint offset (hext1/truncated)",
+    "order": "expansion order (truncated)",
+    "samples": "wavefunction sample count",
+    "fn_param": "series parameter (1f1) or alpha (laguerre)",
+}
 SPECFUN_NAMES = ("1f1", "hermite", "laguerre")
+FORMATS = ("csv", "json")
 # upper bounds that keep the time and memory of one run finite
 MAX_LEVELS = 1000
 MAX_COUNT = 100_000
@@ -117,10 +134,12 @@ class RunConfig(types.SimpleNamespace):
         if values:
             raise TypeError(f"RunConfig got unexpected fields {sorted(values)}")
         if self.command not in COMMANDS:
-            raise ValueError(f"field 'command' must be one of {COMMANDS}, got {self.command!r}")
+            raise ValueError(
+                f"field 'command' must be one of {tuple(COMMANDS)}, got {self.command!r}"
+            )
         if self.kind not in numeric.KINDS:
             raise ValueError(f"field 'kind' must be one of {numeric.KINDS}, got {self.kind!r}")
-        if self.format not in ("csv", "json"):
+        if self.format not in FORMATS:
             raise ValueError(f"field 'format' must be 'csv' or 'json', got {self.format!r}")
         if not 1 <= self.levels <= MAX_LEVELS:
             raise ValueError(f"field 'levels' must be in 1..{MAX_LEVELS}, got {self.levels}")
@@ -411,69 +430,40 @@ def run_check(config: RunConfig) -> int:
     return 0 if checks.run_all() else 2
 
 
-def run(config: RunConfig) -> int:
-    handler = {
-        "spectrum": run_spectrum,
-        "coupled": run_coupled,
-        "sweep": run_sweep,
-        "specfun": run_specfun,
-        "check": run_check,
-    }[config.command]
-    return handler(config)
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises ValueError, so that a malformed or unknown
+    flag, or a missing command, is a validation error like a bad config value."""
+
+    def error(self, message):
+        # a value given on the command line may hold a newline; the message stays one line
+        raise ValueError(message.replace("\n", "\\n"))
 
 
 def _float_list(text: str) -> List[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    try:
+        return [float(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float list value: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="affineosc",
-        description="Spectra of half-line and coupled oscillator problems.",
-    )
+    parser = _Parser(prog="affineosc",
+                     description="Spectra of half-line and coupled oscillator problems.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    # each flag converts by its field's type hint; Optional[X] converts like X
+    types = {List[float]: _float_list, Optional[int]: int, Optional[str]: str}
+    converters = {name: types.get(hint, hint) for name, hint, _ in CONFIG_FIELDS}
+    choices = {"kind": numeric.KINDS, "format": FORMATS, "fn": SPECFUN_NAMES}
+    for command, (help_line, fields) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--dump-config", action="store_true",
                        help="print the effective configuration as JSON and exit")
-        p.add_argument("--m", type=float)
-        p.add_argument("--omega", type=float)
-        p.add_argument("--hbar", type=float)
-        p.add_argument("--g", type=float)
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"))
-
-    p = sub.add_parser("spectrum", help="numeric levels of one problem kind")
-    add_common(p)
-    p.add_argument("--kind", choices=numeric.KINDS)
-    p.add_argument("--levels", type=int)
-    p.add_argument("--b", type=float, help="endpoint offset (hext1/truncated)")
-    p.add_argument("--order", type=int, help="expansion order (truncated)")
-    p.add_argument("--grid-n", type=int, dest="grid_n")
-    p.add_argument("--samples", type=int, help="wavefunction sample count")
-
-    p = sub.add_parser("coupled", help="composite spectrum of the coupled pair")
-    add_common(p)
-    p.add_argument("--count", type=int)
-
-    p = sub.add_parser("sweep", help="moving-endpoint sweep over b")
-    add_common(p)
-    p.add_argument("--b-values", type=_float_list, dest="b_values")
-    p.add_argument("--levels", type=int)
-    p.add_argument("--grid-n", type=int, dest="grid_n")
-
-    p = sub.add_parser("specfun", help="evaluate a special function")
-    add_common(p)
-    p.add_argument("--fn", choices=SPECFUN_NAMES)
-    p.add_argument("--n", type=int, dest="fn_n")
-    p.add_argument("--param", type=float, dest="fn_param",
-                   help="series parameter (1f1) or alpha (laguerre)")
-    p.add_argument("--points", type=_float_list)
-
-    p = sub.add_parser("check", help="run the invariant suite")
-    add_common(p)
+        for name in COMMON_FLAGS + fields:
+            p.add_argument("--" + FLAG_NAMES.get(name, name.replace("_", "-")), dest=name,
+                           type=converters[name], choices=choices.get(name),
+                           help=FLAG_HELP.get(name))
     return parser
 
 
@@ -494,15 +484,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = config_from_args(args)
-        if getattr(args, "dump_config", False):
+        if args.dump_config:
             fields = {name: getattr(config, name) for name, _, _ in CONFIG_FIELDS}
             sys.stdout.write(render_json(fields))
             return 0
-        return run(config)
+        return globals()["run_" + config.command](config)
     except (ValueError, TypeError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1

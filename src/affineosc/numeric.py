@@ -216,7 +216,7 @@ class Grid(namedtuple("Grid", "x_min x_max n")):
         if not x_min < x_max:
             raise ValueError(f"need x_min < x_max, got [{x_min}, {x_max}]")
         if n < 16:
-            raise ValueError(f"need at least 16 interior points, got {n}")
+            raise ValueError(f"need at least 16 cells, got {n}")
         return super().__new__(cls, x_min, x_max, n)
 
     @property
@@ -463,29 +463,42 @@ def _all_finite(values) -> bool:
     return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
+def _scaled_bands(matrix: TridiagonalMatrix):
+    """(diag, off, factor): both bands copied and scaled by the power of two factor
+    that puts their largest |entry| in [0.5, 1), which is exact.  Unscaled, ?stebz
+    overflows near 1e154 (it squares the off-diagonal) and ?stein returns NaN near 1e146.
+    """
+    blas = _lapack()
+    diag, off = array("d", matrix.diag), array("d", matrix.off)
+    largest = max(abs(band[blas.idamax(band)]) for band in (diag, off))
+    factor = math.ldexp(1.0, -math.frexp(largest)[1])
+    blas.dscal(factor, diag)
+    blas.dscal(factor, off)
+    return diag, off, factor
+
+
 def lowest_eigenvalues(matrix: TridiagonalMatrix, k: int):
     """The k smallest eigenvalues by LAPACK bisection (?stebz), ascending.
 
-    One direct ?stebz call selecting eigenvalues 1..k in ascending order.  Each
-    is bracketed to an absolute width of EIGENVALUE_TOL times min(1, max|diag|),
-    whatever its magnitude.  NaN or infinite entries raise ValueError; a
-    nonzero LAPACK info raises ConvergenceError.
+    One direct ?stebz call on the ``_scaled_bands``, selecting eigenvalues 1..k
+    in ascending order.  Each is bracketed to an absolute width of EIGENVALUE_TOL
+    times min(1, max|diag|), whatever its magnitude.  NaN or infinite entries
+    raise ValueError; a nonzero LAPACK info raises ConvergenceError.
     """
     n = matrix.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    diag, off = matrix.diag, matrix.off
-    if not (_all_finite(diag) and _all_finite(off)):
+    if not (_all_finite(matrix.diag) and _all_finite(matrix.off)):
         raise ValueError("matrix entries must be finite, got NaN or infinity")
     if n == 1:  # no off-diagonal to pass
-        return diag.tolist()
-    # min(1, max|diag|); the scan stops at the first entry of magnitude 1 or more
-    scale = 1.0 if any(abs(d) >= 1.0 for d in diag) else max(map(abs, diag))
-    tol = EIGENVALUE_TOL * scale
+        return matrix.diag.tolist()
+    diag, off, factor = _scaled_bands(matrix)
+    # EIGENVALUE_TOL * min(1, max|diag|), scaled like the bands
+    tol = EIGENVALUE_TOL * min(factor, abs(diag[_lapack().idamax(diag)]))
     values, info = dstebz(diag, off, k, tol)
     if info != 0:
         raise ConvergenceError(f"LAPACK ?stebz failed (info={info})")
-    return values
+    return [v / factor for v in values]
 
 
 def eigenvector(matrix: TridiagonalMatrix, lam: float, h: float) -> array:
@@ -503,14 +516,10 @@ def eigenvector(matrix: TridiagonalMatrix, lam: float, h: float) -> array:
     if n == 1:  # no off-diagonal to pass
         return array("d", [1.0 / math.sqrt(h)])
     blas = _lapack()
-    diag, off = array("d", matrix.diag), array("d", matrix.off)
-    # ?stein returns NaN for entries near 1e146: scale them into [0.5, 1) by a
-    # power of two, which is exact.  It also perturbs LU pivots below eps*|T|;
-    # shifting lam by 1e-13 keeps them clear (samples 7e-12 from the exact
-    # stiff Laplacian ones, against 6e-11 unshifted).
-    factor = math.ldexp(1.0, -math.frexp(abs(diag[blas.idamax(diag)]))[1])
-    blas.dscal(factor, diag)
-    blas.dscal(factor, off)
+    # ?stein perturbs LU pivots below eps*|T|; shifting the scaled lam by 1e-13
+    # keeps them clear (samples 7e-12 from the exact stiff Laplacian ones,
+    # against 6e-11 unshifted)
+    diag, off, factor = _scaled_bands(matrix)
     v, info = dstein(diag, off, lam * factor + 1e-13)
     if info != 0 or not _all_finite(v):
         raise ConvergenceError(f"LAPACK ?stein did not converge for lambda={lam}")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import warnings
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affineosc.cli import RunConfig, config_from_args, build_parser, main, render_json
+from affineosc.cli import (
+    CONFIG_FIELDS, RunConfig, config_from_args, build_parser, main, render_json,
+)
 
 
 def read(path):
@@ -364,6 +367,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"validation error: field '{field}' must be within float range\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["spectrum", "--kind", "bogus"], "argument --kind: invalid choice: 'bogus'"),
+        (["spectrum", "--levels", "abc"], "argument --levels: invalid int value: 'abc'"),
+        (["spectrum", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["sweep", "--b-values", "1,x"], "argument --b-values: invalid float list value: '1,x'"),
+        ([], "the following arguments are required: command"),
+        # a newline typed into an unknown flag stays inside the one line
+        (["check", "--x\ny"], "unrecognized arguments: --x\\ny"),
+    ])
+    def test_malformed_flag_is_one_line_validation_error(self, argv, message, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["sweep", "--help"]])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 0
+        assert capsys.readouterr().err == ""
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"command": "spectrum", "whoops": True}))
@@ -452,6 +476,41 @@ class TestExitCodes:
             assert main(["spectrum", "--levels", levels, "--samples", samples,
                          "--dump-config"]) == 0
             assert json.loads(capsys.readouterr().out)["samples"] == int(samples)
+
+
+COMMON_FLAGS = {
+    "-h": "help", "--help": "help", "--config": "config", "--dump-config": "dump_config",
+    "--m": "m", "--omega": "omega", "--hbar": "hbar", "--g": "g", "--out": "out",
+    "--format": "format",
+}
+COMMAND_FLAGS = {
+    "spectrum": {"--kind": "kind", "--levels": "levels", "--b": "b", "--order": "order",
+                 "--grid-n": "grid_n", "--samples": "samples"},
+    "coupled": {"--count": "count"},
+    "sweep": {"--b-values": "b_values", "--levels": "levels", "--grid-n": "grid_n"},
+    "specfun": {"--fn": "fn", "--n": "fn_n", "--param": "fn_param", "--points": "points"},
+    "check": {},
+}
+
+
+class TestParser:
+    @staticmethod
+    def subparsers():
+        parser = build_parser()
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def test_flags_of_each_command(self):
+        subparsers = self.subparsers()
+        assert list(subparsers) == list(COMMAND_FLAGS)
+        for command, flags in COMMAND_FLAGS.items():
+            actions = subparsers[command]._actions
+            got = {option: a.dest for a in actions for option in a.option_strings}
+            assert got == {**COMMON_FLAGS, **flags}, command
+
+    def test_every_config_field_is_a_flag(self):
+        dests = {a.dest for p in self.subparsers().values() for a in p._actions}
+        assert {name for name, _, _ in CONFIG_FIELDS} - dests == {"command"}
 
 
 PARAMS_UNIT = ('{"m": 1.00000000000000e+00, "omega": 1.00000000000000e+00, '

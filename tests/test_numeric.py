@@ -459,7 +459,7 @@ def numpy_eigenvector(matrix, lam, h):
     if n == 1:
         return np.array([1.0 / math.sqrt(h)]), False
     diag, off = np.asarray(matrix.diag), np.asarray(matrix.off)
-    factor = math.ldexp(1.0, -math.frexp(np.max(np.abs(diag)))[1])
+    factor = math.ldexp(1.0, -math.frexp(np.max(np.abs(np.concatenate([diag, off]))))[1])
     vector, info = numeric.dstein(diag * factor, off * factor, lam * factor + 1e-13)
     v = np.array(vector, dtype=float)
     assert info == 0 and np.all(np.isfinite(v))
@@ -965,6 +965,14 @@ class TestAccuracy:
         for level, err_est, rel in zip(result.levels, result.err_est,
                                        relative_errors(result, spec)):
             assert rel * level.energy <= err_est, level.n
+
+    @pytest.mark.parametrize("hbar", [1e-150, 1e-151, 1e-153])
+    @pytest.mark.parametrize("kind", ["eqintro", "eqo1", "eqo2"])
+    def test_independent_of_unit_system(self, kind, hbar):
+        # the finest-grid entries reach 1e154 and more, whose squares overflow
+        # in ?stebz unless the bands are scaled first
+        spec = ProblemSpec(kind=kind, params=PhysicalParams(g=0.6, hbar=hbar))
+        assert max(relative_errors(solve(spec, 4), spec)) <= 1e-9
 
     @pytest.mark.parametrize("k", [4, 20])
     def test_truncated_matches_twice_finer_grid(self, k):

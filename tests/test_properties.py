@@ -4,9 +4,11 @@ Whatever the flag values, the command must end with a documented exit code,
 JSON output must parse, a failure must be reported on exactly one stderr
 line, and a success must raise no warning and write nothing to stderr but,
 for ``spectrum`` and ``sweep``, the one line that flags an error estimate
-above ``cli.ERR_EST_WARN``.
+above ``cli.ERR_EST_WARN``.  Flag text that does not parse, an unknown flag
+and a missing subcommand are validation errors.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -15,7 +17,7 @@ import warnings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affineosc.cli import SPECFUN_NAMES, main
+from affineosc.cli import COMMANDS, SPECFUN_NAMES, build_parser, main
 from affineosc.numeric import KINDS, MAX_COARSE_N
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -76,7 +78,10 @@ def run_cli(argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # the exit code of a process that runs main
+                code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -150,3 +155,56 @@ def test_spectrum_contract(kind, physics, problem, grid, samples, fmt):
 def test_sweep_contract(physics, b_values, grid, fmt):
     argv = ["sweep", *_flags(**physics, **b_values, **grid, format=fmt)]
     check_contract(argv, fmt)
+
+
+def value_flags(command):
+    """(flag, choices) for each flag of command that takes a value other than a path."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(a.option_strings[0], a.choices) for a in sub.choices[command]._actions
+            if a.nargs is None and a.option_strings[0] not in ("--config", "--out")]
+
+
+def is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def malformed(choices):
+    """Flag text that no converter accepts: outside the choices, or holding a
+    comma-separated part that is no number, so that no draw starts a solve."""
+    if choices:
+        return st.text().filter(lambda text: text not in choices)
+    return st.text().filter(
+        lambda text: any(part.strip() and not is_number(part) for part in text.split(","))
+    )
+
+
+def bad_value(command):
+    return st.sampled_from(value_flags(command)).flatmap(
+        lambda flag: malformed(flag[1]).map(lambda text: [command, f"{flag[0]}={text}"])
+    )
+
+
+# no flag of any subcommand starts with --x, so no abbreviation matches these
+unknown_flag = st.tuples(st.sampled_from(list(COMMANDS)), st.text()).map(
+    lambda drawn: [drawn[0], "--x-" + drawn[1], "1"]
+)
+no_command = st.one_of(
+    st.just([]),
+    st.text().filter(lambda text: text not in COMMANDS and not text.startswith("-")).map(
+        lambda text: [text]
+    ),
+)
+
+
+@FUZZ
+@given(argv=st.one_of(*map(bad_value, COMMANDS), unknown_flag, no_command))
+def test_malformed_command_line_is_one_line_validation_error(argv):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, ""), argv
+    assert err.startswith("validation error:") and err.count("\n") == 1, err
+    assert err.endswith("\n")

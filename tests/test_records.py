@@ -128,7 +128,7 @@ INVALID = [
      "normal-frame y1 must be nonnegative, got -1.0"),
     (Grid, {"x_min": 1.0, "x_max": 1.0, "n": 16}, ValueError, "need x_min < x_max, got [1.0, 1.0]"),
     (Grid, {"x_min": 0.0, "x_max": 1.0, "n": 15}, ValueError,
-     "need at least 16 interior points, got 15"),
+     "need at least 16 cells, got 15"),
     (ProblemSpec, {"kind": "eqo3"}, ValueError, "unknown problem kind 'eqo3'"),
     (ProblemSpec, {"kind": "hext1"}, ValueError, "kind 'hext1' needs a finite b >= 0, got None"),
     (ProblemSpec, {"kind": "hext1", "b": math.inf}, ValueError,
