@@ -13,8 +13,8 @@ Half-line eigenfunctions are x^(3/2) exp(-alpha x^2 / 2) 1F1(-n, 2, alpha x^2),
 full-line ones Hermite functions; quantum numbers start at n = 0 in all three.
 Both are evaluated by the recurrences of the normalized functions, on the
 functions' values rather than the polynomials', so they stay finite at large n.
-``BRANCHES`` holds each branch's alpha, family and mass, read here and by the
-solver in ``numeric``.  ``branch_energy`` keeps the paper's formulas as
+``BRANCHES`` holds each branch's alpha, energy E_n, family and mass, read here
+and by the solver in ``numeric``.  The energies keep the paper's formulas as
 written: they are the reference the solver is checked against.
 """
 
@@ -34,19 +34,30 @@ COUPLED_Y2 = "coupled_y2"
 
 
 class Branch(NamedTuple):
-    """A branch's well alpha^2 x^2, eigenfunction family and mass."""
+    """A branch's well alpha^2 x^2, energy ladder, eigenfunction family and mass."""
 
     alpha: Callable[[PhysicalParams], float]  # inverse-square length scale
+    energy: Callable[[int, PhysicalParams], float]  # E_n, the paper's formula
     halfline: bool  # x > 0 behind the 3/(4x^2) barrier, x^(3/2) 1F1; else Hermite
     normal_mode: bool  # coupled normal mode: mass 2m, needs 0 < g < m omega^2
 
 
 BRANCHES = {
-    HALF_HO: Branch(lambda p: p.m * p.omega / p.hbar, halfline=True, normal_mode=False),
-    COUPLED_Y1: Branch(lambda p: (p.m * p.omega / p.hbar) * math.sqrt(1.0 + p.g_ratio),
-                       halfline=True, normal_mode=True),
-    COUPLED_Y2: Branch(lambda p: (p.m * p.omega / p.hbar) * math.sqrt(1.0 - p.g_ratio),
-                       halfline=False, normal_mode=True),
+    HALF_HO: Branch(
+        alpha=lambda p: p.m * p.omega / p.hbar,
+        energy=lambda n, p: 2.0 * (n + 1) * p.hbar * p.omega,
+        halfline=True, normal_mode=False,
+    ),
+    COUPLED_Y1: Branch(
+        alpha=lambda p: (p.m * p.omega / p.hbar) * math.sqrt(1.0 + p.g_ratio),
+        energy=lambda n, p: (n + 1) * p.hbar * p.omega * math.sqrt(1.0 + p.g_ratio),
+        halfline=True, normal_mode=True,
+    ),
+    COUPLED_Y2: Branch(
+        alpha=lambda p: (p.m * p.omega / p.hbar) * math.sqrt(1.0 - p.g_ratio),
+        energy=lambda n, p: (n + 0.5) * 0.5 * p.hbar * p.omega * math.sqrt(1.0 - p.g_ratio),
+        halfline=False, normal_mode=True,
+    ),
 }
 
 
@@ -158,16 +169,10 @@ def coupled_y2_eigen(n: int, params: PhysicalParams) -> EigenPair:
 
 
 def branch_energy(branch: str, n: int, params: PhysicalParams) -> float:
-    """Energy formula of a branch without building the wavefunction."""
-    if branch == HALF_HO:
-        return 2.0 * (n + 1) * params.hbar * params.omega
-    if branch == COUPLED_Y1:
-        return (n + 1) * params.hbar * params.omega * math.sqrt(1.0 + params.g_ratio)
-    if branch == COUPLED_Y2:
-        return (n + 0.5) * 0.5 * params.hbar * params.omega * math.sqrt(
-            1.0 - params.g_ratio
-        )
-    raise ValueError(f"unknown branch {branch!r}")
+    """Energy of a branch's level n, without building the wavefunction."""
+    if branch not in BRANCHES:
+        raise ValueError(f"unknown branch {branch!r}")
+    return BRANCHES[branch].energy(n, params)
 
 
 def composite_spectrum(params: PhysicalParams, count: int) -> List[CompositeLevel]:

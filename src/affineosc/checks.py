@@ -150,13 +150,7 @@ def check_laguerre_orthogonality() -> CheckResult:
 
 def _branch_pairs(params, count):
     """The lowest count eigenpairs of every branch, by branch."""
-    # looked up per call, so that wrappers installed on the analytic module see the calls
-    eigen = {
-        analytic.HALF_HO: analytic.half_ho_eigen,
-        analytic.COUPLED_Y1: analytic.coupled_y1_eigen,
-        analytic.COUPLED_Y2: analytic.coupled_y2_eigen,
-    }
-    return {b: [eigen[b](n, params) for n in range(count)] for b in analytic.BRANCHES}
+    return {b: [analytic._eigen(b, n, params) for n in range(count)] for b in analytic.BRANCHES}
 
 
 def check_equal_spacing() -> CheckResult:

@@ -53,7 +53,14 @@ FLAG_HELP = {
     "samples": "wavefunction sample count",
     "fn_param": "series parameter (1f1) or alpha (laguerre)",
 }
-SPECFUN_NAMES = ("1f1", "hermite", "laguerre")
+# fn -> (n, param, x) -> value; specfun's names are looked up per call, so that
+# wrappers installed on the module see the calls
+SPECFUN = {
+    "1f1": lambda n, param, x: specfun.confluent_1f1_neg(n, param, x),
+    "hermite": lambda n, param, x: specfun.hermite(n, x),
+    "laguerre": lambda n, param, x: specfun.laguerre_assoc(n, param, x),
+}
+SPECFUN_NAMES = tuple(SPECFUN)
 FORMATS = ("csv", "json")
 # upper bounds that keep the time and memory of one run finite
 MAX_LEVELS = 1000
@@ -405,12 +412,8 @@ def run_sweep(config: RunConfig) -> int:
 def run_specfun(config: RunConfig) -> int:
     if not config.points:
         raise ValueError("field 'points' must list at least one evaluation point")
-    if config.fn == "1f1":
-        values = [specfun.confluent_1f1_neg(config.fn_n, config.fn_param, x) for x in config.points]
-    elif config.fn == "hermite":
-        values = [specfun.hermite(config.fn_n, x) for x in config.points]
-    else:
-        values = [specfun.laguerre_assoc(config.fn_n, config.fn_param, x) for x in config.points]
+    evaluate = SPECFUN[config.fn]
+    values = [evaluate(config.fn_n, config.fn_param, x) for x in config.points]
     header = ["x", "value"]
     rows = [[x, v] for x, v in zip(config.points, values)]
     doc = {

@@ -50,8 +50,7 @@ def b_sweep(
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     b_values = list(b_values)
-    if any(b < 0 for b in b_values):
-        raise ValueError("b values must be nonnegative")
+    # ascending, so a negative b comes first and ProblemSpec rejects it before any solve
     if sorted(b_values) != b_values:
         raise ValueError("b values must be ascending")
 
@@ -85,17 +84,11 @@ def truncated_sweep(
     k: int,
 ) -> TruncatedSweepResult:
     """Spectra of the series-truncated potential per order, next to the exact one."""
-    if b <= 0:
-        raise ValueError(f"truncated sweep needs b > 0, got {b}")
-    orders = list(orders)
-    if any(o not in range(5) for o in orders):
-        raise ValueError(f"orders must lie in 0..4, got {orders}")
-
+    # every spec before the first solve: ProblemSpec checks b and each order
+    specs = {order: ProblemSpec(kind="truncated", params=params, b=b, order=order)
+             for order in orders}
     exact_spec = ProblemSpec(kind="hext1", params=params, b=b)
     exact = [level.energy for level in solve(exact_spec, k).levels]
-
-    energies: Dict[int, List[float]] = {}
-    for order in orders:
-        spec = ProblemSpec(kind="truncated", params=params, b=b, order=order)
-        energies[order] = [level.energy for level in solve(spec, k).levels]
+    energies = {order: [level.energy for level in solve(spec, k).levels]
+                for order, spec in specs.items()}
     return TruncatedSweepResult(b=b, energies=energies, exact=exact)

@@ -8,8 +8,8 @@ value, with a per-level error estimate; an eigenvector is computed only on
 request, from the finest-grid matrix, by LAPACK inverse iteration (?stein,
 which starts from its own fixed pseudo-random vector).  Both are called
 through ctypes, as the LAPACKE C entry points of the OpenBLAS that scipy
-bundles, and so are the CBLAS ``dscal`` and ``idamax`` that scale an
-eigenvector, with ``scipy.linalg.lapack`` and ``scipy.linalg.blas`` as the
+bundles, and so are the CBLAS ``dscal`` and ``idamax`` that prescale the
+bands, with ``scipy.linalg.lapack`` and ``scipy.linalg.blas`` as the
 fallback (see ``_lapack``).  Matrix rows, cell centres and eigenvectors are
 ``array('d')`` or lists built in plain Python, so neither a solve nor an
 eigenvector loads numpy.  Only ``sign_changes`` and the scipy fallback use
@@ -256,7 +256,7 @@ class ProblemSpec(namedtuple("ProblemSpec", "kind params b order")):
         if facts.series:
             if self.b == 0:
                 raise ValueError(f"kind {self.kind!r} needs b > 0")
-            if self.order is None or not 0 <= self.order <= 4:
+            if self.order not in range(5):
                 raise ValueError(f"kind {self.kind!r} needs an expansion order in 0..4")
         elif self.order is not None:
             raise ValueError(f"kind {self.kind!r} does not take an expansion order")
@@ -521,14 +521,14 @@ def eigenvector(matrix: TridiagonalMatrix, lam: float, h: float) -> array:
     # against 6e-11 unshifted)
     diag, off, factor = _scaled_bands(matrix)
     v, info = dstein(diag, off, lam * factor + 1e-13)
-    if info != 0 or not _all_finite(v):
+    # a NaN or infinite entry makes the norm non-finite
+    norm = math.sqrt(h) * math.sqrt(math.fsum([x * x for x in v])) if info == 0 else math.nan
+    if not math.isfinite(norm):
         raise ConvergenceError(f"LAPACK ?stein did not converge for lambda={lam}")
-    norm = math.sqrt(h) * math.sqrt(math.fsum([x * x for x in v]))
-    v = array("d", [x / norm for x in v])
     floor = 1e-8 * abs(v[blas.idamax(v)])
     if next(x for x in v if abs(x) > floor) < 0:
-        blas.dscal(-1.0, v)
-    return v
+        norm = -norm
+    return array("d", [x / norm for x in v])
 
 
 class GridPolicy(namedtuple("GridPolicy", "n domain check_truncation")):
@@ -584,8 +584,9 @@ MAX_COARSE_N = 2**19  # coarsest grid cells; the finest grid has 4N = 2^21 rows 
 def _capped(spec: ProblemSpec, n: int) -> int:
     """n, unless a coarsest grid of n cells is larger than MAX_COARSE_N."""
     if n > MAX_COARSE_N:
+        at_b = f" at b = {spec.b}" if spec.facts.takes_b else ""
         raise ValueError(
-            f"kind {spec.kind!r} at b = {spec.b} needs a coarse grid of N = {n} "
+            f"kind {spec.kind!r}{at_b} needs a coarse grid of N = {n:.6g} "
             f"cells, more than the limit of {MAX_COARSE_N}"
         )
     return n

@@ -3,8 +3,9 @@
 Rational-arithmetic evaluation of the polynomial special functions and of
 the large-n eigenfunctions built on them (in logs), the
 earlier numpy evaluation of the same recurrences (the bit-for-bit reference
-for the plain-arithmetic ones), brute-force enumeration of composite levels,
-and a Rayleigh-Ritz solve of the moving-endpoint problem.  Nothing here shares
+for the plain-arithmetic ones), the earlier if chain of branch energies (the
+bit-for-bit reference for the table), brute-force enumeration of composite
+levels, and a Rayleigh-Ritz solve of the moving-endpoint problem.  Nothing here shares
 code with the package implementations.
 """
 
@@ -126,6 +127,19 @@ def binom(n: int, k: int) -> int:
     for i in range(k):
         out = out * (n - i) // (i + 1)
     return out
+
+
+def branch_energy_chain(branch: str, n: int, params) -> float:
+    """The branch energy formulas as an if chain, frozen: the bit-for-bit reference."""
+    if branch == "half_ho":
+        return 2.0 * (n + 1) * params.hbar * params.omega
+    if branch == "coupled_y1":
+        return (n + 1) * params.hbar * params.omega * math.sqrt(1.0 + params.g_ratio)
+    if branch == "coupled_y2":
+        return (n + 0.5) * 0.5 * params.hbar * params.omega * math.sqrt(
+            1.0 - params.g_ratio
+        )
+    raise ValueError(f"unknown branch {branch!r}")
 
 
 def brute_force_composite(e_y1, e_y2, n_max: int, count: int):

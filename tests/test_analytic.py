@@ -12,7 +12,9 @@ from affineosc.analytic import (
 )
 from affineosc.core import PhysicalParams
 from affineosc.numeric import sign_changes
-from oracles import brute_force_composite, halfline_function_log, hermite_function_log
+from oracles import (
+    branch_energy_chain, brute_force_composite, halfline_function_log, hermite_function_log,
+)
 
 UNIT = PhysicalParams()
 COUPLED = PhysicalParams(g=0.6)
@@ -77,6 +79,20 @@ class TestEnergies:
 
 
 class TestBranches:
+    @pytest.mark.parametrize("params", [
+        UNIT, COUPLED, PhysicalParams(m=2.0, omega=1.5, hbar=0.5, g=1.8),
+        PhysicalParams(m=0.3, omega=7.0, hbar=1e-3, g=-5.0),
+        PhysicalParams(omega=1e100, hbar=1e-90),
+    ])
+    def test_energy_table_matches_former_chain_bit_for_bit(self, params):
+        for branch in analytic.BRANCHES:
+            for n in (0, 1, 7, 999):
+                assert analytic.branch_energy(branch, n, params) == branch_energy_chain(
+                    branch, n, params
+                ), (branch, n)
+        with pytest.raises(ValueError, match="unknown branch 'eqo3'"):
+            analytic.branch_energy("eqo3", 0, params)
+
     def test_alpha_scales(self):
         p = PhysicalParams(m=2.0, omega=1.5, hbar=0.5, g=1.8)  # g / (m omega^2) = 0.4
         alpha = {branch: record.alpha(p) for branch, record in analytic.BRANCHES.items()}

@@ -3,7 +3,8 @@
 bench/spans.py replaces package functions by name (``SPANNED`` and the
 wavefunction factories), and bench/test_bench.py is not part of this suite.
 So a renamed or inlined function would only break the traced benchmark run.
-This test runs the span recorder on four commands in a fresh interpreter.
+These tests run the span recorder on four commands, and on ``check`` alone,
+in a fresh interpreter.
 """
 
 import json
@@ -32,7 +33,8 @@ rcs = [cli.main(argv) for argv in argvs]
 with open(out, "w") as handle:
     violations = spans.nesting_violations(recorder.spans)
     json.dump({"missing": missing, "rcs": rcs, "violations": violations,
-               "names": sorted({span[0] for span in recorder.spans})}, handle)
+               "names": sorted({span[0] for span in recorder.spans}),
+               "counts": dict(recorder.counts)}, handle)
 """
 
 ARGVS = [
@@ -43,18 +45,33 @@ ARGVS = [
 ]
 
 
-def test_traced_commands_record_every_layer(tmp_path):
+def trace(tmp_path, argvs):
+    """The traced run of argvs in a fresh interpreter, as TRACED_SCRIPT dumps it."""
     src = os.path.dirname(os.path.dirname(affineosc.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = tmp_path / "trace.json"
     proc = subprocess.run(
-        [sys.executable, "-c", TRACED_SCRIPT, str(BENCH), str(out), json.dumps(ARGVS)],
+        [sys.executable, "-c", TRACED_SCRIPT, str(BENCH), str(out), json.dumps(argvs)],
         cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out.read_text())
     assert result["missing"] == []
-    assert result["rcs"] == [0] * len(ARGVS)
+    assert result["rcs"] == [0] * len(argvs)
+    return result
+
+
+def test_traced_commands_record_every_layer(tmp_path):
+    result = trace(tmp_path, ARGVS)
     expected = {"numeric.eigvals", "numeric.eigvec", "analytic.eigen", "specfun.quad", "cli.write"}
     assert expected <= set(result["names"]), sorted(expected - set(result["names"]))
+    assert result["violations"] == []
+
+
+def test_traced_check_records_analytic_layer(tmp_path):
+    # check builds its eigenpairs from analytic.BRANCHES: the wavefunction
+    # evaluations still count as analytic.eigen, the energies as branch_energy calls
+    result = trace(tmp_path, [["check"]])
+    assert "analytic.eigen" in result["names"]
+    assert result["counts"].get("analytic.branch_energy", 0) > 0
     assert result["violations"] == []

@@ -324,6 +324,20 @@ class TestExitCodes:
         assert main(["spectrum", "--g", "2.0"]) == 1
         assert "validation error" in capsys.readouterr().err
 
+    def test_grid_cap_message_is_short(self, capsys):
+        # at b = 1 the domain is 1e76 well lengths sqrt(hbar/(m omega)) wide: 2e77 coarse cells
+        assert main(["sweep", "--hbar", "1e-152"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200, err
+        assert "N = 2e+77 cells" in err
+
+    def test_grid_cap_message_names_b_only_for_kinds_with_b(self, capsys):
+        assert main(["spectrum", "--grid-n", "600000"]) == 1
+        assert capsys.readouterr().err == (
+            "validation error: kind 'eqintro' needs a coarse grid of N = 600000 cells, "
+            "more than the limit of 524288\n"
+        )
+
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--kind", "hext1", "--b", "inf"],
         ["spectrum", "--kind", "hext1", "--b", "nan"],

@@ -1,5 +1,6 @@
 import pytest
 
+from affineosc import interp
 from affineosc.core import PhysicalParams
 from affineosc.interp import b_sweep, truncated_sweep
 from affineosc.numeric import GridPolicy, ProblemSpec, default_domain, solve
@@ -71,3 +72,10 @@ class TestTruncatedSweep:
             truncated_sweep(UNIT, 0.0, [0], 1)
         with pytest.raises(ValueError):
             truncated_sweep(UNIT, 5.0, [7], 1)
+
+    def test_orders_checked_before_any_solve(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(interp, "solve", lambda *args: solves.append(args))
+        with pytest.raises(ValueError):
+            truncated_sweep(UNIT, 5.0, [0, 7], 1)
+        assert solves == []

@@ -23,6 +23,10 @@ def alpha(p):
     return p.m
 
 
+def energy(n, p):
+    return (n + 1) * p.omega
+
+
 def wavefunction(x):
     return x
 
@@ -34,7 +38,7 @@ MATRIX = TridiagonalMatrix(array("d", [2.0, 2.0]), array("d", [-1.0]))
 # record type, its fields in order with one value each, and the fields that
 # may be left out with their defaults
 RECORDS = [
-    (Branch, {"alpha": alpha, "halfline": True, "normal_mode": False}, {}),
+    (Branch, {"alpha": alpha, "energy": energy, "halfline": True, "normal_mode": False}, {}),
     (EigenPair, {"n": 1, "energy": 4.0, "branch": "half_ho", "params": UNIT,
                  "wavefunction": wavefunction}, {}),
     (CompositeLevel, {"n1": 0, "n2": 2, "energy": 1.5}, {}),
@@ -137,6 +141,8 @@ INVALID = [
     (ProblemSpec, {"kind": "truncated", "b": 0.0, "order": 1}, ValueError,
      "kind 'truncated' needs b > 0"),
     (ProblemSpec, {"kind": "truncated", "b": 1.0, "order": 5}, ValueError,
+     "kind 'truncated' needs an expansion order in 0..4"),
+    (ProblemSpec, {"kind": "truncated", "b": 1.0, "order": 2.5}, ValueError,
      "kind 'truncated' needs an expansion order in 0..4"),
     (ProblemSpec, {"kind": "hext1", "b": 1.0, "order": 2}, ValueError,
      "kind 'hext1' does not take an expansion order"),
