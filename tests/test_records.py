@@ -142,8 +142,6 @@ INVALID = [
      "kind 'truncated' needs b > 0"),
     (ProblemSpec, {"kind": "truncated", "b": 1.0, "order": 5}, ValueError,
      "kind 'truncated' needs an expansion order in 0..4"),
-    (ProblemSpec, {"kind": "truncated", "b": 1.0, "order": 2.5}, ValueError,
-     "kind 'truncated' needs an expansion order in 0..4"),
     (ProblemSpec, {"kind": "hext1", "b": 1.0, "order": 2}, ValueError,
      "kind 'hext1' does not take an expansion order"),
     (ProblemSpec, {"kind": "eqo1"}, ValueError,
@@ -205,6 +203,12 @@ def test_validation_message(record, values, error, message):
     with pytest.raises(error) as caught:
         record(**values)
     assert str(caught.value) == message
+
+
+def test_fractional_order_message():
+    with pytest.raises(ValueError) as caught:
+        ProblemSpec(kind="truncated", b=1.0, order=2.5)
+    assert str(caught.value) == "kind 'truncated' needs an expansion order in 0..4"
 
 
 def test_quantum_coupling_message():
