@@ -5,7 +5,13 @@ the config fields it takes as flags, besides ``COMMON_FLAGS`` (the physical
 parameters and the output), which every subcommand takes.  A field's flag is
 ``--<field>`` with ``-`` for ``_``, but for ``--n`` and ``--param`` (fields
 ``fn_n`` and ``fn_param``); it converts by the field's type in
-``CONFIG_FIELDS``, and subcommand X runs ``run_X``.
+``CONFIG_FIELDS``, which also holds the values the field allows, and
+subcommand X runs ``run_X``.
+
+Each ``run_X`` builds one document, whose tables are ``Table``s.  JSON writes
+the document, each table as an array of row objects.  CSV writes the first
+table to the output and, when the output is a file, each further table to a
+companion file named after its key.
 
 Configuration can come from flags, from a JSON config file (``--config``), or
 both; flags override the file.  ``--dump-config`` prints the effective
@@ -28,7 +34,7 @@ import os
 import sys
 import types
 import typing
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from . import __version__, analytic, interp, numeric, specfun
 from .core import PhysicalParams
@@ -61,11 +67,9 @@ SPECFUN = {
     "laguerre": lambda n, param, x: specfun.laguerre_assoc(n, param, x),
 }
 SPECFUN_NAMES = tuple(SPECFUN)
-FORMATS = ("csv", "json")
-# upper bounds that keep the time and memory of one run finite
+# upper bounds that keep the time and memory of one run finite, beside the
+# ranges in CONFIG_FIELDS
 MAX_LEVELS = 1000
-MAX_COUNT = 100_000
-MAX_FN_N = 10_000
 MAX_B_VALUES = 100
 MAX_SAMPLE_VALUES = 10**6  # samples, and levels x written samples, of one spectrum run
 ERR_EST_WARN = 1e-6  # relative error estimate above which spectrum and sweep warn on stderr
@@ -88,28 +92,30 @@ def _type_error(value, hint) -> Optional[str]:
     return {int: "an integer", float: "a number", str: "a string"}[hint]
 
 
-# The config schema: (name, type, default) per field, in the order --dump-config
-# prints them.  command's default is never used: RunConfig takes it first.
+# The config schema: (name, type, default, allowed) per field, in the order
+# --dump-config prints them.  allowed is a tuple of choices, which are also the
+# flag's choices, a range, or None.  command's default is never used: RunConfig
+# takes it first.
 CONFIG_FIELDS = (
-    ("command", str, None),
-    ("m", float, 1.0),
-    ("omega", float, 1.0),
-    ("hbar", float, 1.0),
-    ("g", float, 0.0),
-    ("kind", str, "eqintro"),
-    ("levels", int, 4),
-    ("count", int, 10),
-    ("b", float, 0.0),
-    ("order", int, 4),
-    ("b_values", List[float], [0.0, 1.0, 2.0, 5.0, 10.0, 20.0]),
-    ("grid_n", Optional[int], None),
-    ("fn", str, "hermite"),
-    ("fn_n", int, 0),
-    ("fn_param", float, 2.0),
-    ("points", List[float], []),
-    ("samples", int, 0),
-    ("out", Optional[str], None),
-    ("format", str, "csv"),
+    ("command", str, None, tuple(COMMANDS)),
+    ("m", float, 1.0, None),
+    ("omega", float, 1.0, None),
+    ("hbar", float, 1.0, None),
+    ("g", float, 0.0, None),
+    ("kind", str, "eqintro", numeric.KINDS),
+    ("levels", int, 4, range(1, MAX_LEVELS + 1)),
+    ("count", int, 10, range(1, 100_001)),
+    ("b", float, 0.0, None),
+    ("order", int, 4, None),
+    ("b_values", List[float], [0.0, 1.0, 2.0, 5.0, 10.0, 20.0], None),
+    ("grid_n", Optional[int], None, None),
+    ("fn", str, "hermite", SPECFUN_NAMES),
+    ("fn_n", int, 0, range(10_001)),
+    ("fn_param", float, 2.0, None),
+    ("points", List[float], [], None),
+    ("samples", int, 0, range(MAX_SAMPLE_VALUES + 1)),
+    ("out", Optional[str], None, None),
+    ("format", str, "csv", ("csv", "json")),
 )
 
 
@@ -120,9 +126,12 @@ class RunConfig(types.SimpleNamespace):
     """
 
     def __init__(self, command: str, **values):
+        unknown = set(values).difference(name for name, *_ in CONFIG_FIELDS)
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         values["command"] = command
-        for name, hint, default in CONFIG_FIELDS:
-            value = values.pop(name, default)
+        for name, hint, default, allowed in CONFIG_FIELDS:
+            value = values.get(name, default)
             expected = _type_error(value, hint)
             if expected is not None:
                 raise ValueError(
@@ -137,45 +146,31 @@ class RunConfig(types.SimpleNamespace):
                     value = [float(v) for v in value]
             except OverflowError:
                 raise ValueError(f"field {name!r} must be within float range") from None
+            if allowed is not None and value not in allowed:
+                within = (f"in {allowed.start}..{allowed.stop - 1}" if isinstance(allowed, range)
+                          else f"one of {allowed}")
+                raise ValueError(f"field {name!r} must be {within}, got {value!r}")
             setattr(self, name, value)
-        if values:
-            raise TypeError(f"RunConfig got unexpected fields {sorted(values)}")
-        if self.command not in COMMANDS:
-            raise ValueError(
-                f"field 'command' must be one of {tuple(COMMANDS)}, got {self.command!r}"
-            )
-        if self.kind not in numeric.KINDS:
-            raise ValueError(f"field 'kind' must be one of {numeric.KINDS}, got {self.kind!r}")
-        if self.format not in FORMATS:
-            raise ValueError(f"field 'format' must be 'csv' or 'json', got {self.format!r}")
-        if not 1 <= self.levels <= MAX_LEVELS:
-            raise ValueError(f"field 'levels' must be in 1..{MAX_LEVELS}, got {self.levels}")
-        if not 1 <= self.count <= MAX_COUNT:
-            raise ValueError(f"field 'count' must be in 1..{MAX_COUNT}, got {self.count}")
-        if self.fn_n > MAX_FN_N:
-            raise ValueError(f"field 'fn_n' must be at most {MAX_FN_N}, got {self.fn_n}")
         if len(self.b_values) > MAX_B_VALUES:
             raise ValueError(f"field 'b_values' must list at most {MAX_B_VALUES} values")
         if not math.isfinite(self.fn_param):
             raise ValueError(f"field 'fn_param' must be finite, got {self.fn_param}")
-        if not 0 <= self.samples <= MAX_SAMPLE_VALUES:
-            raise ValueError(
-                f"field 'samples' must be in 0..{MAX_SAMPLE_VALUES}, got {self.samples}"
-            )
-        if self.fn not in SPECFUN_NAMES:
-            raise ValueError(f"field 'fn' must be one of {SPECFUN_NAMES}, got {self.fn!r}")
         if self.grid_n is not None and self.grid_n < 16:
             raise ValueError(f"field 'grid_n' must be at least 16, got {self.grid_n}")
 
     @classmethod
     def from_mapping(cls, data: dict) -> "RunConfig":
-        unknown = set(data) - {name for name, _, _ in CONFIG_FIELDS}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
 
     def params(self) -> PhysicalParams:
         return PhysicalParams(m=self.m, omega=self.omega, hbar=self.hbar, g=self.g)
+
+
+class Table(NamedTuple):
+    """A table of a command's output: a CSV file, or a JSON array of row objects."""
+
+    header: List[str]
+    rows: List[list]
 
 
 FLOAT_FORMAT = ".14e"  # 15 significant digits
@@ -208,6 +203,12 @@ def _render_value(value) -> str:
         return json.dumps(value)
     if value is None:
         return "null"
+    if isinstance(value, Table):  # a tuple, so tested first
+        keys = [json.dumps(str(k)) + ": " for k in value.header]
+        return "[" + ", ".join(
+            "{" + ", ".join([k + _render_value(v) for k, v in zip(keys, row)]) + "}"
+            for row in value.rows
+        ) + "]"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_render_value(v) for v in value) + "]"
     if isinstance(value, dict):
@@ -260,24 +261,20 @@ def _companion(path: str, tag: str) -> str:
     return f"{stem}_{tag}{ext}"
 
 
-def _emit(config: RunConfig, header: List[str], rows: List[List], doc: dict, companions=()):
-    """Write a command's result in the configured format.
+def _emit(config: RunConfig, doc: dict):
+    """Write a command's document in the configured format.
 
-    CSV writes the table (header, rows) and, when the output goes to a file,
-    each companion (tag, header, rows) to a ``*_<tag>`` file next to it.
-    JSON writes doc, which already holds everything the tables hold.
+    JSON writes the whole doc.  CSV writes the doc's first Table and, when the
+    output goes to a file, each further Table to a ``*_<key>`` file next to it.
     """
     if config.format == "json":
         _write(render_json(doc), config.out)
         return
-    _write(render_csv(header, rows), config.out)
+    (_, first), *rest = [(key, v) for key, v in doc.items() if isinstance(v, Table)]
+    _write(render_csv(*first), config.out)
     if config.out is not None:
-        for tag, comp_header, comp_rows in companions:
-            _write(render_csv(comp_header, comp_rows), _companion(config.out, tag))
-
-
-def _records(header: List[str], rows: List[List]) -> List[dict]:
-    return [dict(zip(header, row)) for row in rows]
+        for key, table in rest:
+            _write(render_csv(*table), _companion(config.out, key))
 
 
 def _meta(config: RunConfig, grid=None) -> dict:
@@ -340,46 +337,42 @@ def run_spectrum(config: RunConfig) -> int:
     result = numeric.solve(spec, config.levels, policy)
     _warn_err_est([(lv.n, lv.energy, err) for lv, err in zip(result.levels, result.err_est)])
     branch = spec.facts.branch
-    header = ["n", "energy_analytic", "energy_numeric", "abs_diff"]
     rows = []
     for level in result.levels:
         e_ref = None if branch is None else analytic.branch_energy(branch, level.n, spec.params)
         diff = None if e_ref is None else abs(level.energy - e_ref)
         rows.append([level.n, e_ref, level.energy, diff])
     doc = {
-        "levels": _records(header, rows),
+        "levels": Table(["n", "energy_analytic", "energy_numeric", "abs_diff"], rows),
         "meta": {**_meta(config, result.grid), "kind": config.kind},
     }
-    companions = []
     if config.samples > 0:
         grid, samples = result.grid, []
         for level in result.levels:
             wf = numeric.eigenvector(result.matrix, level.lam_fine, grid.h)
-            samples.append((level.n, _downsample(grid, wf, config.samples)))
-        doc["wavefunctions"] = [{"n": n, "samples": s} for n, s in samples]
-        wf_rows = [[n, x, value] for n, s in samples for x, value in s]
-        companions.append(("wavefunctions", ["n", "x", "value"], wf_rows))
-    _emit(config, header, rows, doc, companions)
+            samples.append([level.n, _downsample(grid, wf, config.samples)])
+        # JSON nests each level's [x, value] samples; a CSV table is flat
+        doc["wavefunctions"] = (
+            Table(["n", "samples"], samples) if config.format == "json"
+            else Table(["n", "x", "value"], [[n, x, v] for n, s in samples for x, v in s])
+        )
+    _emit(config, doc)
     return 0
 
 
 def run_coupled(config: RunConfig) -> int:
     params = config.params()
     levels = analytic.composite_spectrum(params, config.count)
-    header = ["n1", "n2", "energy"]
-    rows = [[lv.n1, lv.n2, lv.energy] for lv in levels]
-    branch_header = ["branch", "n", "energy"]
     branch_rows = [
         [branch, n, analytic.branch_energy(branch, n, params)]
         for branch in (analytic.COUPLED_Y1, analytic.COUPLED_Y2)
         for n in range(config.count)
     ]
-    doc = {
-        "composite": _records(header, rows),
-        "branches": _records(branch_header, branch_rows),
+    _emit(config, {
+        "composite": Table(["n1", "n2", "energy"], [[lv.n1, lv.n2, lv.energy] for lv in levels]),
+        "branches": Table(["branch", "n", "energy"], branch_rows),
         "meta": _meta(config),
-    }
-    _emit(config, header, rows, doc, [("branches", branch_header, branch_rows)])
+    })
     return 0
 
 
@@ -393,10 +386,9 @@ def run_sweep(config: RunConfig) -> int:
     policy = GridPolicy(n=config.grid_n)
     result = interp.b_sweep(config.params(), config.b_values, config.levels, policy)
     _warn_err_est([(row.n, row.energy, row.err_est) for row in result.rows])
-    header = ["b", "n", "energy", "dev_half", "dev_full"]
     rows = [[row.b, row.n, row.energy, row.dev_half, row.dev_full] for row in result.rows]
-    doc = {
-        "rows": _records(header, rows),
+    _emit(config, {
+        "rows": Table(["b", "n", "energy", "dev_half", "dev_full"], rows),
         "meta": {
             **_meta(config),
             "grids": {
@@ -404,8 +396,7 @@ def run_sweep(config: RunConfig) -> int:
                 for b, (n, lo, hi) in result.grid_meta.items()
             },
         },
-    }
-    _emit(config, header, rows, doc)
+    })
     return 0
 
 
@@ -413,17 +404,14 @@ def run_specfun(config: RunConfig) -> int:
     if not config.points:
         raise ValueError("field 'points' must list at least one evaluation point")
     evaluate = SPECFUN[config.fn]
-    values = [evaluate(config.fn_n, config.fn_param, x) for x in config.points]
-    header = ["x", "value"]
-    rows = [[x, v] for x, v in zip(config.points, values)]
-    doc = {
+    rows = [[x, evaluate(config.fn_n, config.fn_param, x)] for x in config.points]
+    _emit(config, {
         "fn": config.fn,
         "n": config.fn_n,
         "param": config.fn_param,
-        "values": _records(header, rows),
+        "values": Table(["x", "value"], rows),
         "meta": _meta(config),
-    }
-    _emit(config, header, rows, doc)
+    })
     return 0
 
 
@@ -456,8 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # each flag converts by its field's type hint; Optional[X] converts like X
     types = {List[float]: _float_list, Optional[int]: int, Optional[str]: str}
-    converters = {name: types.get(hint, hint) for name, hint, _ in CONFIG_FIELDS}
-    choices = {"kind": numeric.KINDS, "format": FORMATS, "fn": SPECFUN_NAMES}
+    converters = {name: types.get(hint, hint) for name, hint, _, _ in CONFIG_FIELDS}
+    choices = {name: allowed for name, _, _, allowed in CONFIG_FIELDS
+               if isinstance(allowed, tuple)}
     for command, (help_line, fields) in COMMANDS.items():
         p = sub.add_parser(command, help=help_line)
         p.add_argument("--config", help="JSON config file; flags override it")
@@ -491,8 +480,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         config = config_from_args(args)
         if args.dump_config:
-            fields = {name: getattr(config, name) for name, _, _ in CONFIG_FIELDS}
-            sys.stdout.write(render_json(fields))
+            sys.stdout.write(render_json(vars(config)))
             return 0
         return globals()["run_" + config.command](config)
     except (ValueError, TypeError) as exc:

@@ -256,7 +256,8 @@ class ProblemSpec(namedtuple("ProblemSpec", "kind params b order")):
         if facts.series:
             if self.b == 0:
                 raise ValueError(f"kind {self.kind!r} needs b > 0")
-            if self.order not in range(5):
+            # an int: neither a bool nor a float that equals one
+            if type(self.order) is not int or self.order not in range(5):
                 raise ValueError(f"kind {self.kind!r} needs an expansion order in 0..4")
         elif self.order is not None:
             raise ValueError(f"kind {self.kind!r} does not take an expansion order")

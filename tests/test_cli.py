@@ -474,6 +474,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"validation error: field '{field}'") and err.count("\n") == 1
 
+    def test_negative_fn_n_is_a_range_error(self, capsys):
+        assert main(["specfun", "--n", "-1", "--points", "0.5"]) == 1
+        assert capsys.readouterr().err == (
+            "validation error: field 'fn_n' must be in 0..10000, got -1\n"
+        )
+
     def test_samples_cap_counts_written_samples(self, capsys):
         # 2 x 500001 requested, but at most one sample per fine-grid node is written
         assert main(["spectrum", "--levels", "2", "--samples", "500001", "--format", "json"]) == 0
@@ -524,7 +530,13 @@ class TestParser:
 
     def test_every_config_field_is_a_flag(self):
         dests = {a.dest for p in self.subparsers().values() for a in p._actions}
-        assert {name for name, _, _ in CONFIG_FIELDS} - dests == {"command"}
+        assert {name for name, *_ in CONFIG_FIELDS} - dests == {"command"}
+
+    def test_choices_come_from_config_fields(self):
+        choices = {a.dest: a.choices for p in self.subparsers().values() for a in p._actions
+                   if a.choices is not None}
+        assert choices == {name: allowed for name, _, _, allowed in CONFIG_FIELDS
+                           if isinstance(allowed, tuple) and name != "command"}
 
 
 PARAMS_UNIT = ('{"m": 1.00000000000000e+00, "omega": 1.00000000000000e+00, '
@@ -715,6 +727,47 @@ class TestOutputSchemas:
         grids = doc["meta"]["grids"]
         assert keys(grids) == ["0.00000000000000e+00", "1.00000000000000e+00"]
         assert [keys(g) for g in grids.values()] == [self.GRID_KEYS] * 2
+
+
+def cell_text(value):
+    """A JSON value as its CSV cell: null is empty, a float its 15-digit text."""
+    if value is None:
+        return ""
+    return format(value, ".14e") if isinstance(value, float) else str(value)
+
+
+class TestCsvJsonAgree:
+    """The CSV files and the JSON document of one run hold the same tables, cell by cell."""
+
+    @pytest.mark.parametrize("argv,tables", [
+        (["spectrum", "--kind", "hext1", "--b", "1", "--levels", "2", "--samples", "5"],
+         ["levels", "wavefunctions"]),
+        (["spectrum", "--kind", "eqo2", "--g", "0.6", "--levels", "3", "--samples", "4"],
+         ["levels", "wavefunctions"]),
+        (["coupled", "--g", "0.6", "--count", "7"], ["composite", "branches"]),
+        (["sweep", "--b-values", "0,2", "--levels", "2"], ["rows"]),
+        (["specfun", "--fn", "laguerre", "--n", "3", "--param", "0.5", "--points", "0,1.5"],
+         ["values"]),
+    ], ids=["spectrum-hext1", "spectrum-eqo2", "coupled", "sweep", "specfun"])
+    def test_same_rows(self, argv, tables, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert main(argv + ["--format", "json", "--out", str(tmp_path / "out.json")]) == 0
+        doc = json.loads(read(tmp_path / "out.json"))
+        for idx, key in enumerate(tables):
+            header, rows = parse_csv(read(out if idx == 0 else tmp_path / f"out_{key}.csv"))
+            records = doc[key]
+            if key == "wavefunctions":
+                records = [{"n": wf["n"], "x": x, "value": v}
+                           for wf in records for x, v in wf["samples"]]
+            assert [keys(r) for r in records] == [header] * len(rows), key
+            assert [[cell_text(v) for v in r.values()] for r in records] == rows, key
+
+    def test_empty_sweep(self, capsys):
+        assert main(["sweep", "--b-values", ""]) == 0
+        assert capsys.readouterr().out == "b,n,energy,dev_half,dev_full\n"
+        assert main(["sweep", "--b-values", "", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == []
 
 
 THREADS_SCRIPT = """

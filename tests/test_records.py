@@ -177,13 +177,13 @@ INVALID = [
     (RunConfig, {"command": "check", "kind": "eqo3"}, ValueError,
      "field 'kind' must be one of ('eqintro', 'eqo1', 'eqo2', 'hext1', 'truncated'), got 'eqo3'"),
     (RunConfig, {"command": "check", "format": "xml"}, ValueError,
-     "field 'format' must be 'csv' or 'json', got 'xml'"),
+     "field 'format' must be one of ('csv', 'json'), got 'xml'"),
     (RunConfig, {"command": "check", "levels": 1001}, ValueError,
      "field 'levels' must be in 1..1000, got 1001"),
     (RunConfig, {"command": "check", "count": 0}, ValueError,
      "field 'count' must be in 1..100000, got 0"),
     (RunConfig, {"command": "check", "fn_n": 10001}, ValueError,
-     "field 'fn_n' must be at most 10000, got 10001"),
+     "field 'fn_n' must be in 0..10000, got 10001"),
     (RunConfig, {"command": "check", "b_values": [0.0] * 101}, ValueError,
      "field 'b_values' must list at most 100 values"),
     (RunConfig, {"command": "check", "fn_param": math.nan}, ValueError,
@@ -208,6 +208,13 @@ def test_validation_message(record, values, error, message):
 def test_fractional_order_message():
     with pytest.raises(ValueError) as caught:
         ProblemSpec(kind="truncated", b=1.0, order=2.5)
+    assert str(caught.value) == "kind 'truncated' needs an expansion order in 0..4"
+
+
+@pytest.mark.parametrize("order", [2.0, True], ids=["float", "bool"])
+def test_order_must_be_an_int(order):
+    with pytest.raises(ValueError) as caught:
+        ProblemSpec(kind="truncated", b=1.0, order=order)
     assert str(caught.value) == "kind 'truncated' needs an expansion order in 0..4"
 
 
@@ -253,3 +260,9 @@ class TestRunConfig:
         with pytest.raises(ValueError) as caught:
             RunConfig.from_mapping({"command": "check", "zeta": 1, "alpha": 2, "levels": 3})
         assert str(caught.value) == "unknown config keys: ['alpha', 'zeta']"
+
+    def test_unknown_keys_checked_first(self):
+        # before any field's type or value, and by the constructor itself
+        with pytest.raises(ValueError) as caught:
+            RunConfig("plot", levels=True, zeta=1)
+        assert str(caught.value) == "unknown config keys: ['zeta']"
