@@ -1,12 +1,12 @@
 """Command-line front end.
 
 ``COMMANDS`` describes the command line once: each subcommand's help line and
-the config fields it takes as flags, besides ``COMMON_FLAGS`` (the physical
-parameters and the output), which every subcommand takes.  A field's flag is
-``--<field>`` with ``-`` for ``_``, but for ``--n`` and ``--param`` (fields
-``fn_n`` and ``fn_param``); it converts by the field's type in
-``CONFIG_FIELDS``, which also holds the values the field allows, and
-subcommand X runs ``run_X``.
+every config field it reads, each taken as a flag (``check`` takes none).  A
+field's flag is ``--<field>`` with ``-`` for ``_``, but for ``--n`` and
+``--param`` (fields ``fn_n`` and ``fn_param``); it converts by the field's type
+in ``CONFIG_FIELDS``, which also holds the values the field allows, and
+subcommand X runs ``run_X``.  ``b`` and ``order`` have no default, so that
+``ProblemSpec`` alone says which kinds need them and which reject them.
 
 Each ``run_X`` builds one document, whose tables are ``Table``s.  JSON writes
 the document, each table as an array of row objects.  CSV writes the first
@@ -34,23 +34,25 @@ import os
 import sys
 import types
 import typing
-from typing import List, NamedTuple, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 from . import __version__, analytic, interp, numeric, specfun
 from .core import PhysicalParams
 from .numeric import ConvergenceError, GridPolicy, ProblemSpec
 from .specfun import QuadratureError
 
-# subcommand -> (help line, the config fields it takes as flags besides COMMON_FLAGS)
+PHYSICS = ("m", "omega", "hbar", "g")
+OUTPUT = ("out", "format")
+# subcommand -> (help line, the config fields it takes as flags)
 COMMANDS = {
     "spectrum": ("numeric levels of one problem kind",
-                 ("kind", "levels", "b", "order", "grid_n", "samples")),
-    "coupled": ("composite spectrum of the coupled pair", ("count",)),
-    "sweep": ("moving-endpoint sweep over b", ("b_values", "levels", "grid_n")),
-    "specfun": ("evaluate a special function", ("fn", "fn_n", "fn_param", "points")),
+                 PHYSICS + ("kind", "levels", "b", "order", "grid_n", "samples") + OUTPUT),
+    "coupled": ("composite spectrum of the coupled pair", PHYSICS + ("count",) + OUTPUT),
+    "sweep": ("moving-endpoint sweep over b", PHYSICS + ("b_values", "levels", "grid_n") + OUTPUT),
+    "specfun": ("evaluate a special function",
+                PHYSICS + ("fn", "fn_n", "fn_param", "points") + OUTPUT),
     "check": ("run the invariant suite", ()),
 }
-COMMON_FLAGS = ("m", "omega", "hbar", "g", "out", "format")
 FLAG_NAMES = {"fn_n": "n", "fn_param": "param"}  # every other field's flag is --<field>
 FLAG_HELP = {
     "out": "output path (default: stdout)",
@@ -105,8 +107,8 @@ CONFIG_FIELDS = (
     ("kind", str, "eqintro", numeric.KINDS),
     ("levels", int, 4, range(1, MAX_LEVELS + 1)),
     ("count", int, 10, range(1, 100_001)),
-    ("b", float, 0.0, None),
-    ("order", int, 4, None),
+    ("b", Optional[float], None, None),
+    ("order", Optional[int], None, None),
     ("b_values", List[float], [0.0, 1.0, 2.0, 5.0, 10.0, 20.0], None),
     ("grid_n", Optional[int], None, None),
     ("fn", str, "hermite", SPECFUN_NAMES),
@@ -140,7 +142,7 @@ class RunConfig(types.SimpleNamespace):
             # an int given for a float field is stored, and printed, as a float; a
             # list is always copied, so no two configs share a default list
             try:
-                if hint is float:
+                if hint in (float, Optional[float]) and value is not None:
                     value = float(value)
                 elif hint == List[float]:
                     value = [float(v) for v in value]
@@ -167,10 +169,11 @@ class RunConfig(types.SimpleNamespace):
 
 
 class Table(NamedTuple):
-    """A table of a command's output: a CSV file, or a JSON array of row objects."""
+    """A table of a command's output, a CSV file or a JSON array of row objects,
+    whose rows are any iterable, read once when the table is written."""
 
     header: List[str]
-    rows: List[list]
+    rows: Iterable[list]
 
 
 FLOAT_FORMAT = ".14e"  # 15 significant digits
@@ -240,7 +243,7 @@ def _csv_cell(cell) -> str:
     return _fmt_float(cell)
 
 
-def render_csv(header: List[str], rows: List[List]) -> str:
+def render_csv(header: List[str], rows: Iterable[list]) -> str:
     out = [",".join(header)]
     for row in rows:
         out.append(",".join(_csv_cell(cell) for cell in row))
@@ -287,16 +290,6 @@ def _meta(config: RunConfig, grid=None) -> dict:
     return meta
 
 
-def _problem_spec(config: RunConfig) -> ProblemSpec:
-    facts = numeric.KIND_FACTS[config.kind]
-    return ProblemSpec(
-        kind=config.kind,
-        params=config.params(),
-        b=config.b if facts.takes_b else None,
-        order=config.order if facts.series else None,
-    )
-
-
 def _sample_indices(n: int, count: int) -> List[int]:
     """min(count, n) evenly spread indices into n nodes: np.linspace(0, n - 1, m).round()."""
     m = min(count, n)
@@ -324,7 +317,7 @@ def _warn_err_est(levels):
 
 
 def run_spectrum(config: RunConfig) -> int:
-    spec = _problem_spec(config)
+    spec = ProblemSpec(config.kind, config.params(), config.b, config.order)
     policy = GridPolicy(n=config.grid_n)
     if config.samples > 0:
         # at most one sample per cell of the finest grid is written
@@ -334,6 +327,8 @@ def run_spectrum(config: RunConfig) -> int:
                 f"field 'samples' times levels must be at most {MAX_SAMPLE_VALUES}, "
                 f"counting at most the {cells} finest-grid cells per level"
             )
+        if config.format == "csv" and config.out is None:
+            raise ValueError("field 'samples' needs 'out' in CSV: samples go to a companion file")
     result = numeric.solve(spec, config.levels, policy)
     _warn_err_est([(lv.n, lv.energy, err) for lv, err in zip(result.levels, result.err_est)])
     branch = spec.facts.branch
@@ -354,7 +349,7 @@ def run_spectrum(config: RunConfig) -> int:
         # JSON nests each level's [x, value] samples; a CSV table is flat
         doc["wavefunctions"] = (
             Table(["n", "samples"], samples) if config.format == "json"
-            else Table(["n", "x", "value"], [[n, x, v] for n, s in samples for x, v in s])
+            else Table(["n", "x", "value"], ([n, x, v] for n, s in samples for x, v in s))
         )
     _emit(config, doc)
     return 0
@@ -363,11 +358,11 @@ def run_spectrum(config: RunConfig) -> int:
 def run_coupled(config: RunConfig) -> int:
     params = config.params()
     levels = analytic.composite_spectrum(params, config.count)
-    branch_rows = [
+    branch_rows = (
         [branch, n, analytic.branch_energy(branch, n, params)]
         for branch in (analytic.COUPLED_Y1, analytic.COUPLED_Y2)
         for n in range(config.count)
-    ]
+    )
     _emit(config, {
         "composite": Table(["n1", "n2", "energy"], [[lv.n1, lv.n2, lv.energy] for lv in levels]),
         "branches": Table(["branch", "n", "energy"], branch_rows),
@@ -443,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     # each flag converts by its field's type hint; Optional[X] converts like X
-    types = {List[float]: _float_list, Optional[int]: int, Optional[str]: str}
+    types = {List[float]: _float_list, Optional[float]: float, Optional[int]: int,
+             Optional[str]: str}
     converters = {name: types.get(hint, hint) for name, hint, _, _ in CONFIG_FIELDS}
     choices = {name: allowed for name, _, _, allowed in CONFIG_FIELDS
                if isinstance(allowed, tuple)}
@@ -452,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--dump-config", action="store_true",
                        help="print the effective configuration as JSON and exit")
-        for name in COMMON_FLAGS + fields:
+        for name in fields:
             p.add_argument("--" + FLAG_NAMES.get(name, name.replace("_", "-")), dest=name,
                            type=converters[name], choices=choices.get(name),
                            help=FLAG_HELP.get(name))

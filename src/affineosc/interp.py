@@ -50,9 +50,9 @@ def b_sweep(
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     b_values = list(b_values)
-    # ascending, so a negative b comes first and ProblemSpec rejects it before any solve
-    if sorted(b_values) != b_values:
-        raise ValueError("b values must be ascending")
+    # strictly ascending: no b twice (0 == -0), and a negative b fails before any solve
+    if any(lo >= hi for lo, hi in zip(b_values, b_values[1:])):
+        raise ValueError("b values must be strictly ascending")
 
     hw = params.hbar * params.omega
     rows: List[SweepRow] = []

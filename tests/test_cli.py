@@ -157,7 +157,9 @@ class TestSpectrumCommand:
         nodes = grid.nodes
         assert [x for x, _ in rows] == [nodes[i] for i in idx]
 
-    @pytest.mark.parametrize("samples,calls", [([], 0), (["--samples", "8"], 3)])
+    @pytest.mark.parametrize("samples,calls", [
+        ([], 0), (["--samples", "8", "--format", "json"], 3),
+    ])
     def test_eigenvectors_only_for_samples(self, samples, calls, monkeypatch):
         from affineosc import numeric
 
@@ -442,7 +444,7 @@ class TestExitCodes:
             return np.zeros(len(diag)), 1
 
         monkeypatch.setattr(numeric, "dstein", no_convergence)
-        assert cli.main(["spectrum", "--levels", "1", "--samples", "4"]) == 2
+        assert cli.main(["spectrum", "--levels", "1", "--samples", "4", "--format", "json"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and err.count("\n") == 1
 
@@ -498,17 +500,22 @@ class TestExitCodes:
             assert json.loads(capsys.readouterr().out)["samples"] == int(samples)
 
 
-COMMON_FLAGS = {
+# flags of every command, beside those in COMMAND_FLAGS
+BASE_FLAGS = {
     "-h": "help", "--help": "help", "--config": "config", "--dump-config": "dump_config",
+}
+PHYSICS_AND_OUTPUT = {
     "--m": "m", "--omega": "omega", "--hbar": "hbar", "--g": "g", "--out": "out",
     "--format": "format",
 }
 COMMAND_FLAGS = {
-    "spectrum": {"--kind": "kind", "--levels": "levels", "--b": "b", "--order": "order",
-                 "--grid-n": "grid_n", "--samples": "samples"},
-    "coupled": {"--count": "count"},
-    "sweep": {"--b-values": "b_values", "--levels": "levels", "--grid-n": "grid_n"},
-    "specfun": {"--fn": "fn", "--n": "fn_n", "--param": "fn_param", "--points": "points"},
+    "spectrum": {**PHYSICS_AND_OUTPUT, "--kind": "kind", "--levels": "levels", "--b": "b",
+                 "--order": "order", "--grid-n": "grid_n", "--samples": "samples"},
+    "coupled": {**PHYSICS_AND_OUTPUT, "--count": "count"},
+    "sweep": {**PHYSICS_AND_OUTPUT, "--b-values": "b_values", "--levels": "levels",
+              "--grid-n": "grid_n"},
+    "specfun": {**PHYSICS_AND_OUTPUT, "--fn": "fn", "--n": "fn_n", "--param": "fn_param",
+                "--points": "points"},
     "check": {},
 }
 
@@ -526,7 +533,7 @@ class TestParser:
         for command, flags in COMMAND_FLAGS.items():
             actions = subparsers[command]._actions
             got = {option: a.dest for a in actions for option in a.option_strings}
-            assert got == {**COMMON_FLAGS, **flags}, command
+            assert got == {**BASE_FLAGS, **flags}, command
 
     def test_every_config_field_is_a_flag(self):
         dests = {a.dest for p in self.subparsers().values() for a in p._actions}
@@ -537,6 +544,76 @@ class TestParser:
                    if a.choices is not None}
         assert choices == {name: allowed for name, _, _, allowed in CONFIG_FIELDS
                            if isinstance(allowed, tuple) and name != "command"}
+
+
+# a small JSON run of each command, and for each flag that takes a value, a valid
+# value other than the one that run uses
+READ_BASE = {
+    "spectrum": ["spectrum", "--levels", "1", "--grid-n", "16", "--g", "0.5", "--format", "json"],
+    "coupled": ["coupled", "--g", "0.5", "--count", "2", "--format", "json"],
+    "sweep": ["sweep", "--b-values", "0", "--levels", "1", "--grid-n", "16", "--format", "json"],
+    "specfun": ["specfun", "--points", "0.5", "--format", "json"],
+    "check": ["check"],
+}
+OTHER_VALUE = {
+    "--m": "2", "--omega": "2", "--hbar": "2", "--g": "0.25", "--format": "csv",
+    "--kind": "eqo1", "--levels": "2", "--b": "1", "--order": "2", "--grid-n": "32",
+    "--samples": "4", "--count": "3", "--b-values": "0,1", "--fn": "laguerre", "--n": "2",
+    "--param": "0.5", "--points": "1,2",
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    pytest.param(command, action.option_strings[0], id=f"{command} {action.option_strings[0]}")
+    for command, parser in TestParser.subparsers().items() for action in parser._actions
+    if action.option_strings[0] not in ("-h", "--config", "--dump-config")
+])
+def test_every_accepted_flag_is_read(command, flag, tmp_path, capsys):
+    """A flag the command takes, set to another valid value, changes stdout or is refused."""
+    assert main(READ_BASE[command]) == 0
+    before = capsys.readouterr().out
+    value = str(tmp_path / "out.csv") if flag == "--out" else OTHER_VALUE[flag]
+    code = main([*READ_BASE[command], flag, value])
+    after, err = capsys.readouterr()
+    if code == 1:
+        assert err.startswith("validation error:") and err.count("\n") == 1, err
+    else:
+        assert (code, after != before) == (0, True), "the flag's value was not read"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["spectrum", "--levels", "1", "--samples", "4"], "field 'samples' needs 'out' in CSV"),
+    (["spectrum", "--kind", "hext1"], "kind 'hext1' needs a finite b >= 0"),
+    (["spectrum", "--kind", "truncated", "--b", "5"], "kind 'truncated' needs an expansion order"),
+    (["spectrum", "--b", "5", "--order", "99"], "kind 'eqintro' does not take b"),
+    (["spectrum", "--order", "2"], "kind 'eqintro' does not take an expansion order"),
+    (["sweep", "--b-values", "1,1"], "b values must be strictly ascending"),
+    (["sweep", "--b-values", "0,-0", "--format", "json"], "b values must be strictly ascending"),
+], ids=["csv-samples-to-stdout", "hext1-without-b", "truncated-without-order", "eqintro-with-b",
+        "eqintro-with-order", "repeated-b", "signed-zero-b"])
+def test_input_that_would_go_unread_is_validation_error(argv, message, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"validation error: {message}") and err.count("\n") == 1
+
+
+def test_csv_to_stdout_builds_no_companion_rows(tmp_path, monkeypatch, capsys):
+    # the branches table of coupled goes to a companion file only, so stdout skips its rows
+    from affineosc import analytic
+
+    calls = []
+    original = analytic.branch_energy
+
+    def counted(branch, n, params):
+        calls.append(n)
+        return original(branch, n, params)
+
+    monkeypatch.setattr(analytic, "branch_energy", counted)
+    argv = ["coupled", "--g", "0.6", "--count", "7"]
+    assert main(argv) == 0
+    to_stdout = len(calls)
+    assert main([*argv, "--out", str(tmp_path / "c.csv")]) == 0
+    assert len(calls) == 2 * to_stdout + 2 * 7
 
 
 PARAMS_UNIT = ('{"m": 1.00000000000000e+00, "omega": 1.00000000000000e+00, '
@@ -773,7 +850,8 @@ class TestCsvJsonAgree:
 THREADS_SCRIPT = """
 import threading
 from affineosc import cli
-for argv in (["spectrum", "--levels", "2"], ["spectrum", "--levels", "2", "--samples", "4"],
+for argv in (["spectrum", "--levels", "2"],
+             ["spectrum", "--levels", "2", "--samples", "4", "--format", "json"],
              ["coupled", "--g", "0.6", "--count", "5"], ["check"]):
     assert cli.main(argv) == 0, argv
     assert threading.active_count() == 1, (argv, threading.enumerate())

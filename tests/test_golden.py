@@ -52,11 +52,11 @@ GOLDEN = {
     "specfun-1f1": "b7bb90e948b9795ea3abd70d487e474bb0b674cfa1cd04b62dddb17949667c9a",
     "specfun-hermite": "d82a97bedeadf55c520560ee7aa392324f28f1527468442be27f7a151f5215d8",
     "specfun-laguerre": "d9a8cdaa9aa30f34f27b8388a1cc2cee44c7a323a6d413648ac2dcd8eb9145ee",
-    "dump-config-spectrum": "8dcd479754ee96f50f53389d187efd26da84e3c15980a0c5787d68234d0e89ce",
-    "dump-config-coupled": "452d906b730fd89379e971ad0ec7ceb3676b388d23021c3e291a6e96088b6ac1",
-    "dump-config-sweep": "0952a3400c0f4ad43ac3d19358592d17f79309925093d815de421b6ec1c8f531",
-    "dump-config-specfun": "4b624d91086116043c215f6bac96085a8134c0cc2a6c94a87ad18954d1c97005",
-    "dump-config-check": "3a9e88b896a8cc0184fbc25c38e4b8069ed1267cd36445267bb73c6d485a3d4e",
+    "dump-config-spectrum": "cb0945d758c45499a9744d8ab9f275a9b1557c13e239bfeb85bfe8b25d50c76d",
+    "dump-config-coupled": "8ebfb0a95eff247c601c268e77d666b6778bcfe6d1dd15831985845b6818d3e2",
+    "dump-config-sweep": "9fdf63350982845b6096d312701d055e12d83be19370df555716a08dcf6b1e77",
+    "dump-config-specfun": "ab20f89928b73fadb89be60f63c286bbbe7a63d2355bddce615b1ff6fe1c35fa",
+    "dump-config-check": "39fd25fd51081c879fc65f2bdfe6e87518f1522119ce9d9e3343087c5e2e8c57",
     "dump-config-file": "eee13de38b62101dc85c425a578828dac2323ab705bdac61cdc7eac1928ce971",
 }
 

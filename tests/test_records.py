@@ -226,7 +226,7 @@ def test_quantum_coupling_message():
 
 RUN_DEFAULTS = {
     "command": "coupled", "m": 1.0, "omega": 1.0, "hbar": 1.0, "g": 0.0, "kind": "eqintro",
-    "levels": 4, "count": 10, "b": 0.0, "order": 4,
+    "levels": 4, "count": 10, "b": None, "order": None,
     "b_values": [0.0, 1.0, 2.0, 5.0, 10.0, 20.0], "grid_n": None, "fn": "hermite", "fn_n": 0,
     "fn_param": 2.0, "points": [], "samples": 0, "out": None, "format": "csv",
 }
