@@ -276,7 +276,9 @@ def check_variational_shift() -> CheckResult:
     spec = numeric.ProblemSpec(kind="eqintro", params=params)
     grid = numeric.Grid(0.0, 9.0, 1200)
     matrix = numeric.assemble(spec, grid)
-    shifted = numeric.TridiagonalMatrix(diag=[d + 1.0 for d in matrix.diag], off=matrix.off)
+    s = matrix.scale  # V + 1 on the unscaled entries; dividing by a power of two is exact
+    shifted = numeric.TridiagonalMatrix([d / s + 1.0 for d in matrix.diag],
+                                        [o / s for o in matrix.off])
     lam = numeric.lowest_eigenvalues(matrix, 3)
     lam_shift = numeric.lowest_eigenvalues(shifted, 3)
     worst = max(abs((ls - l) - 1.0) for l, ls in zip(lam, lam_shift))

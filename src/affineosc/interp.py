@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import PhysicalParams
-from .numeric import GridPolicy, ProblemSpec, solve
+from .numeric import GridPolicy, ProblemSpec, coarse_grid, solve
 
 
 class SweepRow(NamedTuple):
@@ -54,26 +54,20 @@ def b_sweep(
     if any(lo >= hi for lo, hi in zip(b_values, b_values[1:])):
         raise ValueError("b values must be strictly ascending")
 
+    specs = [ProblemSpec(kind="hext1", params=params, b=b) for b in b_values]
+    for spec in specs:  # every b and its grid cap checked before the first solve
+        coarse_grid(spec, k, policy)
     hw = params.hbar * params.omega
     rows: List[SweepRow] = []
     grid_meta: Dict[float, Tuple[int, float, float]] = {}
-    for b in b_values:
-        spec = ProblemSpec(kind="hext1", params=params, b=b)
+    for b, spec in zip(b_values, specs):
         result = solve(spec, k, policy)
         grid = result.grid
         grid_meta[b] = (grid.n, grid.x_min, grid.x_max)
         for level, err_est in zip(result.levels, result.err_est):
             n, energy = level.n, level.energy
-            rows.append(
-                SweepRow(
-                    b=b,
-                    n=n,
-                    energy=energy,
-                    dev_half=abs(energy - 2.0 * (n + 1) * hw),
-                    dev_full=abs(energy - (n + 0.5) * hw),
-                    err_est=err_est,
-                )
-            )
+            rows.append(SweepRow(b, n, energy, dev_half=abs(energy - 2.0 * (n + 1) * hw),
+                                 dev_full=abs(energy - (n + 0.5) * hw), err_est=err_est))
     return SweepResult(rows=rows, grid_meta=grid_meta)
 
 

@@ -6,15 +6,15 @@ into a symmetric tridiagonal matrix.  ``solve`` takes the lowest eigenvalues
 on three nested grids by LAPACK bisection (?stebz) and reports their Romberg
 value, with a per-level error estimate; an eigenvector is computed only on
 request, from the finest-grid matrix, by LAPACK inverse iteration (?stein,
-which starts from its own fixed pseudo-random vector).  Both are called
-through ctypes, as the LAPACKE C entry points of the OpenBLAS that scipy
-bundles, and so are the CBLAS ``dscal`` and ``idamax`` that prescale the
-bands, with ``scipy.linalg.lapack`` and ``scipy.linalg.blas`` as the
-fallback (see ``_lapack``).  Matrix rows, cell centres and eigenvectors are
-``array('d')`` or lists built in plain Python, so neither a solve nor an
-eigenvector loads numpy.  Only ``sign_changes`` and the scipy fallback use
-numpy, and they import it when called; importing this module loads neither
-numpy nor LAPACK.
+which starts from its own fixed pseudo-random vector).  Both read the bands
+a ``TridiagonalMatrix`` was prescaled into when built (CBLAS ``dscal`` and
+``idamax``), never a copy.  All four are called through ctypes, as the C
+entry points of the OpenBLAS that scipy bundles, with ``scipy.linalg.lapack``
+and ``scipy.linalg.blas`` as the fallback (see ``_lapack``).  Matrix rows,
+cell centres and eigenvectors are ``array('d')`` or lists built in plain
+Python, so neither a solve nor an eigenvector loads numpy.  Only
+``sign_changes`` and the scipy fallback use numpy, and they import it when
+called; importing this module loads neither numpy nor LAPACK.
 
 Problem kinds and their energy maps (lambda is the discrete operator
 eigenvalue):
@@ -146,7 +146,7 @@ def _scipy_lapack() -> _Lapack:
 
 @functools.cache
 def _lapack() -> _Lapack:
-    """LAPACK and BLAS, bound on the first eigen call.
+    """LAPACK and BLAS, bound when the first matrix is built.
 
     Binding scipy's bundled OpenBLAS through ctypes takes about 6 ms (about
     3 ms to open the file, 2 ms to import ctypes) and needs no numpy;
@@ -309,24 +309,37 @@ class ProblemSpec(namedtuple("ProblemSpec", "kind params b order")):
         return -self.b if self.facts.takes_b else 0.0
 
 
-class TridiagonalMatrix(namedtuple("TridiagonalMatrix", "diag off")):
-    """Symmetric tridiagonal matrix (diagonal plus one off-diagonal band).
+class TridiagonalMatrix(namedtuple("TridiagonalMatrix", "diag off scale")):
+    """Symmetric tridiagonal matrix (diag, off) / scale, prescaled for LAPACK.
 
-    Both bands are stored as array('d'); other float sequences are copied into one.
+    The array('d') bands are stored times scale, the power of two that puts
+    their largest |entry| in [0.5, 1) (1 if all are 0), so the division is
+    exact.  Unscaled, ?stebz overflows near 1e154 (it squares the off-diagonal)
+    and ?stein returns NaN near 1e146.  The constructor scales copies of its
+    float sequences; ``assemble`` hands over the bands it built, scaled in place.
     """
 
     __slots__ = ()
 
-    def __new__(cls, diag: array, off: array):
-        diag, off = (band if isinstance(band, array) and band.typecode == "d"
-                     else array("d", band) for band in (diag, off))
+    def __new__(cls, diag: Iterable[float], off: Iterable[float]):
+        diag, off = array("d", diag), array("d", off)
         if len(off) != len(diag) - 1:
             raise ValueError("off-diagonal must be one shorter than the diagonal")
-        return super().__new__(cls, diag, off)
+        return cls._make((diag, off, _prescale(diag, off)))
 
     @property
     def n(self) -> int:
         return len(self.diag)
+
+
+def _prescale(diag: array, off: array) -> float:
+    """Scale both bands in place (CBLAS dscal) to TridiagonalMatrix's invariant; its scale."""
+    blas = _lapack()
+    bands = (diag, off) if off else (diag,)  # the scipy fallback rejects an empty band
+    scale = math.ldexp(1.0, -math.frexp(max(abs(b[blas.idamax(b)]) for b in bands))[1])
+    for band in bands:
+        blas.dscal(scale, band)
+    return scale
 
 
 class Level(NamedTuple):
@@ -440,7 +453,7 @@ def assemble(spec: ProblemSpec, grid: Grid) -> TridiagonalMatrix:
         root = list(map(math.sqrt, weight))
         off.extend([-f / (r0 * r1) * scale
                     for f, r0, r1 in zip(islice(flux, 1, None), root, islice(root, 1, None))])
-    return TridiagonalMatrix(diag=diag, off=off)
+    return TridiagonalMatrix._make((diag, off, _prescale(diag, off)))  # the bands, not copies
 
 
 def _check_domain(spec: ProblemSpec, grid: Grid):
@@ -464,25 +477,11 @@ def _all_finite(values) -> bool:
     return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
-def _scaled_bands(matrix: TridiagonalMatrix):
-    """(diag, off, factor): both bands copied and scaled by the power of two factor
-    that puts their largest |entry| in [0.5, 1), which is exact.  Unscaled, ?stebz
-    overflows near 1e154 (it squares the off-diagonal) and ?stein returns NaN near 1e146.
-    """
-    blas = _lapack()
-    diag, off = array("d", matrix.diag), array("d", matrix.off)
-    largest = max(abs(band[blas.idamax(band)]) for band in (diag, off))
-    factor = math.ldexp(1.0, -math.frexp(largest)[1])
-    blas.dscal(factor, diag)
-    blas.dscal(factor, off)
-    return diag, off, factor
-
-
 def lowest_eigenvalues(matrix: TridiagonalMatrix, k: int):
     """The k smallest eigenvalues by LAPACK bisection (?stebz), ascending.
 
-    One direct ?stebz call on the ``_scaled_bands``, selecting eigenvalues 1..k
-    in ascending order.  Each is bracketed to an absolute width of EIGENVALUE_TOL
+    One direct ?stebz call on the stored bands, selecting eigenvalues 1..k in
+    ascending order.  Each is bracketed to an absolute width of EIGENVALUE_TOL
     times min(1, max|diag|), whatever its magnitude.  NaN or infinite entries
     raise ValueError; a nonzero LAPACK info raises ConvergenceError.
     """
@@ -491,15 +490,15 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, k: int):
         raise ValueError(f"k must be in 1..{n}, got {k}")
     if not (_all_finite(matrix.diag) and _all_finite(matrix.off)):
         raise ValueError("matrix entries must be finite, got NaN or infinity")
+    diag, scale = matrix.diag, matrix.scale
     if n == 1:  # no off-diagonal to pass
-        return matrix.diag.tolist()
-    diag, off, factor = _scaled_bands(matrix)
+        return [diag[0] / scale]
     # EIGENVALUE_TOL * min(1, max|diag|), scaled like the bands
-    tol = EIGENVALUE_TOL * min(factor, abs(diag[_lapack().idamax(diag)]))
-    values, info = dstebz(diag, off, k, tol)
+    tol = EIGENVALUE_TOL * min(scale, abs(diag[_lapack().idamax(diag)]))
+    values, info = dstebz(diag, matrix.off, k, tol)
     if info != 0:
         raise ConvergenceError(f"LAPACK ?stebz failed (info={info})")
-    return [v / factor for v in values]
+    return [v / scale for v in values]
 
 
 def eigenvector(matrix: TridiagonalMatrix, lam: float, h: float) -> array:
@@ -516,17 +515,15 @@ def eigenvector(matrix: TridiagonalMatrix, lam: float, h: float) -> array:
     n = matrix.n
     if n == 1:  # no off-diagonal to pass
         return array("d", [1.0 / math.sqrt(h)])
-    blas = _lapack()
-    # ?stein perturbs LU pivots below eps*|T|; shifting the scaled lam by 1e-13
-    # keeps them clear (samples 7e-12 from the exact stiff Laplacian ones,
-    # against 6e-11 unshifted)
-    diag, off, factor = _scaled_bands(matrix)
-    v, info = dstein(diag, off, lam * factor + 1e-13)
+    # the stored bands, not copies.  ?stein perturbs LU pivots below eps*|T|;
+    # shifting the scaled lam by 1e-13 keeps them clear (samples 7e-12 from the
+    # exact stiff Laplacian ones, against 6e-11 unshifted)
+    v, info = dstein(matrix.diag, matrix.off, lam * matrix.scale + 1e-13)
     # a NaN or infinite entry makes the norm non-finite
     norm = math.sqrt(h) * math.sqrt(math.fsum([x * x for x in v])) if info == 0 else math.nan
     if not math.isfinite(norm):
         raise ConvergenceError(f"LAPACK ?stein did not converge for lambda={lam}")
-    floor = 1e-8 * abs(v[blas.idamax(v)])
+    floor = 1e-8 * abs(v[_lapack().idamax(v)])
     if next(x for x in v if abs(x) > floor) < 0:
         norm = -norm
     return array("d", [x / norm for x in v])
@@ -631,6 +628,8 @@ def solve(spec: ProblemSpec, k: int, policy: Optional[GridPolicy] = None) -> Eig
         raise ValueError(f"k must be at least 1, got {k}")
     policy = policy or GridPolicy()
     coarse = coarse_grid(spec, k, policy)
+    if k > coarse.n:  # checked before any matrix is built: the coarsest has the fewest rows
+        raise ValueError(f"k must be in 1..{coarse.n}, got {k}")
     if policy.check_truncation:
         wide = _cut_domain(spec, coarse.x_max * 1.5)
         # match the grid spacing, not the cell count, so the comparison

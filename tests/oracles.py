@@ -5,7 +5,8 @@ the large-n eigenfunctions built on them (in logs), the
 earlier numpy evaluation of the same recurrences (the bit-for-bit reference
 for the plain-arithmetic ones), the earlier if chain of branch energies (the
 bit-for-bit reference for the table), brute-force enumeration of composite
-levels, and a Rayleigh-Ritz solve of the moving-endpoint problem.  Nothing here shares
+levels, a Rayleigh-Ritz solve of the moving-endpoint problem, and the
+entries a prescaled ``TridiagonalMatrix`` stands for.  Nothing here shares
 code with the package implementations.
 """
 
@@ -178,3 +179,11 @@ def hext1_ritz(b: float, size: int = 100, beta: float = 10.0):
     kinetic = df @ df.T + (f * (0.75 / t**2)) @ f.T
     potential = (f * (t / beta - b) ** 2) @ f.T
     return np.linalg.eigvalsh(beta**2 * kinetic + potential)
+
+
+def unscaled(matrix):
+    """The bands a ``TridiagonalMatrix`` stands for, (diag, off) / scale, as float64 arrays.
+
+    Exact: scale is a power of two.
+    """
+    return np.asarray(matrix.diag) / matrix.scale, np.asarray(matrix.off) / matrix.scale

@@ -459,6 +459,29 @@ class TestExitCodes:
         assert err.startswith("validation error:") and err.count("\n") == 1
         assert "N = " in err
 
+    @pytest.mark.parametrize("b_values,message", [
+        ("0,1,nan", "kind 'hext1' needs a finite b >= 0, got nan"),
+        ("0,1,2,1e6", "kind 'hext1' at b = 1000000.0 needs a coarse grid of N = 3.82977e+07 "
+                      "cells, more than the limit of 524288"),
+    ])
+    def test_sweep_checks_every_b_before_any_solve(self, b_values, message, monkeypatch, capsys):
+        from affineosc import interp
+
+        solves = []
+        monkeypatch.setattr(interp, "solve", lambda *args: solves.append(args))
+        assert main(["sweep", "--b-values", b_values, "--levels", "20"]) == 1
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert solves == []
+
+    def test_levels_above_coarsest_grid_fail_before_any_eigenvalue(self, monkeypatch, capsys):
+        from affineosc import numeric
+
+        calls = []
+        monkeypatch.setattr(numeric, "lowest_eigenvalues", lambda *args: calls.append(args))
+        assert main(["spectrum", "--grid-n", "16", "--levels", "20"]) == 1
+        assert capsys.readouterr().err == "validation error: k must be in 1..16, got 20\n"
+        assert calls == []
+
     @pytest.mark.parametrize("argv,field", [
         (["spectrum", "--levels", "1001"], "levels"),
         (["sweep", "--levels", "1001"], "levels"),

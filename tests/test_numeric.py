@@ -1,9 +1,11 @@
 import functools
+import hashlib
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -27,7 +29,7 @@ from affineosc.numeric import (
     sign_changes,
     solve,
 )
-from oracles import hext1_ritz
+from oracles import hext1_ritz, unscaled
 
 UNIT = PhysicalParams()
 COUPLED = PhysicalParams(g=0.6)
@@ -35,9 +37,10 @@ COUPLED = PhysicalParams(g=0.6)
 
 def matvec(matrix, v):
     """Product of a symmetric tridiagonal matrix and a vector."""
-    out = matrix.diag * v
-    out[:-1] += matrix.off * v[1:]
-    out[1:] += matrix.off * v[:-1]
+    diag, off = unscaled(matrix)
+    out = diag * v
+    out[:-1] += off * v[1:]
+    out[1:] += off * v[:-1]
     return out
 
 
@@ -173,8 +176,9 @@ class TestAssemble:
         v = np.array([potential_of(spec)(x) for x in grid.nodes])
         stencil = np.full(grid.n, 2.0 / grid.h**2)
         stencil[[0, -1]] = 3.0 / grid.h**2
-        np.testing.assert_allclose(matrix.diag, stencil + v, rtol=1e-14)
-        np.testing.assert_allclose(matrix.off, -1.0 / grid.h**2, rtol=1e-14)
+        diag, off = unscaled(matrix)
+        np.testing.assert_allclose(diag, stencil + v, rtol=1e-14)
+        np.testing.assert_allclose(off, -1.0 / grid.h**2, rtol=1e-14)
 
     def test_barrier_rows(self):
         # psi = s^(3/2) u: faces carry t^3, cells weigh ((t + 1)^4 - t^4) / 4 in
@@ -186,11 +190,11 @@ class TestAssemble:
         flux, weight = t**3, ((t[1:]) ** 4 - t[:-1] ** 4) / 4.0
         flux[-1] *= 2.0
         x = np.asarray(grid.nodes)
-        np.testing.assert_allclose(matrix.diag, (flux[:-1] + flux[1:]) / weight + x * x,
+        diag, off = unscaled(matrix)
+        np.testing.assert_allclose(diag, (flux[:-1] + flux[1:]) / weight + x * x, rtol=1e-15)
+        np.testing.assert_allclose(off, -flux[1:-1] / np.sqrt(weight[:-1] * weight[1:]),
                                    rtol=1e-15)
-        np.testing.assert_allclose(matrix.off, -flux[1:-1] / np.sqrt(weight[:-1] * weight[1:]),
-                                   rtol=1e-15)
-        assert matrix.diag[0] == 4.0 + 0.25  # (0 + 1) / (1/4) + x^2 at x = 1/2
+        assert diag[0] == 4.0 + 0.25  # (0 + 1) / (1/4) + x^2 at x = 1/2
 
     @pytest.mark.parametrize("spec", [
         ProblemSpec(kind="eqintro"),
@@ -217,11 +221,12 @@ class TestAssemble:
         flux[[0, -1]] *= 2.0
         matrix = assemble(spec, grid)
         assert matrix.diag.typecode == matrix.off.typecode == "d"
+        diag, off = unscaled(matrix)
         np.testing.assert_allclose(
-            matrix.diag, (flux[:-1] + flux[1:]) / weight / grid.h**2 + v, rtol=1e-15, atol=0
+            diag, (flux[:-1] + flux[1:]) / weight / grid.h**2 + v, rtol=1e-15, atol=0
         )
         np.testing.assert_allclose(
-            matrix.off, -flux[1:-1] / np.sqrt(weight[:-1] * weight[1:]) / grid.h**2,
+            off, -flux[1:-1] / np.sqrt(weight[:-1] * weight[1:]) / grid.h**2,
             rtol=1e-15, atol=0,
         )
 
@@ -239,14 +244,32 @@ class TestAssemble:
         grid = Grid(domain[0], domain[1], n)
         matrix = assemble(spec, grid)
         diag, off = one_pass_rows(spec, grid)
-        assert matrix.diag.tobytes() == array("d", diag).tobytes()
-        assert matrix.off.tobytes() == array("d", off).tobytes()
+        assert [band.tobytes() for band in unscaled(matrix)] == [
+            array("d", diag).tobytes(), array("d", off).tobytes()
+        ]
 
     def test_bands_stored_as_float64_arrays(self):
         matrix = TridiagonalMatrix(diag=np.array([2.0, 3.0]), off=[-1])
-        assert (matrix.diag, matrix.off) == (array("d", [2.0, 3.0]), array("d", [-1.0]))
-        same = array("d", [1.0])
-        assert TridiagonalMatrix(diag=same, off=array("d")).diag is same
+        # stored times the power of two that puts the largest |entry| in [0.5, 1)
+        assert (matrix.diag, matrix.off, matrix.scale) == (
+            array("d", [0.5, 0.75]), array("d", [-0.25]), 0.25
+        )
+        assert [band.tolist() for band in unscaled(matrix)] == [[2.0, 3.0], [-1.0]]
+        # a float64 array is copied too, and the caller's is left unscaled
+        same = array("d", [3.0])
+        assert TridiagonalMatrix(diag=same, off=array("d")).diag is not same
+        assert same == array("d", [3.0])
+
+    @pytest.mark.parametrize("spec", [
+        ProblemSpec(kind="eqintro"),
+        ProblemSpec(kind="eqo2", params=COUPLED),
+        ProblemSpec(kind="eqintro", params=PhysicalParams(hbar=1e-150)),
+        ProblemSpec(kind="eqintro", params=PhysicalParams(hbar=1e100)),
+    ], ids=["eqintro", "eqo2", "hbar-1e-150", "hbar-1e100"])
+    def test_assembled_bands_prescaled(self, spec):
+        matrix = assemble(spec, finest_grid(spec, 4))
+        assert 0.5 <= max(map(abs, matrix.diag + matrix.off)) < 1.0
+        assert math.frexp(matrix.scale)[0] == 0.5  # a power of two
 
     def test_domain_kind_mismatch(self):
         with pytest.raises(DomainError):
@@ -332,8 +355,9 @@ class TestLowestEigenvalues:
         # 1-norm about 1e5, set by the stencil and not by the low
         # eigenvalues asked for
         matrix = assemble(ProblemSpec(kind="eqintro"), Grid(0.0, 6.3, 1000))
-        assert 0.5e5 <= np.max(np.abs(matrix.diag)) + 2 * abs(matrix.off[0]) <= 2e5
-        dense = np.diag(matrix.diag) + np.diag(matrix.off, 1) + np.diag(matrix.off, -1)
+        diag, off = unscaled(matrix)
+        assert 0.5e5 <= np.max(np.abs(diag)) + 2 * abs(off[0]) <= 2e5
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         expected = np.linalg.eigvalsh(dense)[:10]
         np.testing.assert_allclose(lowest_eigenvalues(matrix, 10), expected, rtol=1e-10)
 
@@ -441,9 +465,7 @@ class TestSteinEigenvector:
         # unscaled, ?stein returns NaN for entries near 1e146
         matrix = assemble(ProblemSpec(kind="eqo2", params=COUPLED), Grid(-8.0, 8.0, 400))
         lam = lowest_eigenvalues(matrix, 3)[2]
-        scaled = TridiagonalMatrix(
-            diag=np.asarray(matrix.diag) * scale, off=np.asarray(matrix.off) * scale
-        )
+        scaled = TridiagonalMatrix(*(band * scale for band in unscaled(matrix)))
         np.testing.assert_allclose(
             eigenvector(scaled, lam * scale, h=0.04), eigenvector(matrix, lam, h=0.04),
             rtol=0, atol=1e-12,
@@ -458,8 +480,9 @@ def numpy_eigenvector(matrix, lam, h):
     n = matrix.n
     if n == 1:
         return np.array([1.0 / math.sqrt(h)]), False
-    diag, off = np.asarray(matrix.diag), np.asarray(matrix.off)
+    diag, off = unscaled(matrix)
     factor = math.ldexp(1.0, -math.frexp(np.max(np.abs(np.concatenate([diag, off]))))[1])
+    assert factor == matrix.scale
     vector, info = numeric.dstein(diag * factor, off * factor, lam * factor + 1e-13)
     v = np.array(vector, dtype=float)
     assert info == 0 and np.all(np.isfinite(v))
@@ -480,15 +503,18 @@ def finest_grid(spec, k):
     return numeric.coarse_grid(spec, k).refined().refined()
 
 
+EVERY_KIND = [
+    ProblemSpec(kind="eqintro"),
+    ProblemSpec(kind="eqo1", params=COUPLED),
+    ProblemSpec(kind="eqo2", params=COUPLED),
+    ProblemSpec(kind="hext1", b=2.0),
+    ProblemSpec(kind="truncated", b=5.0, order=4),
+]
+
+
 class TestEigenvectorMatchesNumpy:
     @pytest.mark.parametrize("k", [4, 20])
-    @pytest.mark.parametrize("spec", [
-        ProblemSpec(kind="eqintro"),
-        ProblemSpec(kind="eqo1", params=COUPLED),
-        ProblemSpec(kind="eqo2", params=COUPLED),
-        ProblemSpec(kind="hext1", b=2.0),
-        ProblemSpec(kind="truncated", b=5.0, order=4),
-    ], ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda spec: spec.kind)
     def test_every_kind(self, spec, k):
         grid = finest_grid(spec, k)
         matrix = assemble(spec, grid)
@@ -509,11 +535,44 @@ class TestEigenvectorMatchesNumpy:
     def test_scaled_near_1e146(self):
         matrix = assemble(ProblemSpec(kind="eqo2", params=COUPLED), Grid(-8.0, 8.0, 400))
         lam = lowest_eigenvalues(matrix, 3)[2] * 1e146
-        scaled = TridiagonalMatrix(
-            diag=np.asarray(matrix.diag) * 1e146, off=np.asarray(matrix.off) * 1e146
-        )
+        scaled = TridiagonalMatrix(*(band * 1e146 for band in unscaled(matrix)))
         expected, _ = numpy_eigenvector(scaled, lam, 0.04)
         assert bits(eigenvector(scaled, lam, h=0.04)) == bits(expected)
+
+
+# sha256 of the repr of lowest_eigenvalues on the 30 default matrices (every
+# kind, k = 4 and 20, the three grids of each solve) and of the bytes of the
+# eigenvectors of levels 0-2 on each finest grid, with the bundled OpenBLAS:
+# how the bands are stored and scaled must not change a bit of either
+EIGEN_BITS_SHA256 = "03029cd991d6031e94a27318f7aff59b0a34a88cdd752a2fc49ba0d2ed59cb1c"
+
+
+def test_eigen_bits_pinned():
+    digest = hashlib.sha256()
+    for spec in EVERY_KIND:
+        for k in (4, 20):
+            coarse = numeric.coarse_grid(spec, k)
+            for grid in (coarse, coarse.refined(), coarse.refined().refined()):
+                matrix = assemble(spec, grid)
+                lams = lowest_eigenvalues(matrix, k)
+                digest.update(repr(lams).encode())
+            for lam in lams[:3]:  # on the finest grid, the last one
+                digest.update(bits(eigenvector(matrix, lam, grid.h)))
+    assert digest.hexdigest() == EIGEN_BITS_SHA256
+
+
+def test_eigenvalues_copy_no_band():
+    # ?stebz's own w, iblock and isplit take 16n bytes; a copy of both bands
+    # would add 16n more
+    matrix = assemble(ProblemSpec(kind="eqintro"), Grid(0.0, 9.0, 2**16))
+    numeric._lapack()  # bound before tracing
+    tracemalloc.start()
+    try:
+        lowest_eigenvalues(matrix, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * matrix.n
 
 
 def forced_fallback(monkeypatch, path_finder):
@@ -541,16 +600,18 @@ class TestLapackLoad:
         assert public.source == "scipy.linalg.lapack"
         coarse = numeric.coarse_grid(spec, k)
         for grid in (coarse, coarse.refined(), coarse.refined().refined()):
-            matrix = assemble(spec, grid)
             results = []
             for routines in (direct, public):
-                # every LAPACK and BLAS call of the solver goes through this binding
+                # every LAPACK and BLAS call of the solver, the prescale too, goes
+                # through this binding
                 monkeypatch.setattr(numeric, "_lapack", lambda routines=routines: routines)
+                matrix = assemble(spec, grid)
                 lams = lowest_eigenvalues(matrix, k)
-                results.append((lams, [bits(eigenvector(matrix, lam, h=grid.h)) for lam in lams]))
-            (lams_direct, vecs_direct), (lams_public, vecs_public) = results
-            assert lams_direct == lams_public
-            assert vecs_direct == vecs_public
+                vecs = [bits(eigenvector(matrix, lam, h=grid.h)) for lam in lams]
+                results.append((matrix, lams, vecs))
+            direct_run, public_run = results
+            assert direct_run[0] == public_run[0]  # the prescaled bands and their scale
+            assert direct_run[1:] == public_run[1:]  # eigenvalues and eigenvector bits
 
     def test_failed_direct_load_falls_back_to_scipy_linalg_lapack(self, monkeypatch):
         public = forced_fallback(monkeypatch, no_openblas)
@@ -864,7 +925,8 @@ class TestSolve:
         spec = ProblemSpec(kind="eqintro")
         grid = Grid(0.0, 9.0, 800)
         matrix = assemble(spec, grid)
-        shifted = TridiagonalMatrix(diag=[d + 1.0 for d in matrix.diag], off=matrix.off)
+        diag, off = unscaled(matrix)
+        shifted = TridiagonalMatrix(diag=diag + 1.0, off=off)
         lam = lowest_eigenvalues(matrix, 3)
         lam_up = lowest_eigenvalues(shifted, 3)
         for a, b in zip(lam, lam_up):
@@ -882,6 +944,13 @@ class TestSolve:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             solve(ProblemSpec(kind="eqintro"), 0)
+
+    def test_k_above_coarsest_grid_fails_before_any_matrix(self, monkeypatch):
+        calls = count_eigen_calls(monkeypatch)
+        monkeypatch.setattr(numeric, "assemble", None)
+        with pytest.raises(ValueError, match=r"^k must be in 1\.\.16, got 20$"):
+            solve(ProblemSpec(kind="eqintro"), 20, GridPolicy(n=16))
+        assert calls == {"lowest_eigenvalues": 0, "eigenvector": 0}
 
     @pytest.mark.parametrize("m,omega,hbar", [
         (1.0, 1.0, 1e-3),

@@ -17,6 +17,7 @@ from affineosc.numeric import (
     ProblemSpec,
     TridiagonalMatrix,
 )
+from oracles import unscaled
 
 
 def alpha(p):
@@ -51,7 +52,8 @@ RECORDS = [
     (Grid, {"x_min": -1.0, "x_max": 2.0, "n": 20}, {}),
     (ProblemSpec, {"kind": "eqintro", "params": PhysicalParams(m=2.0), "b": None, "order": None},
      {"params": UNIT, "b": None, "order": None}),
-    (TridiagonalMatrix, {"diag": array("d", [1.0, 2.0]), "off": array("d", [0.5])}, {}),
+    # entries already in [0.5, 1), so the prescale leaves them as given (scale 1)
+    (TridiagonalMatrix, {"diag": array("d", [0.5, 0.75]), "off": array("d", [-0.25])}, {}),
     (EigenResult, {"levels": [], "grid": GRID, "matrix": MATRIX, "err_est": []}, {}),
     (GridPolicy, {"n": 100, "domain": (0.0, 5.0), "check_truncation": True},
      {"n": None, "domain": None, "check_truncation": False}),
@@ -111,8 +113,9 @@ def test_problem_spec_default_params_are_unit():
 def test_tridiagonal_bands_copied_into_float64_arrays():
     same = array("d", [1.0])
     matrix = TridiagonalMatrix([2, 3.5], (-1,))
-    assert (matrix.diag, matrix.off) == (array("d", [2.0, 3.5]), array("d", [-1.0]))
-    assert TridiagonalMatrix(same, array("d")).diag is same
+    assert [band.tolist() for band in unscaled(matrix)] == [[2.0, 3.5], [-1.0]]
+    assert (matrix.diag.typecode, matrix.off.typecode, matrix.scale) == ("d", "d", 0.25)
+    assert TridiagonalMatrix(same, array("d")).diag is not same
 
 
 INVALID = [
