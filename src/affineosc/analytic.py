@@ -12,7 +12,8 @@ Three branches, each the well alpha^2 x^2 (r = g/(m omega^2)):
 Half-line eigenfunctions are x^(3/2) exp(-alpha x^2 / 2) 1F1(-n, 2, alpha x^2),
 full-line ones Hermite functions; quantum numbers start at n = 0 in all three.
 Both are evaluated by the recurrences of the normalized functions, on the
-functions' values rather than the polynomials', so they stay finite at large n.
+functions' values rather than the polynomials', so they stay finite at large n,
+in plain arithmetic that gives a float for a float and an array for a float64 array.
 ``BRANCHES`` holds each branch's alpha, energy E_n, family and mass, read here
 and by the solver in ``numeric``.  The energies keep the paper's formulas as
 written: they are the reference the solver is checked against.
@@ -31,6 +32,8 @@ from .specfun import confluent_1f1_neg, hermite
 HALF_HO = "half_ho"
 COUPLED_Y1 = "coupled_y1"
 COUPLED_Y2 = "coupled_y2"
+
+UNDERFLOW = 746.0  # exp(-t) is 0 in float64 for t beyond about 745.13
 
 
 class Branch(NamedTuple):
@@ -68,7 +71,7 @@ class EigenPair(NamedTuple):
     energy: float
     branch: str
     params: PhysicalParams
-    wavefunction: Callable  # phi(x) for a float or a numpy array of x
+    wavefunction: Callable  # phi(x) for a finite float x, or a float64 ndarray of them
 
 
 class CompositeLevel(NamedTuple):
@@ -90,16 +93,12 @@ def _halfline_wavefunction(n: int, alpha: float):
     as n + 1 factors exp(-z/(2n + 2)), one per step; where one factor
     underflows, the value is 0.
     """
+    cut = math.sqrt(2.0 * UNDERFLOW * (n + 1) / alpha)  # beyond it one factor is 0
 
     def phi(x):
-        import numpy as np  # here, not in the factory: building an EigenPair loads no numpy
-
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
-            factor = np.exp(-0.5 * alpha * x * x / (n + 1))
-        x = np.where((x > 0) & (factor > 0.0), x, 0.0)  # where x = 0 gives the value 0
+        x = x * ((x > 0) & (x < cut))  # x = 0 gives the value 0, and z cannot overflow
         z = alpha * x * x
-        factor = np.exp(-0.5 * z / (n + 1))
+        factor = math.e ** (-0.5 * z / (n + 1))
         psi_prev, psi = 0.0, math.sqrt(2.0) * alpha * x**1.5 * factor
         for k in range(n):
             psi, psi_prev = (
@@ -107,7 +106,7 @@ def _halfline_wavefunction(n: int, alpha: float):
                 / math.sqrt((k + 1) * (k + 2)),
                 psi,
             )
-        return psi if psi.ndim else float(psi)
+        return psi
 
     return phi
 
@@ -121,21 +120,18 @@ def _hermite_wavefunction(n: int, alpha: float):
     so no step overflows; where exp(-s^2/2) underflows, the value is 0.
     """
     root, start = math.sqrt(alpha), (alpha / math.pi) ** 0.25
+    cut = math.sqrt(2.0 * UNDERFLOW / alpha)  # beyond it exp(-s^2/2) is 0
 
     def phi(y):
-        import numpy as np
-
-        s = root * np.asarray(y, dtype=float)
-        with np.errstate(over="ignore"):
-            envelope = np.exp(-0.5 * s * s)
-        live = envelope > 0.0
-        s, psi, psi_prev = np.where(live, s, 0.0), np.where(live, start * envelope, 0.0), 0.0
+        live = abs(y) < cut
+        s = root * (y * live)
+        psi, psi_prev = start * math.e ** (-0.5 * s * s) * live, 0.0
         for k in range(n):
             psi, psi_prev = (
                 math.sqrt(2.0 / (k + 1)) * s * psi - math.sqrt(k / (k + 1)) * psi_prev,
                 psi,
             )
-        return psi if psi.ndim else float(psi)
+        return psi
 
     return phi
 

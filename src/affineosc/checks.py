@@ -4,8 +4,8 @@ Each check returns (name, passed, detail).  The suite covers the classical
 layer (frame round trips, Hamiltonian equivalence, Poisson bracket table),
 the special functions, the analytic eigenpairs and the agreement between the
 finite-volume solver and the closed forms.  The seeded checks draw their
-inputs as floats from ``random.Random(seed)``, so only the quadrature, Gram
-matrix and node-count checks load numpy.
+inputs as floats from ``random.Random(seed)``, the integrals are sums over
+Gauss rules from the solver's own LAPACK, and no check loads numpy.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Callable, List, Tuple
 from . import analytic, core, numeric, specfun
 
 CheckResult = Tuple[str, bool, str]
+GRAM_MAX_LEVEL = 30  # the top level gram_matrix takes; a test shows its Gram matrix exact
 
 
 def _random_original_points(rng: random.Random, count):
@@ -131,20 +132,32 @@ def check_hermite_parity() -> CheckResult:
     return ("Hermite parity", worst <= 1e-12, f"max relative deviation {worst:.3e}")
 
 
-def check_laguerre_orthogonality() -> CheckResult:
-    import numpy as np  # here and in the other array code: the seeded checks need none
+def _gauss_rule(size, halfline):
+    """Gauss rule for t exp(-t) on t > 0 (halfline) or exp(-t^2), as (node, weight) pairs."""
+    # Golub & Welsch, Math. Comp. 23, 221 (1969), on the textbook Jacobi matrix (DLMF
+    # 18.9), not on specfun's recurrence, so that laguerre_assoc is checked independently
+    ks = range(size)
+    if halfline:
+        diag, squares, mu0 = [2.0 * k + 2.0 for k in ks], [k * (k + 1.0) for k in ks[1:]], 1.0
+    else:
+        diag, squares, mu0 = [0.0] * size, [k / 2.0 for k in ks[1:]], math.sqrt(math.pi)
+    matrix = numeric.TridiagonalMatrix(diag, map(math.sqrt, squares))
+    return [(t, mu0 * numeric.eigenvector(matrix, t, 1.0)[0] ** 2)
+            for t in numeric.lowest_eigenvalues(matrix, size)]
 
-    worst = 0.0
-    for mdeg in range(9):
-        for ndeg in range(mdeg, 9):
-            val = specfun.integrate_halfline(
-                lambda t: np.exp(-t) * t * specfun.laguerre_assoc(mdeg, 1.0, t)
-                * specfun.laguerre_assoc(ndeg, 1.0, t),
-                lower=0.0,
-                decay_scale=16.0,
-            )
-            expected = (ndeg + 1.0) if mdeg == ndeg else 0.0
-            worst = max(worst, abs(val - expected))
+
+def _gram(rule, functions):
+    """Sums over the (node, weight) rule of every product of two functions, as rows."""
+    values = [[f(x) for x, _ in rule] for f in functions]
+    return [[math.fsum(w * a * b for (_, w), a, b in zip(rule, row, col)) for col in values]
+            for row in values]
+
+
+def check_laguerre_orthogonality() -> CheckResult:
+    rule = _gauss_rule(9, halfline=True)  # exact up to degree 17, the products reach 16
+    gram = _gram(rule, [lambda t, d=d: specfun.laguerre_assoc(d, 1.0, t) for d in range(9)])
+    worst = max(abs(value - (i + 1.0) * (i == j))
+                for i, row in enumerate(gram) for j, value in enumerate(row))
     return ("Laguerre orthogonality", worst <= 1e-8, f"max deviation {worst:.3e}")
 
 
@@ -170,54 +183,47 @@ def check_equal_spacing() -> CheckResult:
 
 
 def gram_matrix(pairs):
-    """Overlap matrix of eigenfunctions of one branch by quadrature on its domain."""
-    import numpy as np
-
+    """Overlap matrix of eigenfunctions of one branch, as a list of rows."""
+    top = max(pair.n for pair in pairs)
+    if top > GRAM_MAX_LEVEL:
+        raise ValueError(f"gram_matrix takes levels up to {GRAM_MAX_LEVEL}, got n = {top}")
     record = analytic.BRANCHES[pairs[0].branch]
-    alpha = record.alpha(pairs[0].params)
-    if record.halfline:
-        lower, decay_scale = 0.0, 1.6 / math.sqrt(alpha)
-    else:
-        scale = 1.0 / math.sqrt(alpha)
-        lower, decay_scale = -12.0 * scale, 4.0 * scale
-    size = len(pairs)
-    gram = np.zeros((size, size))
-    for i in range(size):
-        for j in range(i, size):
-            gram[i, j] = gram[j, i] = specfun.integrate_halfline(
-                lambda t: pairs[i].wavefunction(t) * pairs[j].wavefunction(t),
-                lower=lower,
-                decay_scale=decay_scale,
-            )
-    return gram
+    root = math.sqrt(record.alpha(pairs[0].params))
+    rule = _gauss_rule(top + 1, record.halfline)  # exact: each product is of degree <= 2 top
+    if record.halfline:  # dx = dz / (2 sqrt(alpha z)) over the weight z exp(-z)
+        points = [(math.sqrt(z) / root, w * math.exp(z) / (2.0 * root * z**1.5)) for z, w in rule]
+    else:  # dy = ds / sqrt(alpha) over the weight exp(-s^2)
+        points = [(s / root, w * math.exp(s * s) / root) for s, w in rule]
+    return _gram(points, [pair.wavefunction for pair in pairs])
 
 
 def check_orthonormality() -> CheckResult:
-    import numpy as np
-
     params = core.PhysicalParams(g=0.6)
-    worst = 0.0
-    for pairs in _branch_pairs(params, count=6).values():
-        gram = gram_matrix(pairs)
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(len(pairs))))))
+    worst = max(abs(value - (i == j)) for pairs in _branch_pairs(params, count=6).values()
+                for i, row in enumerate(gram_matrix(pairs)) for j, value in enumerate(row))
     return ("branch orthonormality (Gram matrix)", worst <= 1e-8,
             f"max Gram deviation {worst:.3e}")
 
 
 def check_node_counts() -> CheckResult:
-    import numpy as np
-
+    """Sign changes of each level, sampled in s = sqrt(alpha) x out past its turning point."""
     params = core.PhysicalParams(g=0.6)
-    ok = True
     detail = []
     for branch, pairs in _branch_pairs(params, count=9).items():
-        xs = np.linspace(1e-4 if analytic.BRANCHES[branch].halfline else -10.0, 10.0, 20001)
+        record = analytic.BRANCHES[branch]
+        root = math.sqrt(record.alpha(params))
         for pair in pairs:
-            nodes = numeric.sign_changes(pair.wavefunction(xs))
+            # eigenvalue t^2: the zeros lie inside s = t, at least pi / t apart (Sturm)
+            turn = math.sqrt(4.0 * (pair.n + 1) if record.halfline else 2.0 * pair.n + 1.0)
+            # out to 5 past s = t, where all are below NODE_FLOOR, in steps growing as j^2
+            # from 0 to pi / 16t, so that a zero near the half line's s = 0 shows too
+            m = math.ceil(32 * (turn + 5.0) * turn / math.pi)
+            unit = (turn + 5.0) / (m * m * root)
+            xs = [unit * j * abs(j) for j in range(0 if record.halfline else -m, m + 1)]
+            nodes = numeric.sign_changes([pair.wavefunction(x) for x in xs])
             if nodes != pair.n:
-                ok = False
                 detail.append(f"{branch} n={pair.n} -> {nodes} nodes")
-    return ("interior node counts", ok, "; ".join(detail) or "all match")
+    return ("interior node counts", not detail, "; ".join(detail) or "all match")
 
 
 def check_numeric_vs_analytic() -> CheckResult:

@@ -39,7 +39,6 @@ from typing import Iterable, List, NamedTuple, Optional
 from . import __version__, analytic, interp, numeric, specfun
 from .core import PhysicalParams
 from .numeric import ConvergenceError, GridPolicy, ProblemSpec
-from .specfun import QuadratureError
 
 PHYSICS = ("m", "omega", "hbar", "g")
 OUTPUT = ("out", "format")
@@ -482,7 +481,7 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, QuadratureError) as exc:
+    except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -12,9 +12,8 @@ a ``TridiagonalMatrix`` was prescaled into when built (CBLAS ``dscal`` and
 entry points of the OpenBLAS that scipy bundles, with ``scipy.linalg.lapack``
 and ``scipy.linalg.blas`` as the fallback (see ``_lapack``).  Matrix rows,
 cell centres and eigenvectors are ``array('d')`` or lists built in plain
-Python, so neither a solve nor an eigenvector loads numpy.  Only
-``sign_changes`` and the scipy fallback use numpy, and they import it when
-called; importing this module loads neither numpy nor LAPACK.
+Python, so neither a solve nor an eigenvector loads numpy; only the scipy
+fallback does.  Importing this module loads neither numpy nor LAPACK.
 
 Problem kinds and their energy maps (lambda is the discrete operator
 eigenvalue):
@@ -313,10 +312,11 @@ class TridiagonalMatrix(namedtuple("TridiagonalMatrix", "diag off scale")):
     """Symmetric tridiagonal matrix (diag, off) / scale, prescaled for LAPACK.
 
     The array('d') bands are stored times scale, the power of two that puts
-    their largest |entry| in [0.5, 1) (1 if all are 0), so the division is
-    exact.  Unscaled, ?stebz overflows near 1e154 (it squares the off-diagonal)
-    and ?stein returns NaN near 1e146.  The constructor scales copies of its
-    float sequences; ``assemble`` hands over the bands it built, scaled in place.
+    their largest |entry| in [0.5, 1) (1 if all are 0; 2^1023 if it is below
+    2^-1024), so the division is exact.  Unscaled, ?stebz overflows near 1e154
+    (it squares the off-diagonal) and ?stein returns NaN near 1e146.  The
+    constructor scales copies of its float sequences; ``assemble`` hands over
+    the bands it built, scaled in place.
     """
 
     __slots__ = ()
@@ -336,7 +336,7 @@ def _prescale(diag: array, off: array) -> float:
     """Scale both bands in place (CBLAS dscal) to TridiagonalMatrix's invariant; its scale."""
     blas = _lapack()
     bands = (diag, off) if off else (diag,)  # the scipy fallback rejects an empty band
-    scale = math.ldexp(1.0, -math.frexp(max(abs(b[blas.idamax(b)]) for b in bands))[1])
+    scale = math.ldexp(1.0, min(1023, -math.frexp(max(abs(b[blas.idamax(b)]) for b in bands))[1]))
     for band in bands:
         blas.dscal(scale, band)
     return scale
@@ -510,7 +510,7 @@ def eigenvector(matrix: TridiagonalMatrix, lam: float, h: float) -> array:
     squares is ``math.fsum``, correctly rounded, so the samples do not depend
     on how a threaded BLAS would split a dot product.  Apart from the squares
     and the division by the norm, every pass over all n entries runs in C
-    (BLAS, an array copy or ``fsum``), without numpy.
+    (BLAS or ``fsum``), without numpy, and holds no list of n floats.
     """
     n = matrix.n
     if n == 1:  # no off-diagonal to pass
@@ -520,13 +520,13 @@ def eigenvector(matrix: TridiagonalMatrix, lam: float, h: float) -> array:
     # exact stiff Laplacian ones, against 6e-11 unshifted)
     v, info = dstein(matrix.diag, matrix.off, lam * matrix.scale + 1e-13)
     # a NaN or infinite entry makes the norm non-finite
-    norm = math.sqrt(h) * math.sqrt(math.fsum([x * x for x in v])) if info == 0 else math.nan
+    norm = math.sqrt(h) * math.sqrt(math.fsum(x * x for x in v)) if info == 0 else math.nan
     if not math.isfinite(norm):
         raise ConvergenceError(f"LAPACK ?stein did not converge for lambda={lam}")
     floor = 1e-8 * abs(v[_lapack().idamax(v)])
     if next(x for x in v if abs(x) > floor) < 0:
         norm = -norm
-    return array("d", [x / norm for x in v])
+    return array("d", (x / norm for x in v))
 
 
 class GridPolicy(namedtuple("GridPolicy", "n domain check_truncation")):
@@ -665,10 +665,6 @@ NODE_FLOOR = 1e-6  # samples below this fraction of the peak are noise for sign_
 
 def sign_changes(samples) -> int:
     """Count sign changes of a sampled eigenfunction, ignoring noise-level values."""
-    import numpy as np  # here, not at the top: no solve needs numpy
-
-    samples = np.asarray(samples)
-    floor = NODE_FLOOR * np.max(np.abs(samples))
-    signs = np.sign(samples[np.abs(samples) > floor])
-    return int(np.count_nonzero(np.diff(signs)))
-
+    floor = NODE_FLOOR * max(map(abs, samples))
+    signs = [x > 0 for x in samples if abs(x) > floor]
+    return sum(a != b for a, b in zip(signs, signs[1:]))

@@ -5,7 +5,8 @@ series 1F1(-n, b, z), physicists' Hermite polynomials and associated Laguerre
 polynomials.  All three are evaluated by three-term recurrences so they stay
 exact (to rounding) up to degree 64 without overflowing intermediate factorials.
 The recurrences are plain arithmetic, run unchanged on a float and on a numpy
-array, so evaluating them at floats loads no numpy.
+array, so evaluating them at floats loads no numpy.  ``integrate_halfline``
+loads numpy and has no caller here; library callers and the benchmark use it.
 """
 
 from __future__ import annotations

@@ -125,15 +125,15 @@ class TestWavefunctions:
         assert coupled_y2_eigen(1, COUPLED).wavefunction(0.0) == 0.0
         assert coupled_y2_eigen(3, COUPLED).wavefunction(0.0) == 0.0
 
-    # the norm is the 1x1 Gram matrix of check_orthonormality, on its domains
+    # the norm is the 1x1 Gram matrix of check_orthonormality
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_half_ho_normalized(self, n):
-        norm = checks.gram_matrix([half_ho_eigen(n, UNIT)])[0, 0]
+        norm = checks.gram_matrix([half_ho_eigen(n, UNIT)])[0][0]
         assert norm == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_y2_normalized(self, n):
-        norm = checks.gram_matrix([coupled_y2_eigen(n, COUPLED)])[0, 0]
+        norm = checks.gram_matrix([coupled_y2_eigen(n, COUPLED)])[0][0]
         assert norm == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("pair,x", [
@@ -151,8 +151,7 @@ class TestWavefunctions:
         assert np.array_equal(value, np.zeros_like(x))
         assert type(value) is type(x)
 
-    # gram_matrix's one 320-node window is sized for check's low levels: at
-    # these n it raises QuadratureError, so the norm uses 40-node panels
+    # gram_matrix takes levels up to GRAM_MAX_LEVEL, so the norm uses 40-node panels
     @pytest.mark.parametrize("pair,top,oracle,points", [
         (coupled_y2_eigen(200, COUPLED), 60.0, hermite_function_log,
          [0.3, 12.7, 25.9, 31.0, 40.0, 46.7]),
@@ -171,6 +170,21 @@ class TestWavefunctions:
         expected = [oracle(pair.n, alpha, x) for x in points]
         assert pair.wavefunction(np.array(points)) == pytest.approx(expected, rel=0, abs=1e-11)
 
+    @pytest.mark.parametrize("builder", [half_ho_eigen, coupled_y1_eigen, coupled_y2_eigen],
+                             ids=lambda builder: builder.__name__)
+    def test_gram_identity_at_level_bound(self, builder):
+        top = checks.GRAM_MAX_LEVEL
+        gram = checks.gram_matrix([builder(n, COUPLED) for n in range(top + 1)])
+        assert len(gram) == top + 1 and all(len(row) == top + 1 for row in gram)
+        assert np.max(np.abs(np.array(gram) - np.eye(top + 1))) <= 1e-8
+
+    @pytest.mark.parametrize("pair", [coupled_y2_eigen(200, COUPLED), half_ho_eigen(300, UNIT),
+                                      half_ho_eigen(checks.GRAM_MAX_LEVEL + 1, UNIT)],
+                             ids=["y2-200", "half-300", "half-above-bound"])
+    def test_gram_rejects_levels_above_bound(self, pair):
+        with pytest.raises(ValueError, match=f"levels up to {checks.GRAM_MAX_LEVEL}, got n = "):
+            checks.gram_matrix([pair])
+
     def test_node_counts(self):
         xs_half = np.linspace(1e-4, 9.0, 30001)
         xs_full = np.linspace(-9.0, 9.0, 30001)
@@ -178,6 +192,30 @@ class TestWavefunctions:
             assert sign_changes(half_ho_eigen(n, UNIT).wavefunction(xs_half)) == n
             assert sign_changes(coupled_y1_eigen(n, COUPLED).wavefunction(xs_half)) == n
             assert sign_changes(coupled_y2_eigen(n, COUPLED).wavefunction(xs_full)) == n
+
+
+@pytest.mark.parametrize("halfline", [True, False], ids=["half", "full"])
+@pytest.mark.parametrize("s0", [-1.0, 0.01, 0.05, 0.2, 1.0, 2.5, 4.0, 6.0, 7.0])
+def test_node_count_check_sees_an_extra_zero(monkeypatch, halfline, s0):
+    # every level of one family times (x - x0), x0 = s0 natural lengths: the
+    # check's float samples see the extra zero on exactly the levels the former
+    # 20001-point grids saw it on (not where x0 is off the domain or in the tail)
+    factory = "_halfline_wavefunction" if halfline else "_hermite_wavefunction"
+    family = getattr(analytic, factory)
+
+    def mutated(n, alpha):
+        phi, x0 = family(n, alpha), s0 / math.sqrt(alpha)
+        return lambda x: phi(x) * (x - x0)
+
+    monkeypatch.setattr(analytic, factory, mutated)
+    _, ok, detail = checks.check_node_counts()
+    former = np.linspace(1e-4 if halfline else -10.0, 10.0, 20001)
+    seen = [f"{pair.branch} n={pair.n}" for pairs in checks._branch_pairs(COUPLED, 9).values()
+            for pair in pairs if analytic.BRANCHES[pair.branch].halfline == halfline
+            and sign_changes(pair.wavefunction(former)) != pair.n]
+    assert ([] if ok else [entry.partition(" ->")[0] for entry in detail.split("; ")]) == seen
+    if 0 < s0 < 5:  # inside every level's domain and above its NODE_FLOOR
+        assert len(seen) == (18 if halfline else 9)
 
 
 def gl_norm(phi, lower, upper, panels):
