@@ -94,18 +94,17 @@ def _halfline_wavefunction(n: int, alpha: float):
     underflows, the value is 0.
     """
     cut = math.sqrt(2.0 * UNDERFLOW * (n + 1) / alpha)  # beyond it one factor is 0
+    scale = math.sqrt(2.0) * alpha
+    steps = [(2 * k + 2, math.sqrt(k * (k + 1)), math.sqrt((k + 1) * (k + 2))) for k in range(n)]
 
     def phi(x):
         x = x * ((x > 0) & (x < cut))  # x = 0 gives the value 0, and z cannot overflow
         z = alpha * x * x
         factor = math.e ** (-0.5 * z / (n + 1))
-        psi_prev, psi = 0.0, math.sqrt(2.0) * alpha * x**1.5 * factor
-        for k in range(n):
-            psi, psi_prev = (
-                ((2 * k + 2 - z) * factor * psi - math.sqrt(k * (k + 1)) * factor**2 * psi_prev)
-                / math.sqrt((k + 1) * (k + 2)),
-                psi,
-            )
+        factor2 = factor**2
+        psi_prev, psi = 0.0, scale * x**1.5 * factor
+        for diag, lower, upper in steps:
+            psi, psi_prev = ((diag - z) * factor * psi - lower * factor2 * psi_prev) / upper, psi
         return psi
 
     return phi
@@ -121,16 +120,14 @@ def _hermite_wavefunction(n: int, alpha: float):
     """
     root, start = math.sqrt(alpha), (alpha / math.pi) ** 0.25
     cut = math.sqrt(2.0 * UNDERFLOW / alpha)  # beyond it exp(-s^2/2) is 0
+    steps = [(math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1))) for k in range(n)]
 
     def phi(y):
         live = abs(y) < cut
         s = root * (y * live)
         psi, psi_prev = start * math.e ** (-0.5 * s * s) * live, 0.0
-        for k in range(n):
-            psi, psi_prev = (
-                math.sqrt(2.0 / (k + 1)) * s * psi - math.sqrt(k / (k + 1)) * psi_prev,
-                psi,
-            )
+        for up, down in steps:
+            psi, psi_prev = up * s * psi - down * psi_prev, psi
         return psi
 
     return phi

@@ -17,7 +17,9 @@ Configuration can come from flags, from a JSON config file (``--config``), or
 both; flags override the file.  ``--dump-config`` prints the effective
 configuration as JSON and exits.  Output files are deterministic: floats are
 written with 15 significant digits in scientific notation and rows are emitted
-in a fixed order.
+in a fixed order.  A value is written by its exact type, which is float, int,
+str, bool or None (and, in JSON, a Table, list, tuple or dict of them); any
+other value, a numpy scalar say, raises TypeError.
 
 Exit codes: 0 success, 1 validation error (a bad flag or config value, an
 unknown flag or no subcommand), 2 numerical failure, 3 I/O failure.  A failure
@@ -29,7 +31,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import os
 import sys
 import types
@@ -178,47 +179,34 @@ class Table(NamedTuple):
 FLOAT_FORMAT = ".14e"  # 15 significant digits
 
 
-def _fmt_float(x: float) -> str:
-    return format(float(x), FLOAT_FORMAT)
-
-
-def _render_floats(values: list) -> str:
-    """A JSON array of plain floats in one pass; NaN and infinities become null."""
-    return "[" + ", ".join(
-        [format(v, FLOAT_FORMAT) if math.isfinite(v) else "null" for v in values]
-    ) + "]"
-
-
 def _render_value(value) -> str:
-    if isinstance(value, list) and all(type(v) is float for v in value):
-        return _render_floats(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    # numpy registers its integer and floating scalars as numbers.Integral and
-    # numbers.Real; np.bool_ is neither, so it is not serialized
-    if isinstance(value, numbers.Integral):
-        return str(int(value))
-    if isinstance(value, numbers.Real):
+    """value as JSON, by its exact type; any type not listed here is rejected."""
+    kind = type(value)
+    if kind is float:
         # JSON has no NaN or infinity
-        return _fmt_float(value) if math.isfinite(value) else "null"
-    if isinstance(value, str):
+        return format(value, FLOAT_FORMAT) if math.isfinite(value) else "null"
+    if kind is int:
+        return str(value)
+    if kind is str:
         return json.dumps(value)
     if value is None:
         return "null"
-    if isinstance(value, Table):  # a tuple, so tested first
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is Table:
         keys = [json.dumps(str(k)) + ": " for k in value.header]
         return "[" + ", ".join(
             "{" + ", ".join([k + _render_value(v) for k, v in zip(keys, row)]) + "}"
             for row in value.rows
         ) + "]"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_render_value(v) for v in value) + "]"
-    if isinstance(value, dict):
+    if kind is list or kind is tuple:
+        return "[" + ", ".join([_render_value(v) for v in value]) + "]"
+    if kind is dict:
         inner = ", ".join(
             f"{json.dumps(str(k))}: {_render_value(v)}" for k, v in value.items()
         )
         return "{" + inner + "}"
-    raise TypeError(f"cannot serialize {type(value)!r}")
+    raise TypeError(f"cannot serialize {kind!r}")
 
 
 def render_json(doc: dict) -> str:
@@ -233,13 +221,17 @@ def render_json(doc: dict) -> str:
 
 
 def _csv_cell(cell) -> str:
+    """cell as CSV, by its exact type: a bool as the float 1 or 0, None as nothing."""
+    kind = type(cell)
+    if kind is float or kind is bool:
+        return format(cell, FLOAT_FORMAT)
+    if kind is int:
+        return str(cell)
+    if kind is str:
+        return cell
     if cell is None:
         return ""
-    if isinstance(cell, str):
-        return cell
-    if isinstance(cell, numbers.Integral) and not isinstance(cell, bool):
-        return str(cell)
-    return _fmt_float(cell)
+    raise TypeError(f"cannot serialize {kind!r}")
 
 
 def render_csv(header: List[str], rows: Iterable[list]) -> str:
@@ -386,7 +378,7 @@ def run_sweep(config: RunConfig) -> int:
         "meta": {
             **_meta(config),
             "grids": {
-                _fmt_float(b): {"n": n, "x_min": lo, "x_max": hi}
+                format(b, FLOAT_FORMAT): {"n": n, "x_min": lo, "x_max": hi}
                 for b, (n, lo, hi) in result.grid_meta.items()
             },
         },

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -18,6 +20,9 @@ from oracles import (
 
 UNIT = PhysicalParams()
 COUPLED = PhysicalParams(g=0.6)
+# sha256 of TestWavefunctions.test_values_pinned's values, recorded before the
+# recurrences' per-step constants were hoisted out of their loops
+WAVEFUNCTION_BITS_SHA256 = "400e7f22410d1161424b859aa6277ce57b4cf1591a82c7134e7349a9b383d96b"
 
 
 class TestEnergies:
@@ -184,6 +189,19 @@ class TestWavefunctions:
     def test_gram_rejects_levels_above_bound(self, pair):
         with pytest.raises(ValueError, match=f"levels up to {checks.GRAM_MAX_LEVEL}, got n = "):
             checks.gram_matrix([pair])
+
+    def test_values_pinned(self):
+        # levels 0-40 of every branch at fixed floats and on one float64 array:
+        # how the recurrences are arranged must not change a bit of any value
+        points = [-2.5, -0.3, 0.0, 1e-3, 0.4, 1.0, 2.2, 4.5, 7.0, 12.0]
+        xs = np.linspace(-3.0, 9.0, 241)
+        digest = hashlib.sha256()
+        for builder in (half_ho_eigen, coupled_y1_eigen, coupled_y2_eigen):
+            for n in range(41):
+                phi = builder(n, COUPLED).wavefunction
+                digest.update(struct.pack("<10d", *[phi(x) for x in points]))
+                digest.update(phi(xs).tobytes())
+        assert digest.hexdigest() == WAVEFUNCTION_BITS_SHA256
 
     def test_node_counts(self):
         xs_half = np.linspace(1e-4, 9.0, 30001)

@@ -63,7 +63,8 @@ def trace(tmp_path, argvs):
 
 def test_traced_commands_record_every_layer(tmp_path):
     result = trace(tmp_path, ARGVS)
-    expected = {"numeric.eigvals", "numeric.eigvec", "analytic.eigen", "cli.write"}
+    expected = {"numeric.eigvals", "numeric.eigvec", "analytic.eigen",
+                "cli.parse", "cli.render", "cli.write"}
     assert expected <= set(result["names"]), sorted(expected - set(result["names"]))
     assert result["violations"] == []
 

@@ -723,36 +723,39 @@ class TestOutputBytes:
         )
 
     def test_numpy_scalars(self):
+        # values render by their exact type: the plain ones below do, and
+        # numpy's scalars, which no command produces, are rejected in both formats
         import numpy as np
 
         from affineosc.cli import render_csv
 
-        values = [np.int64(-3), np.float64(0.1), np.float32(0.1), np.float64(math.nan),
-                  np.float64(-math.inf)]
-        assert render_json({"v": values, "i": np.int64(7), "x": np.float32(2.5)}) == (
+        plain = [-3, 0.1, math.nan, -math.inf, True, False, None, "y2"]
+        assert render_json({"v": plain, "t": (7,)}) == (
             "{\n"
-            '  "v": [-3, 1.00000000000000e-01, 1.00000001490116e-01, null, null],\n'
-            '  "i": 7,\n'
-            '  "x": 2.50000000000000e+00\n'
+            '  "v": [-3, 1.00000000000000e-01, null, null, true, false, null, "y2"],\n'
+            '  "t": [7]\n'
             "}\n"
         )
-        assert render_csv(["a", "b", "c", "d", "e"], [values]) == (
-            "a,b,c,d,e\n-3,1.00000000000000e-01,1.00000001490116e-01,nan,-inf\n"
+        assert render_csv(list("abcdefgh"), [plain]) == (
+            "a,b,c,d,e,f,g,h\n"
+            "-3,1.00000000000000e-01,nan,-inf,1.00000000000000e+00,0.00000000000000e+00,,y2\n"
         )
-        for value in (np.bool_(True), [np.bool_(False)]):
-            with pytest.raises(TypeError, match="cannot serialize"):
-                render_json({"flag": value})
+        for value in (np.int64(-3), np.float64(0.1), np.float32(0.1), np.bool_(True)):
+            for render in (lambda: render_json({"v": value}), lambda: render_json({"v": [value]}),
+                           lambda: render_csv(["v"], [[value]])):
+                with pytest.raises(TypeError, match="cannot serialize"):
+                    render()
 
     def test_spectrum_json_samples_with_non_finite_values(self, monkeypatch, capsys):
         # a fixed solver result, so the bytes do not depend on LAPACK; the
         # four downsampled cell centres x = 1, 6, 11, 16 carry 0.25, nan, -inf, inf
-        import numpy as np
+        from array import array
 
         from affineosc import numeric
 
         grid = numeric.Grid(0.5, 16.5, 16)
-        wf = np.full(16, 0.25)
-        wf[[5, 10, 15]] = [math.nan, -math.inf, math.inf]
+        wf = array("d", [0.25] * 16)  # the type numeric.eigenvector returns
+        wf[5], wf[10], wf[15] = math.nan, -math.inf, math.inf
         result = numeric.EigenResult([numeric.Level(0, 4.0, 2.0, 4.0)], grid, None, [0.0])
         monkeypatch.setattr(numeric, "solve", lambda spec, k, policy: result)
         monkeypatch.setattr(numeric, "eigenvector", lambda matrix, lam, h: wf)
