@@ -71,7 +71,8 @@ class EigenPair(NamedTuple):
     energy: float
     branch: str
     params: PhysicalParams
-    wavefunction: Callable  # phi(x) for a finite float x, or a float64 ndarray of them
+    # phi(x) for a float x, 0 at +-inf; or for a float64 ndarray of finite x (inf gives nan)
+    wavefunction: Callable
 
 
 class CompositeLevel(NamedTuple):
@@ -98,7 +99,8 @@ def _halfline_wavefunction(n: int, alpha: float):
     steps = [(2 * k + 2, math.sqrt(k * (k + 1)), math.sqrt((k + 1) * (k + 2))) for k in range(n)]
 
     def phi(x):
-        x = x * ((x > 0) & (x < cut))  # x = 0 gives the value 0, and z cannot overflow
+        live = (x > 0) & (x < cut)  # x = 0 gives the value 0, and z cannot overflow
+        x = 0.0 if live is False else x * live  # a float mask: no inf * False = nan
         z = alpha * x * x
         factor = math.e ** (-0.5 * z / (n + 1))
         factor2 = factor**2
@@ -124,7 +126,7 @@ def _hermite_wavefunction(n: int, alpha: float):
 
     def phi(y):
         live = abs(y) < cut
-        s = root * (y * live)
+        s = 0.0 if live is False else root * (y * live)  # a float mask: no inf * False
         psi, psi_prev = start * math.e ** (-0.5 * s * s) * live, 0.0
         for up, down in steps:
             psi, psi_prev = up * s * psi - down * psi_prev, psi

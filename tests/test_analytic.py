@@ -145,9 +145,17 @@ class TestWavefunctions:
         (coupled_y2_eigen(200, COUPLED), np.array([50.0])),
         (half_ho_eigen(40, UNIT), 1e5),
         (half_ho_eigen(40, UNIT), np.array([1e200, 1e5, -1.0])),
-    ], ids=["y2-200", "half-40", "half-40-array"])
+        (half_ho_eigen(3, UNIT), math.inf),
+        (half_ho_eigen(3, UNIT), -math.inf),
+        (coupled_y1_eigen(3, COUPLED), math.inf),
+        (coupled_y1_eigen(3, COUPLED), -math.inf),
+        (coupled_y2_eigen(3, COUPLED), math.inf),
+        (coupled_y2_eigen(3, COUPLED), -math.inf),
+    ], ids=["y2-200", "half-40", "half-40-array", "half-3-inf", "half-3-neg-inf",
+            "y1-3-inf", "y1-3-neg-inf", "y2-3-inf", "y2-3-neg-inf"])
     def test_zero_far_in_the_tail(self, pair, x):
-        # the polynomial overflows where exp(-alpha x^2 / 2) has underflowed to 0
+        # the polynomial overflows where exp(-alpha x^2 / 2) has underflowed to 0;
+        # at +-inf a float's mask is False, and inf * False would be nan
         import warnings
 
         with warnings.catch_warnings():
@@ -156,7 +164,7 @@ class TestWavefunctions:
         assert np.array_equal(value, np.zeros_like(x))
         assert type(value) is type(x)
 
-    # gram_matrix takes levels up to GRAM_MAX_LEVEL, so the norm uses 40-node panels
+    # the norm from 40-node Gauss-Legendre panels, independent of checks' Gauss rules
     @pytest.mark.parametrize("pair,top,oracle,points", [
         (coupled_y2_eigen(200, COUPLED), 60.0, hermite_function_log,
          [0.3, 12.7, 25.9, 31.0, 40.0, 46.7]),
@@ -177,18 +185,11 @@ class TestWavefunctions:
 
     @pytest.mark.parametrize("builder", [half_ho_eigen, coupled_y1_eigen, coupled_y2_eigen],
                              ids=lambda builder: builder.__name__)
-    def test_gram_identity_at_level_bound(self, builder):
-        top = checks.GRAM_MAX_LEVEL
-        gram = checks.gram_matrix([builder(n, COUPLED) for n in range(top + 1)])
-        assert len(gram) == top + 1 and all(len(row) == top + 1 for row in gram)
-        assert np.max(np.abs(np.array(gram) - np.eye(top + 1))) <= 1e-8
-
-    @pytest.mark.parametrize("pair", [coupled_y2_eigen(200, COUPLED), half_ho_eigen(300, UNIT),
-                                      half_ho_eigen(checks.GRAM_MAX_LEVEL + 1, UNIT)],
-                             ids=["y2-200", "half-300", "half-above-bound"])
-    def test_gram_rejects_levels_above_bound(self, pair):
-        with pytest.raises(ValueError, match=f"levels up to {checks.GRAM_MAX_LEVEL}, got n = "):
-            checks.gram_matrix([pair])
+    def test_gram_identity_to_level_200(self, builder):
+        # a 201-node rule, whose outer weights exp(-t) would underflow but for the folding
+        gram = checks.gram_matrix([builder(n, COUPLED) for n in range(201)])
+        assert len(gram) == 201 and all(len(row) == 201 for row in gram)
+        assert np.max(np.abs(np.array(gram) - np.eye(201))) <= 1e-10
 
     def test_values_pinned(self):
         # levels 0-40 of every branch at fixed floats and on one float64 array:

@@ -858,6 +858,17 @@ def test_check_draws_plain_floats():
     assert points[0].q1 == rng.uniform(0.1, 4.0) and points[0].q2 == rng.uniform(0.1, 4.0)
 
 
+def test_check_runs_without_inverse_iteration(monkeypatch, capsys):
+    # the Gauss rules take their weights from the Christoffel function, not from ?stein
+    def no_stein(diag, off, lam):
+        raise AssertionError("check called LAPACK ?stein")
+
+    monkeypatch.setattr(numeric, "dstein", no_stein)
+    assert checks.run_all()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 14 and all(line.startswith("[PASS] ") for line in lines)
+
+
 NO_SCIPY_LINALG_SCRIPT = """
 import sys
 import affineosc
