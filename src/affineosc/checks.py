@@ -13,6 +13,7 @@ levels), and no check loads numpy.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from typing import Callable, List, Tuple
 
@@ -166,8 +167,9 @@ def _gauss_rule(size, halfline):
 def _gram(rule, functions):
     """Sums over the (node, weight) rule of every product of two functions, as rows."""
     values = [[f(x) for x, _ in rule] for f in functions]
-    return [[math.fsum(w * a * b for (_, w), a, b in zip(rule, row, col)) for col in values]
-            for row in values]
+    # each row weighted once: the products are still (w * a) * b, in the same order
+    weighted = [[w * a for (_, w), a in zip(rule, row)] for row in values]
+    return [[math.fsum(map(operator.mul, wrow, col)) for col in values] for wrow in weighted]
 
 
 def check_laguerre_orthogonality() -> CheckResult:

@@ -67,6 +67,7 @@ def _openblas_path() -> str:
 def _lapacke(path: str) -> _Lapack:
     """?stebz and ?stein (LAPACKE), dscal and idamax (CBLAS) from the library at path."""
     import ctypes  # here, not at the top: paths that solve nothing never pay its import
+    import mmap
 
     lib = ctypes.CDLL(path)
     c_int, c_double = ctypes.c_int, ctypes.c_double
@@ -96,7 +97,11 @@ def _lapacke(path: str) -> _Lapack:
     def dstebz(diag, off, k, tol):
         n = len(diag)
         m, nsplit = c_int(), c_int()
-        w, iblock, isplit = (c_double * n)(), (c_int * n)(), (c_int * n)()
+        # w, iblock and isplit in one anonymous mapping: ?stebz writes about k of
+        # their n entries, and the pages it does not touch never become resident
+        out = mmap.mmap(-1, 16 * n)
+        w = (c_double * n).from_buffer(out)
+        iblock, isplit = (c_int * n).from_buffer(out, 8 * n), (c_int * n).from_buffer(out, 12 * n)
         # range "I": eigenvalues 1..k (vl, vu unused); order "E": ascending over the whole matrix
         info = stebz(b"I", b"E", n, 0.0, 1.0, 1, k, tol, doubles(diag, n), doubles(off, n - 1),
                      m, nsplit, w, iblock, isplit)
@@ -122,18 +127,21 @@ def _lapacke(path: str) -> _Lapack:
 
 
 def _scipy_lapack() -> _Lapack:
-    """The same routines through scipy's public f2py wrappers."""
+    """The same routines through scipy's f2py wrappers, which reject an empty off-diagonal."""
     import numpy as np
     from scipy.linalg import blas, lapack
 
+    def padded(off):  # a 1x1 matrix's empty band; LAPACK reads no off-diagonal at N = 1
+        return off if len(off) else [0.0]
+
     def dstebz(diag, off, k, tol):
-        m, w, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, 1, k, tol, "E")
+        m, w, _, _, info = lapack.dstebz(diag, padded(off), 2, 0.0, 1.0, 1, k, tol, "E")
         return w[:m].tolist(), info
 
     def dstein(diag, off, lam):
         n = len(diag)
         z, info = lapack.dstein(
-            diag, off, [lam], np.ones(n, dtype=np.int32), np.full(n, n, dtype=np.int32)
+            diag, padded(off), [lam], np.ones(n, dtype=np.int32), np.full(n, n, dtype=np.int32)
         )
         return array("d", z[:, 0].tobytes()), info
 
@@ -335,7 +343,8 @@ class TridiagonalMatrix(namedtuple("TridiagonalMatrix", "diag off scale")):
 def _prescale(diag: array, off: array) -> float:
     """Scale both bands in place (CBLAS dscal) to TridiagonalMatrix's invariant; its scale."""
     blas = _lapack()
-    bands = (diag, off) if off else (diag,)  # the scipy fallback rejects an empty band
+    # an empty band has no largest entry for idamax (and scipy's idamax and dscal reject it)
+    bands = (diag, off) if off else (diag,)
     scale = math.ldexp(1.0, min(1023, -math.frexp(max(abs(b[blas.idamax(b)]) for b in bands))[1]))
     for band in bands:
         blas.dscal(scale, band)
@@ -480,19 +489,16 @@ def _all_finite(values) -> bool:
 def lowest_eigenvalues(matrix: TridiagonalMatrix, k: int):
     """The k smallest eigenvalues by LAPACK bisection (?stebz), ascending.
 
-    One direct ?stebz call on the stored bands, selecting eigenvalues 1..k in
+    One ?stebz call on the stored bands, 1x1 too, for eigenvalues 1..k in
     ascending order.  Each is bracketed to an absolute width of EIGENVALUE_TOL
     times min(1, max|diag|), whatever its magnitude.  NaN or infinite entries
     raise ValueError; a nonzero LAPACK info raises ConvergenceError.
     """
-    n = matrix.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
+    if not 1 <= k <= matrix.n:
+        raise ValueError(f"k must be in 1..{matrix.n}, got {k}")
     if not (_all_finite(matrix.diag) and _all_finite(matrix.off)):
         raise ValueError("matrix entries must be finite, got NaN or infinity")
     diag, scale = matrix.diag, matrix.scale
-    if n == 1:  # no off-diagonal to pass
-        return [diag[0] / scale]
     # EIGENVALUE_TOL * min(1, max|diag|), scaled like the bands
     tol = EIGENVALUE_TOL * min(scale, abs(diag[_lapack().idamax(diag)]))
     values, info = dstebz(diag, matrix.off, k, tol)
@@ -510,11 +516,9 @@ def eigenvector(matrix: TridiagonalMatrix, lam: float, h: float) -> array:
     squares is ``math.fsum``, correctly rounded, so the samples do not depend
     on how a threaded BLAS would split a dot product.  Apart from the squares
     and the division by the norm, every pass over all n entries runs in C
-    (BLAS or ``fsum``), without numpy, and holds no list of n floats.
+    (BLAS or ``fsum``), without numpy, and holds no list of n floats.  A 1x1
+    matrix goes through ?stein like any other: its vector is 1 / sqrt(h).
     """
-    n = matrix.n
-    if n == 1:  # no off-diagonal to pass
-        return array("d", [1.0 / math.sqrt(h)])
     # the stored bands, not copies.  ?stein perturbs LU pivots below eps*|T|;
     # shifting the scaled lam by 1e-13 keeps them clear (samples 7e-12 from the
     # exact stiff Laplacian ones, against 6e-11 unshifted)
