@@ -160,10 +160,6 @@ class RunConfig(types.SimpleNamespace):
         if self.grid_n is not None and self.grid_n < 16:
             raise ValueError(f"field 'grid_n' must be at least 16, got {self.grid_n}")
 
-    @classmethod
-    def from_mapping(cls, data: dict) -> "RunConfig":
-        return cls(**data)
-
     def params(self) -> PhysicalParams:
         return PhysicalParams(m=self.m, omega=self.omega, hbar=self.hbar, g=self.g)
 
@@ -459,7 +455,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             continue
         if value is not None:
             data[key] = value
-    return RunConfig.from_mapping(data)
+    return RunConfig(**data)
 
 
 def main(argv=None) -> int:

@@ -47,15 +47,13 @@ def b_sweep(
     policy: Optional[GridPolicy] = None,
 ) -> SweepResult:
     """Solve the moving-endpoint problem for each b and tabulate deviations."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
     b_values = list(b_values)
     # strictly ascending: no b twice (0 == -0), and a negative b fails before any solve
     if any(lo >= hi for lo, hi in zip(b_values, b_values[1:])):
         raise ValueError("b values must be strictly ascending")
 
     specs = [ProblemSpec(kind="hext1", params=params, b=b) for b in b_values]
-    for spec in specs:  # every b and its grid cap checked before the first solve
+    for spec in specs:  # every b, k and grid cap checked before the first solve
         coarse_grid(spec, k, policy)
     hw = params.hbar * params.omega
     rows: List[SweepRow] = []
@@ -82,6 +80,8 @@ def truncated_sweep(
     specs = {order: ProblemSpec(kind="truncated", params=params, b=b, order=order)
              for order in orders}
     exact_spec = ProblemSpec(kind="hext1", params=params, b=b)
+    for spec in (exact_spec, *specs.values()):  # k and every grid cap, as solve checks them
+        coarse_grid(spec, k)
     exact = [level.energy for level in solve(exact_spec, k).levels]
     energies = {order: [level.energy for level in solve(spec, k).levels]
                 for order, spec in specs.items()}

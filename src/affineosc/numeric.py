@@ -324,7 +324,9 @@ class TridiagonalMatrix(namedtuple("TridiagonalMatrix", "diag off scale")):
     2^-1024), so the division is exact.  Unscaled, ?stebz overflows near 1e154
     (it squares the off-diagonal) and ?stein returns NaN near 1e146.  The
     constructor scales copies of its float sequences; ``assemble`` hands over
-    the bands it built, scaled in place.
+    the bands it built, scaled in place.  Both reject a NaN or infinite entry
+    with ValueError (``_prescale``), so every matrix the eigensolvers are
+    handed is finite.
     """
 
     __slots__ = ()
@@ -340,8 +342,18 @@ class TridiagonalMatrix(namedtuple("TridiagonalMatrix", "diag off scale")):
         return len(self.diag)
 
 
+def _all_finite(values) -> bool:
+    # a finite sum proves every entry finite; only an overflowing sum needs the entry-wise test
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
 def _prescale(diag: array, off: array) -> float:
-    """Scale both bands in place (CBLAS dscal) to TridiagonalMatrix's invariant; its scale."""
+    """Scale both bands in place (CBLAS dscal) to TridiagonalMatrix's invariant; its scale.
+
+    Raises ValueError for a NaN or infinite entry: every matrix is finite once built.
+    """
+    if not (_all_finite(diag) and _all_finite(off)):
+        raise ValueError("matrix entries must be finite, got NaN or infinity")
     blas = _lapack()
     # an empty band has no largest entry for idamax (and scipy's idamax and dscal reject it)
     bands = (diag, off) if off else (diag,)
@@ -481,23 +493,17 @@ def _check_domain(spec: ProblemSpec, grid: Grid):
 EIGENVALUE_TOL = 1e-12  # absolute width of the ?stebz bisection bracket
 
 
-def _all_finite(values) -> bool:
-    # a finite sum proves every entry finite; only an overflowing sum needs the entry-wise test
-    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
-
-
 def lowest_eigenvalues(matrix: TridiagonalMatrix, k: int):
     """The k smallest eigenvalues by LAPACK bisection (?stebz), ascending.
 
     One ?stebz call on the stored bands, 1x1 too, for eigenvalues 1..k in
     ascending order.  Each is bracketed to an absolute width of EIGENVALUE_TOL
-    times min(1, max|diag|), whatever its magnitude.  NaN or infinite entries
-    raise ValueError; a nonzero LAPACK info raises ConvergenceError.
+    times min(1, max|diag|), whatever its magnitude.  The bands are finite, as
+    every built matrix is, so they are not scanned; a k outside 1..n raises
+    ValueError and a nonzero LAPACK info ConvergenceError.
     """
     if not 1 <= k <= matrix.n:
         raise ValueError(f"k must be in 1..{matrix.n}, got {k}")
-    if not (_all_finite(matrix.diag) and _all_finite(matrix.off)):
-        raise ValueError("matrix entries must be finite, got NaN or infinity")
     diag, scale = matrix.diag, matrix.scale
     # EIGENVALUE_TOL * min(1, max|diag|), scaled like the bands
     tol = EIGENVALUE_TOL * min(scale, abs(diag[_lapack().idamax(diag)]))
@@ -611,10 +617,32 @@ def _auto_n(spec: ProblemSpec, domain: Tuple[float, float], k: int) -> int:
 
 
 def coarse_grid(spec: ProblemSpec, k: int, policy: Optional[GridPolicy] = None) -> Grid:
-    """The coarsest grid of solve(spec, k, policy); refined twice, it gives the other two."""
+    """The coarsest grid of solve(spec, k, policy); refined twice, it gives the other two.
+
+    The one check of solve's inputs, run before any matrix is built.  It
+    raises ValueError, in this order, for k < 1, for a coarse grid over
+    MAX_COARSE_N cells, for k above its cell count (the coarsest grid has the
+    fewest rows), and, with policy.check_truncation, for a 1.5x wider grid
+    over MAX_COARSE_N cells.
+    """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     policy = policy or GridPolicy()
     domain = policy.domain or default_domain(spec, k)
-    return Grid(domain[0], domain[1], _capped(spec, policy.n or _auto_n(spec, domain, k)))
+    coarse = Grid(domain[0], domain[1], _capped(spec, policy.n or _auto_n(spec, domain, k)))
+    if k > coarse.n:
+        raise ValueError(f"k must be in 1..{coarse.n}, got {k}")
+    if policy.check_truncation:
+        _capped(spec, _wide_policy(spec, coarse).n)
+    return coarse
+
+
+def _wide_policy(spec: ProblemSpec, coarse: Grid) -> GridPolicy:
+    """The policy of check_truncation's re-solve: a 1.5x wider domain at coarse's spacing."""
+    wide = _cut_domain(spec, coarse.x_max * 1.5)
+    # match the grid spacing, not the cell count, so the comparison
+    # isolates the domain-truncation bias from the discretization error
+    return GridPolicy(n=int(round((wide[1] - wide[0]) / coarse.h)), domain=wide)
 
 
 def solve(spec: ProblemSpec, k: int, policy: Optional[GridPolicy] = None) -> EigenResult:
@@ -626,21 +654,11 @@ def solve(spec: ProblemSpec, k: int, policy: Optional[GridPolicy] = None) -> Eig
     of each E from the two-grid Richardson value scale * (4 lambda_{h/4} -
     lambda_{h/2}) / 3.  With policy.check_truncation the solve is repeated on
     a 1.5x wider domain and a relative shift beyond TRUNCATION_TOL raises
-    ConvergenceError.
+    ConvergenceError.  Its inputs are checked by ``coarse_grid`` alone (and by
+    the ProblemSpec, GridPolicy and Grid they make), before any matrix.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
     policy = policy or GridPolicy()
     coarse = coarse_grid(spec, k, policy)
-    if k > coarse.n:  # checked before any matrix is built: the coarsest has the fewest rows
-        raise ValueError(f"k must be in 1..{coarse.n}, got {k}")
-    if policy.check_truncation:
-        wide = _cut_domain(spec, coarse.x_max * 1.5)
-        # match the grid spacing, not the cell count, so the comparison
-        # isolates the domain-truncation bias from the discretization error
-        wide_n = _capped(spec, int(round((wide[1] - wide[0]) / coarse.h)))
-        wide_policy = GridPolicy(n=wide_n, domain=wide)
-
     fine = coarse.refined()
     finest = fine.refined()
     matrix = assemble(spec, finest)
@@ -653,8 +671,9 @@ def solve(spec: ProblemSpec, k: int, policy: Optional[GridPolicy] = None) -> Eig
         levels.append(Level(n, lam, scale * lam, l4))
         err_est.append(scale * abs(lam - (4.0 * l4 - l2) / 3.0))
 
+    # a call of solve itself, which the traced benchmark records as numeric.truncation_resolve
     if policy.check_truncation:
-        for level, wide_level in zip(levels, solve(spec, k, wide_policy).levels):
+        for level, wide_level in zip(levels, solve(spec, k, _wide_policy(spec, coarse)).levels):
             shift = abs(wide_level.energy - level.energy)
             if shift > TRUNCATION_TOL * max(1.0, abs(level.energy)):
                 raise ConvergenceError(

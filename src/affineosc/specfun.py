@@ -6,7 +6,9 @@ polynomials.  All three are evaluated by three-term recurrences so they stay
 exact (to rounding) up to degree 64 without overflowing intermediate factorials.
 The recurrences are plain arithmetic, run unchanged on a float and on a numpy
 array, so evaluating them at floats loads no numpy.  ``integrate_halfline``
-loads numpy and has no caller here; library callers and the benchmark use it.
+loads numpy and has no caller: the benchmark's span recorder only wraps it by
+name (``SPANNED`` in bench/spans.py), so it is deleted when the benchmark is
+next changed, together with that entry (ROADMAP item 3).
 """
 
 from __future__ import annotations

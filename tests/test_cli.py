@@ -40,7 +40,7 @@ class TestRunConfig:
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
-            RunConfig.from_mapping({"command": "spectrum", "bogus": 1})
+            RunConfig(**{"command": "spectrum", "bogus": 1})
 
     @pytest.mark.parametrize("field,value", [
         ("command", "nope"), ("kind", "nope"), ("format", "xml"),
@@ -49,18 +49,18 @@ class TestRunConfig:
     ])
     def test_field_validation(self, field, value):
         with pytest.raises(ValueError, match=field):
-            RunConfig.from_mapping({"command": "spectrum", field: value})
+            RunConfig(**{"command": "spectrum", field: value})
 
     @pytest.mark.parametrize("field,value", [
         ("m", 2), ("fn_param", -1), ("b_values", [0, 2.5]), ("points", []),
         ("grid_n", None), ("out", None),
     ])
     def test_field_types_accepted(self, field, value):
-        assert getattr(RunConfig.from_mapping({"command": "spectrum", field: value}), field) == value
+        assert getattr(RunConfig(**{"command": "spectrum", field: value}), field) == value
 
     def test_int_for_float_field_is_stored_as_float(self):
-        cfg = RunConfig.from_mapping(
-            {"command": "specfun", "m": 2, "g": 0, "b_values": [0, 2.5], "points": [1, 2.5]}
+        cfg = RunConfig(
+            **{"command": "specfun", "m": 2, "g": 0, "b_values": [0, 2.5], "points": [1, 2.5]}
         )
         assert (cfg.m, cfg.g, cfg.b_values, cfg.points) == (2.0, 0.0, [0.0, 2.5], [1.0, 2.5])
         assert {type(v) for v in (cfg.m, cfg.g, *cfg.b_values, *cfg.points)} == {float}
@@ -69,8 +69,8 @@ class TestRunConfig:
     def test_dump_round_trip(self, capsys):
         assert main(["spectrum", "--kind", "eqo1", "--g", "0.3", "--dump-config"]) == 0
         dumped = json.loads(capsys.readouterr().out)
-        cfg = RunConfig.from_mapping(dumped)
-        assert cfg == RunConfig.from_mapping(dumped)
+        cfg = RunConfig(**dumped)
+        assert cfg == RunConfig(**dumped)
         assert cfg.kind == "eqo1" and cfg.g == 0.3
 
 
@@ -481,6 +481,18 @@ class TestExitCodes:
         assert main(["spectrum", "--grid-n", "16", "--levels", "20"]) == 1
         assert capsys.readouterr().err == "validation error: k must be in 1..16, got 20\n"
         assert calls == []
+
+    @pytest.mark.parametrize("argv,n,k", [
+        # CSV samples without --out
+        (["--levels", "20", "--grid-n", "16", "--samples", "4"], 16, 20),
+        # over the samples cap: 1000 levels x 1200 finest-grid cells
+        (["--levels", "1000", "--grid-n", "300", "--samples", "1200", "--format", "json"],
+         300, 1000),
+    ])
+    def test_levels_above_coarsest_grid_reported_before_samples(self, argv, n, k, capsys):
+        # coarse_grid, which the samples checks call for the grid size, checks k first
+        assert main(["spectrum", *argv]) == 1
+        assert capsys.readouterr().err == f"validation error: k must be in 1..{n}, got {k}\n"
 
     @pytest.mark.parametrize("argv,field", [
         (["spectrum", "--levels", "1001"], "levels"),

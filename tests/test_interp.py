@@ -8,6 +8,18 @@ from affineosc.numeric import GridPolicy, ProblemSpec, default_domain, solve
 UNIT = PhysicalParams()
 
 
+def count_solves(monkeypatch):
+    """The calls of interp.solve, which still run."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(interp, "solve", counted)
+    return calls
+
+
 class TestBSweep:
     def test_b0_row_reproduces_halfline_ladder(self):
         result = b_sweep(UNIT, [0.0], 3)
@@ -37,6 +49,18 @@ class TestBSweep:
             b_sweep(UNIT, [-1.0], 1)
         with pytest.raises(ValueError):
             b_sweep(UNIT, [0.0], 0)
+
+    def test_no_b_values_give_no_rows(self):
+        # with no b there is no grid to check k against
+        assert b_sweep(UNIT, [], 0) == ([], {})
+
+    def test_truncation_grid_cap_checked_before_any_solve(self, monkeypatch):
+        # b = 0 passes; at the last b the coarse grid is under the cap and the
+        # 1.5x wider one of check_truncation is over it
+        solves = count_solves(monkeypatch)
+        with pytest.raises(ValueError, match=r"'hext1' at b = 26205\.91471862557 .*N = 524373 "):
+            b_sweep(UNIT, [0.0, 26205.91471862557], 4, GridPolicy(check_truncation=True))
+        assert solves == []
 
 
 class TestTruncatedSweep:
@@ -78,4 +102,17 @@ class TestTruncatedSweep:
         monkeypatch.setattr(interp, "solve", lambda *args: solves.append(args))
         with pytest.raises(ValueError):
             truncated_sweep(UNIT, 5.0, [0, 7], 1)
+        assert solves == []
+
+    def test_grid_caps_checked_before_any_solve(self, monkeypatch):
+        # the exact spectrum's grid (N = 300001) is under the cap, order 0's is not
+        solves = count_solves(monkeypatch)
+        with pytest.raises(ValueError, match=r"^kind 'truncated' at b = 0\.0001 .*N = 600001 "):
+            truncated_sweep(UNIT, 1e-4, [0, 1, 2, 3, 4], 4)
+        assert solves == []
+
+    def test_k_checked_before_any_solve(self, monkeypatch):
+        solves = count_solves(monkeypatch)
+        with pytest.raises(ValueError, match=r"^k must be at least 1, got 0$"):
+            truncated_sweep(UNIT, 5.0, [0], 0)
         assert solves == []

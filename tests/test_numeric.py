@@ -33,6 +33,7 @@ from oracles import hext1_ritz, unscaled
 
 UNIT = PhysicalParams()
 COUPLED = PhysicalParams(g=0.6)
+FINITE_MESSAGE = r"^matrix entries must be finite, got NaN or infinity$"
 
 
 def matvec(matrix, v):
@@ -385,9 +386,28 @@ class TestLowestEigenvalues:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, bad):
-        matrix = TridiagonalMatrix(diag=np.array([2.0, bad, 2.0]), off=np.array([-1.0, -1.0]))
-        with pytest.raises(ValueError, match="NaN"):
-            lowest_eigenvalues(matrix, 1)
+        # when the matrix is built, so neither eigensolver is ever handed one
+        with pytest.raises(ValueError, match=FINITE_MESSAGE):
+            TridiagonalMatrix([1.0, bad, 2.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match=FINITE_MESSAGE):
+            TridiagonalMatrix([1.0, 1.0, 2.0], [0.5, -bad])
+
+    def test_only_building_a_matrix_scans_its_bands(self, monkeypatch):
+        scanned = []
+        all_finite = numeric._all_finite
+
+        def counted(values):
+            scanned.append(len(values))
+            return all_finite(values)
+
+        monkeypatch.setattr(numeric, "_all_finite", counted)
+        matrix = TridiagonalMatrix([2.0, 2.0, 2.0], [-1.0, -1.0])
+        assert scanned == [3, 2]
+        lowest_eigenvalues(matrix, 3)
+        eigenvector(matrix, 2.0, h=1.0)
+        assert scanned == [3, 2]
+        assemble(ProblemSpec(kind="eqintro"), Grid(0.0, 8.0, 16))
+        assert scanned == [3, 2, 16, 15]
 
 
 class TestEigenvector:

@@ -5,20 +5,26 @@ JSON output must parse, a failure must be reported on exactly one stderr
 line, and a success must raise no warning and write nothing to stderr but,
 for ``spectrum`` and ``sweep``, the one line that flags an error estimate
 above ``cli.ERR_EST_WARN``.  Flag text that does not parse, an unknown flag
-and a missing subcommand are validation errors.
+and a missing subcommand are validation errors.  And ``numeric.solve`` checks
+its inputs in ``coarse_grid`` alone, before it builds a matrix.
 """
 
 import argparse
 import contextlib
 import io
 import json
+import math
 import warnings
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affineosc import numeric
 from affineosc.cli import COMMANDS, SPECFUN_NAMES, build_parser, main
-from affineosc.numeric import KINDS, MAX_COARSE_N
+from affineosc.core import PhysicalParams
+from affineosc.numeric import KIND_FACTS, KINDS, MAX_COARSE_N, GridPolicy, ProblemSpec
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -210,3 +216,37 @@ def test_malformed_command_line_is_one_line_validation_error(argv):
     assert (code, out) == (1, ""), argv
     assert err.startswith("validation error:") and err.count("\n") == 1, err
     assert err.endswith("\n")
+
+
+class Assembled(Exception):
+    """Raised in place of ``numeric.assemble``: the solve got past its input checks."""
+
+
+@FUZZ
+@given(
+    kind=st.sampled_from(KINDS),
+    # up to the grid cap: at b = 3e4 hext1's coarse grid is over it, and the
+    # 1.5x wider one of check_truncation is from about b = 1.7e4
+    b=st.floats(math.log(0.5), math.log(3e4)).map(math.exp),
+    order=st.integers(0, 4),
+    k=st.integers(-2, 60),
+    # small grids too, where k can exceed N
+    n=st.one_of(st.none(), st.integers(16, 64), st.integers(16, 2000),
+                st.just(MAX_COARSE_N - 1), st.just(MAX_COARSE_N + 1)),
+    check_truncation=st.booleans(),
+)
+def test_solve_checks_its_inputs_in_coarse_grid(kind, b, order, k, n, check_truncation):
+    facts = KIND_FACTS[kind]
+    spec = ProblemSpec(kind, PhysicalParams(g=0.6), b=b if facts.takes_b else None,
+                       order=order if facts.series else None)
+    policy = GridPolicy(n=n, check_truncation=check_truncation)
+    try:
+        numeric.coarse_grid(spec, k, policy)
+        gate = None
+    except ValueError as exc:
+        gate = str(exc)
+    with mock.patch.object(numeric, "assemble", side_effect=Assembled):
+        with pytest.raises((ValueError, Assembled)) as caught:
+            numeric.solve(spec, k, policy)
+    # the same ValueError as coarse_grid, or none before the first matrix
+    assert (str(caught.value) if caught.type is ValueError else None) == gate

@@ -238,7 +238,7 @@ RUN_DEFAULTS = {
 class TestRunConfig:
     def test_positional_command_and_defaults(self):
         config = RunConfig("coupled")
-        assert config == RunConfig(command="coupled") == RunConfig.from_mapping(RUN_DEFAULTS)
+        assert config == RunConfig(command="coupled") == RunConfig(**RUN_DEFAULTS)
         assert {name: getattr(config, name) for name in RUN_DEFAULTS} == RUN_DEFAULTS
 
     def test_list_defaults_not_shared(self):
@@ -261,7 +261,7 @@ class TestRunConfig:
 
     def test_from_mapping_unknown_keys_message(self):
         with pytest.raises(ValueError) as caught:
-            RunConfig.from_mapping({"command": "check", "zeta": 1, "alpha": 2, "levels": 3})
+            RunConfig(**{"command": "check", "zeta": 1, "alpha": 2, "levels": 3})
         assert str(caught.value) == "unknown config keys: ['alpha', 'zeta']"
 
     def test_unknown_keys_checked_first(self):
