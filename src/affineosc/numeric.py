@@ -220,6 +220,8 @@ class Grid(namedtuple("Grid", "x_min x_max n")):
     __slots__ = ()
 
     def __new__(cls, x_min: float, x_max: float, n: int):
+        if type(n) is not int:  # neither a bool nor a float that equals one
+            raise ValueError(f"need an integer cell count, got {n!r}")
         if not x_min < x_max:
             raise ValueError(f"need x_min < x_max, got [{x_min}, {x_max}]")
         if n < 16:
@@ -543,7 +545,9 @@ class GridPolicy(namedtuple("GridPolicy", "n domain check_truncation")):
     """Coarsest cell count and domain for solve() (None: sized from the problem).
 
     Energies are always extrapolated over the three nested grids of N, 2N and
-    4N cells; check_truncation re-solves on a 1.5x wider domain.
+    4N cells.  check_truncation re-solves on a domain whose upper end is 1.5x
+    as far out, at the same spacing; ``coarse_grid`` refuses it with
+    ValueError where the kind's domain cannot reach that far.
     """
 
     __slots__ = ()
@@ -620,11 +624,15 @@ def coarse_grid(spec: ProblemSpec, k: int, policy: Optional[GridPolicy] = None) 
     """The coarsest grid of solve(spec, k, policy); refined twice, it gives the other two.
 
     The one check of solve's inputs, run before any matrix is built.  It
-    raises ValueError, in this order, for k < 1, for a coarse grid over
-    MAX_COARSE_N cells, for k above its cell count (the coarsest grid has the
-    fewest rows), and, with policy.check_truncation, for a 1.5x wider grid
-    over MAX_COARSE_N cells.
+    raises ValueError, in this order, for a k that is not an int (a bool
+    included), for k < 1, for a coarse grid over MAX_COARSE_N cells, for a
+    grid ``Grid`` refuses (a cell count that is not an int, or below 16), for
+    k above its cell count (the coarsest grid has the fewest rows), and, with
+    policy.check_truncation, wherever ``_wide_policy`` cannot plan the
+    re-solve.
     """
+    if type(k) is not int:  # neither a bool nor a float that equals one
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     policy = policy or GridPolicy()
@@ -633,16 +641,24 @@ def coarse_grid(spec: ProblemSpec, k: int, policy: Optional[GridPolicy] = None) 
     if k > coarse.n:
         raise ValueError(f"k must be in 1..{coarse.n}, got {k}")
     if policy.check_truncation:
-        _capped(spec, _wide_policy(spec, coarse).n)
+        _wide_policy(spec, coarse)
     return coarse
 
 
 def _wide_policy(spec: ProblemSpec, coarse: Grid) -> GridPolicy:
-    """The policy of check_truncation's re-solve: a 1.5x wider domain at coarse's spacing."""
+    """The policy of check_truncation's re-solve: upper end 1.5x coarse's, at its spacing.
+
+    Raises ValueError where the kind's domain stops short of that upper end
+    (``truncated`` at order >= 1 keeps |x| <= 0.9 b, where its series holds)
+    or where the wider grid is over MAX_COARSE_N cells.
+    """
     wide = _cut_domain(spec, coarse.x_max * 1.5)
+    if wide[1] < coarse.x_max * 1.5:
+        raise ValueError(f"kind {spec.kind!r} at b = {spec.b}, order {spec.order}: check_truncation"
+                         f" needs x up to {coarse.x_max * 1.5:.6g}, beyond 0.9 b = {wide[1]:.6g}")
     # match the grid spacing, not the cell count, so the comparison
     # isolates the domain-truncation bias from the discretization error
-    return GridPolicy(n=int(round((wide[1] - wide[0]) / coarse.h)), domain=wide)
+    return GridPolicy(n=_capped(spec, int(round((wide[1] - wide[0]) / coarse.h))), domain=wide)
 
 
 def solve(spec: ProblemSpec, k: int, policy: Optional[GridPolicy] = None) -> EigenResult:
@@ -653,9 +669,11 @@ def solve(spec: ProblemSpec, k: int, policy: Optional[GridPolicy] = None) -> Eig
     which cancels the h^2 and h^4 terms of the error.  err_est is the distance
     of each E from the two-grid Richardson value scale * (4 lambda_{h/4} -
     lambda_{h/2}) / 3.  With policy.check_truncation the solve is repeated on
-    a 1.5x wider domain and a relative shift beyond TRUNCATION_TOL raises
+    the policy ``_wide_policy`` plans, a domain 1.5x as far out at the same
+    spacing, and a relative shift beyond TRUNCATION_TOL raises
     ConvergenceError.  Its inputs are checked by ``coarse_grid`` alone (and by
-    the ProblemSpec, GridPolicy and Grid they make), before any matrix.
+    the ProblemSpec, GridPolicy and Grid they make), before any matrix: an
+    input whose re-solve cannot be planned fails there too.
     """
     policy = policy or GridPolicy()
     coarse = coarse_grid(spec, k, policy)

@@ -89,6 +89,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(0.0, 1.0, 8)
 
+    @pytest.mark.parametrize("n", [100.5, 100.0, True, np.int64(100)])
+    def test_cell_count_must_be_an_int(self, n):
+        with pytest.raises(ValueError, match=r"^need an integer cell count, got "):
+            Grid(0.0, 1.0, n)
+
 
 class TestProblemSpec:
     def test_energy_scales(self):
@@ -955,6 +960,60 @@ class TestGridCap:
     def test_non_finite_policy_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             GridPolicy(**{field: value})
+
+
+def record_grids(monkeypatch):
+    """The grids passed to numeric.assemble, in call order; assemble still runs."""
+    grids, original = [], numeric.assemble
+
+    def recorded(spec, grid):
+        grids.append(grid)
+        return original(spec, grid)
+
+    monkeypatch.setattr(numeric, "assemble", recorded)
+    return grids
+
+
+class TestInputTypes:
+    @pytest.mark.parametrize("k", [2.5, 4.0, True, None])
+    def test_k_must_be_an_int(self, monkeypatch, k):
+        grids = record_grids(monkeypatch)
+        with pytest.raises(ValueError, match=r"^k must be an integer, got "):
+            solve(ProblemSpec(kind="eqintro"), k)
+        assert grids == []
+
+    def test_policy_n_must_be_an_int(self, monkeypatch):
+        grids = record_grids(monkeypatch)
+        with pytest.raises(ValueError, match=r"^need an integer cell count, got 100\.5$"):
+            solve(ProblemSpec(kind="eqintro"), 4, GridPolicy(n=100.5))
+        assert grids == []
+
+
+class TestTruncationCheckPlan:
+    def test_clipped_wide_domain_refused_before_any_matrix(self, monkeypatch):
+        # truncated keeps |x| <= 0.9 b = 0.9, so no re-solve can reach x = 15
+        grids = record_grids(monkeypatch)
+        policy = GridPolicy(n=100, domain=(-10.0, 10.0), check_truncation=True)
+        with pytest.raises(ValueError, match=r"check_truncation needs x up to 15, "
+                                             r"beyond 0\.9 b = 0\.9$"):
+            solve(ProblemSpec("truncated", b=1.0, order=1), 4, policy)
+        assert grids == []
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_default_domain_at_b5_refused_by_the_gate(self, order):
+        spec = ProblemSpec("truncated", b=5.0, order=order)
+        with pytest.raises(ValueError, match=rf"^kind 'truncated' at b = 5\.0, order {order}: "):
+            numeric.coarse_grid(spec, 4, GridPolicy(check_truncation=True))
+
+    @pytest.mark.parametrize("order", [0, 1, 4])
+    def test_resolve_reaches_one_and_a_half_times_out(self, monkeypatch, order):
+        grids = record_grids(monkeypatch)
+        solve(ProblemSpec("truncated", b=20.0, order=order), 4, GridPolicy(check_truncation=True))
+        # finest, fine and coarse grid of the solve, then of the re-solve
+        finest, wide = grids[0], grids[3]
+        assert len(grids) == 6
+        assert wide.x_max == 1.5 * finest.x_max and wide.x_min == 1.5 * finest.x_min
+        assert wide.h == pytest.approx(finest.h, rel=2.0 / wide.n)
 
 
 class TestSolve:

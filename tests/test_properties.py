@@ -6,7 +6,9 @@ line, and a success must raise no warning and write nothing to stderr but,
 for ``spectrum`` and ``sweep``, the one line that flags an error estimate
 above ``cli.ERR_EST_WARN``.  Flag text that does not parse, an unknown flag
 and a missing subcommand are validation errors.  And ``numeric.solve`` checks
-its inputs in ``coarse_grid`` alone, before it builds a matrix.
+its inputs in ``coarse_grid`` alone, before it builds a matrix; where that gate
+passes with ``check_truncation``, the re-solve's domain reaches 1.5x as far out
+at the same spacing.
 """
 
 import argparse
@@ -250,3 +252,33 @@ def test_solve_checks_its_inputs_in_coarse_grid(kind, b, order, k, n, check_trun
             numeric.solve(spec, k, policy)
     # the same ValueError as coarse_grid, or none before the first matrix
     assert (str(caught.value) if caught.type is ValueError else None) == gate
+
+
+@FUZZ
+@given(
+    kind=st.sampled_from(KINDS),
+    b=st.floats(math.log(0.5), math.log(3e4)).map(math.exp),
+    order=st.integers(0, 4),
+    k=st.integers(-2, 60),
+)
+def test_truncation_resolve_is_one_and_a_half_times_out(kind, b, order, k):
+    facts = KIND_FACTS[kind]
+    spec = ProblemSpec(kind, PhysicalParams(g=0.6), b=b if facts.takes_b else None,
+                       order=order if facts.series else None)
+    policy = GridPolicy(check_truncation=True)
+    try:
+        numeric.coarse_grid(spec, k, policy)
+    except ValueError:
+        return
+    grids = []
+    # grids only: no matrix is built, and every grid gives the same eigenvalues
+    with mock.patch.object(numeric, "assemble", side_effect=lambda spec, grid: grids.append(grid)), \
+            mock.patch.object(numeric, "lowest_eigenvalues", side_effect=lambda m, k: [1.0] * k):
+        numeric.solve(spec, k, policy)
+    # finest, fine and coarse grid of the solve, then of the re-solve
+    assert len(grids) == 6
+    finest, wide = grids[0], grids[3]
+    assert wide.x_max == 1.5 * finest.x_max and wide.x_min <= finest.x_min
+    # the same spacing, up to rounding the wide domain to whole coarse cells
+    assert abs(wide.h - finest.h) <= 2.0 * finest.h / wide.n * (1.0 + 1e-12)
+    assert wide.n >= finest.n
