@@ -25,7 +25,7 @@ import heapq
 import math
 from typing import Callable, List, NamedTuple
 
-from .core import PhysicalParams
+from .core import PhysicalParams, require_int
 # re-exported: bench/spans.py wraps these names of this module
 from .specfun import confluent_1f1_neg, hermite
 
@@ -136,16 +136,17 @@ def _hermite_wavefunction(n: int, alpha: float):
 
 
 def _eigen(branch: str, n: int, params: PhysicalParams) -> EigenPair:
-    """Level n of a branch: energy from branch_energy, wavefunction from BRANCHES."""
-    if n != int(n) or n < 0:
-        raise ValueError(f"quantum number must be a nonnegative integer, got {n}")
-    n = int(n)
+    """Level n of a branch: energy from branch_energy, wavefunction from BRANCHES.
+
+    branch_energy checks n first (``core.require_int``: an int, at least 0),
+    before the wavefunction's recurrence is set up.
+    """
+    energy = branch_energy(branch, n, params)
     record = BRANCHES[branch]
     if record.normal_mode:
         params.require_quantum_coupling()
     family = _halfline_wavefunction if record.halfline else _hermite_wavefunction
-    wavefunction = family(n, record.alpha(params))
-    return EigenPair(n, branch_energy(branch, n, params), branch, params, wavefunction)
+    return EigenPair(n, energy, branch, params, family(n, record.alpha(params)))
 
 
 def half_ho_eigen(n: int, params: PhysicalParams) -> EigenPair:
@@ -164,9 +165,13 @@ def coupled_y2_eigen(n: int, params: PhysicalParams) -> EigenPair:
 
 
 def branch_energy(branch: str, n: int, params: PhysicalParams) -> float:
-    """Energy of a branch's level n, without building the wavefunction."""
+    """Energy of a branch's level n, without building the wavefunction.
+
+    n is checked by ``core.require_int`` (an int, at least 0).
+    """
     if branch not in BRANCHES:
         raise ValueError(f"unknown branch {branch!r}")
+    require_int("quantum number", n)
     return BRANCHES[branch].energy(n, params)
 
 
@@ -178,10 +183,10 @@ def composite_spectrum(params: PhysicalParams, count: int) -> List[CompositeLeve
     pops the levels in (E, n1, n2) order: a k-way merge of the two ladders.
     Neither index of the first ``count`` levels can reach ``count``, so each
     ladder is evaluated ``count`` times and the cost is O(count log count)
-    time and O(count) memory.
+    time and O(count) memory.  count is checked by ``core.require_int`` (an
+    int, at least 1) before any level is evaluated.
     """
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+    require_int("count", count, least=1)
     params.require_quantum_coupling()
     e1 = [branch_energy(COUPLED_Y1, n, params) for n in range(count)]
     e2 = [branch_energy(COUPLED_Y2, n, params) for n in range(count)]

@@ -20,6 +20,24 @@ class DomainError(ValueError):
     """Coordinates left the admissible configuration space."""
 
 
+def require_int(name: str, value, least: int = 0, most=None) -> int:
+    """value, if it is an int (not a bool, a float or a numpy integer) in least..most.
+
+    The one check of every count the package takes (levels, cells, level
+    numbers, degrees, orders), run before any work.  Otherwise it raises
+    ValueError: "<name> must be an integer, got <repr>", "<name> must be at
+    least <least>, got <value>", or with an upper bound most, "<name> must be
+    in <least>..<most>, got <value>".
+    """
+    if type(value) is not int:  # neither a bool nor a float that equals one
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if most is None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    if most is not None and not least <= value <= most:
+        raise ValueError(f"{name} must be in {least}..{most}, got {value}")
+    return value
+
+
 class PhysicalParams(namedtuple("PhysicalParams", "m omega hbar g")):
     """Mass, angular frequency, reduced Planck constant and coupling.
 

@@ -41,7 +41,7 @@ from itertools import islice
 from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from .analytic import BRANCHES, COUPLED_Y1, COUPLED_Y2, HALF_HO, Branch
-from .core import DomainError, PhysicalParams
+from .core import DomainError, PhysicalParams, require_int
 
 
 class _Lapack(NamedTuple):
@@ -215,17 +215,15 @@ class Grid(namedtuple("Grid", "x_min x_max n")):
     """Uniform cell-centred grid: n cells of width h between the two Dirichlet faces.
 
     The unknowns sit at the cell centres ("nodes"), x_min + (i + 1/2) h for i in 0..n-1.
+    The cell count n is checked by ``core.require_int``: an int, at least 16.
     """
 
     __slots__ = ()
 
     def __new__(cls, x_min: float, x_max: float, n: int):
-        if type(n) is not int:  # neither a bool nor a float that equals one
-            raise ValueError(f"need an integer cell count, got {n!r}")
+        require_int("cell count", n, least=16)
         if not x_min < x_max:
             raise ValueError(f"need x_min < x_max, got [{x_min}, {x_max}]")
-        if n < 16:
-            raise ValueError(f"need at least 16 cells, got {n}")
         return super().__new__(cls, x_min, x_max, n)
 
     @property
@@ -247,7 +245,12 @@ class Grid(namedtuple("Grid", "x_min x_max n")):
 
 
 class ProblemSpec(namedtuple("ProblemSpec", "kind params b order")):
-    """Which stationary ODE to solve, with its fixed energy scaling."""
+    """Which stationary ODE to solve, with its fixed energy scaling.
+
+    b and order are given for the kinds that take them and for no other.
+    ``truncated``'s expansion order is checked by ``core.require_int``: an
+    int in 0..4.
+    """
 
     __slots__ = ()
 
@@ -265,9 +268,7 @@ class ProblemSpec(namedtuple("ProblemSpec", "kind params b order")):
         if facts.series:
             if self.b == 0:
                 raise ValueError(f"kind {self.kind!r} needs b > 0")
-            # an int: neither a bool nor a float that equals one
-            if type(self.order) is not int or self.order not in range(5):
-                raise ValueError(f"kind {self.kind!r} needs an expansion order in 0..4")
+            require_int("expansion order", self.order, most=4)
         elif self.order is not None:
             raise ValueError(f"kind {self.kind!r} does not take an expansion order")
         if self.well.normal_mode:
@@ -501,11 +502,11 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, k: int):
     One ?stebz call on the stored bands, 1x1 too, for eigenvalues 1..k in
     ascending order.  Each is bracketed to an absolute width of EIGENVALUE_TOL
     times min(1, max|diag|), whatever its magnitude.  The bands are finite, as
-    every built matrix is, so they are not scanned; a k outside 1..n raises
-    ValueError and a nonzero LAPACK info ConvergenceError.
+    every built matrix is, so they are not scanned.  k is checked by
+    ``core.require_int`` (an int in 1..n) before LAPACK is bound or called;
+    a nonzero LAPACK info raises ConvergenceError.
     """
-    if not 1 <= k <= matrix.n:
-        raise ValueError(f"k must be in 1..{matrix.n}, got {k}")
+    require_int("k", k, least=1, most=matrix.n)
     diag, scale = matrix.diag, matrix.scale
     # EIGENVALUE_TOL * min(1, max|diag|), scaled like the bands
     tol = EIGENVALUE_TOL * min(scale, abs(diag[_lapack().idamax(diag)]))
@@ -526,7 +527,12 @@ def eigenvector(matrix: TridiagonalMatrix, lam: float, h: float) -> array:
     and the division by the norm, every pass over all n entries runs in C
     (BLAS or ``fsum``), without numpy, and holds no list of n floats.  A 1x1
     matrix goes through ?stein like any other: its vector is 1 / sqrt(h).
+    A NaN, infinite or nonpositive h, or a NaN or infinite lam, raises
+    ValueError before ?stein is called.
     """
+    if not (0.0 < h < math.inf and math.isfinite(lam)):
+        raise ValueError(f"eigenvector needs a finite h > 0 and a finite lam, got h = {h}, "
+                         f"lam = {lam}")
     # the stored bands, not copies.  ?stein perturbs LU pivots below eps*|T|;
     # shifting the scaled lam by 1e-13 keeps them clear (samples 7e-12 from the
     # exact stiff Laplacian ones, against 6e-11 unshifted)
@@ -547,13 +553,19 @@ class GridPolicy(namedtuple("GridPolicy", "n domain check_truncation")):
     Energies are always extrapolated over the three nested grids of N, 2N and
     4N cells.  check_truncation re-solves on a domain whose upper end is 1.5x
     as far out, at the same spacing; ``coarse_grid`` refuses it with
-    ValueError where the kind's domain cannot reach that far.
+    ValueError where the kind's domain cannot reach that far.  None is the
+    only "size it for me": a cell count goes to ``Grid`` as given (an int, at
+    least 16), and a domain that is not two finite numbers (x_min, x_max)
+    raises ValueError here.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: Optional[int] = None, domain: Optional[Tuple[float, float]] = None,
                 check_truncation: bool = False):
+        if domain is not None and not (isinstance(domain, (tuple, list)) and len(domain) == 2
+                                       and all(isinstance(x, (int, float)) for x in domain)):
+            raise ValueError(f"grid domain must be two numbers (x_min, x_max), got {domain!r}")
         if domain is not None and not all(map(math.isfinite, domain)):
             raise ValueError(f"grid domain must be finite, got {domain}")
         return super().__new__(cls, n, domain, check_truncation)
@@ -625,21 +637,18 @@ def coarse_grid(spec: ProblemSpec, k: int, policy: Optional[GridPolicy] = None) 
 
     The one check of solve's inputs, run before any matrix is built.  It
     raises ValueError, in this order, for a k that is not an int (a bool
-    included), for k < 1, for a coarse grid over MAX_COARSE_N cells, for a
-    grid ``Grid`` refuses (a cell count that is not an int, or below 16), for
-    k above its cell count (the coarsest grid has the fewest rows), and, with
-    policy.check_truncation, wherever ``_wide_policy`` cannot plan the
-    re-solve.
+    included) or is below 1 (``core.require_int``), for a grid ``Grid``
+    refuses (a cell count that is not an int, or below 16), for a coarse grid
+    over MAX_COARSE_N cells, for k above its cell count (the coarsest grid
+    has the fewest rows), and, with policy.check_truncation, wherever
+    ``_wide_policy`` cannot plan the re-solve.
     """
-    if type(k) is not int:  # neither a bool nor a float that equals one
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    require_int("k", k, least=1)
     policy = policy or GridPolicy()
-    domain = policy.domain or default_domain(spec, k)
-    coarse = Grid(domain[0], domain[1], _capped(spec, policy.n or _auto_n(spec, domain, k)))
-    if k > coarse.n:
-        raise ValueError(f"k must be in 1..{coarse.n}, got {k}")
+    domain = default_domain(spec, k) if policy.domain is None else policy.domain
+    coarse = Grid(*domain, _auto_n(spec, domain, k) if policy.n is None else policy.n)
+    _capped(spec, coarse.n)
+    require_int("k", k, least=1, most=coarse.n)
     if policy.check_truncation:
         _wide_policy(spec, coarse)
     return coarse

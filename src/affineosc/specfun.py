@@ -16,15 +16,11 @@ from __future__ import annotations
 import functools
 import math
 
+from .core import require_int
+
 
 class QuadratureError(RuntimeError):
     """Half-line quadrature failed to reach the requested tolerance."""
-
-
-def _check_degree(n: int) -> int:
-    if n != int(n) or n < 0:
-        raise ValueError(f"polynomial degree must be a nonnegative integer, got {n}")
-    return int(n)
 
 
 def confluent_1f1_neg(n: int, b_param: float, z):
@@ -36,11 +32,13 @@ def confluent_1f1_neg(n: int, b_param: float, z):
     term-by-term sum for moderate z.  z is a float (or an int), a numpy float64
     or a float ndarray, and the value has its type (a float for an int) and
     shape.  A large or non-finite float z overflows to inf or nan silently; an
-    array warns as numpy arithmetic does.
+    array warns as numpy arithmetic does.  The degree n is checked by
+    ``core.require_int`` (an int, at least 0), and b_param must be finite and
+    positive.
     """
-    n = _check_degree(n)
-    if b_param <= 0:
-        raise ValueError(f"b_param must be positive, got {b_param}")
+    require_int("polynomial degree", n)
+    if not 0.0 < b_param < math.inf:
+        raise ValueError(f"b_param must be positive and finite, got {b_param}")
     f_prev = z**0.0  # 1.0, or ones of z's shape
     if n == 0:
         return f_prev
@@ -56,9 +54,9 @@ def confluent_1f1_neg(n: int, b_param: float, z):
 def hermite(n: int, x):
     """Physicists' Hermite polynomial H_n via H_{k+1} = 2x H_k - 2k H_{k-1}.
 
-    x and the value are typed as in ``confluent_1f1_neg``.
+    x and the value are typed, and n checked, as in ``confluent_1f1_neg``.
     """
-    n = _check_degree(n)
+    require_int("polynomial degree", n)
     h_prev = x**0.0
     if n == 0:
         return h_prev
@@ -73,11 +71,12 @@ def laguerre_assoc(n: int, alpha: float, z):
 
     Related to the terminating confluent series by
     1F1(-n, alpha+1, z) = L_n^(alpha)(z) / binom(n + alpha, n).
-    z and the value are typed as in ``confluent_1f1_neg``.
+    z and the value are typed, and n checked, as in ``confluent_1f1_neg``;
+    alpha must be finite and exceed -1.
     """
-    n = _check_degree(n)
-    if alpha <= -1:
-        raise ValueError(f"alpha must exceed -1, got {alpha}")
+    require_int("polynomial degree", n)
+    if not -1.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and exceed -1, got {alpha}")
     l_prev = z**0.0
     if n == 0:
         return l_prev

@@ -15,6 +15,7 @@ from affineosc.core import (
     hamiltonian_normal,
     hamiltonian_original,
     poisson_bracket,
+    require_int,
     to_normal,
 )
 
@@ -217,3 +218,26 @@ class TestPoissonBracket:
                 lambda p: p.q1, lambda p: p.p1,
                 PhaseSpacePoint(1, 0, 0, 0, frame=core.NORMAL),
             )
+
+
+class TestRequireInt:
+    @pytest.mark.parametrize("value,least,most", [(0, 0, None), (7, 1, None), (4, 0, 4),
+                                                  (16, 16, 16)])
+    def test_returns_an_int_in_range(self, value, least, most):
+        assert require_int("k", value, least, most) is value
+
+    @pytest.mark.parametrize("value,least,most,message", [
+        (True, 0, None, "k must be an integer, got True"),
+        (2.0, 0, None, "k must be an integer, got 2.0"),
+        (np.int64(3), 0, None, f"k must be an integer, got {np.int64(3)!r}"),
+        ("3", 0, None, "k must be an integer, got '3'"),
+        (None, 1, 9, "k must be an integer, got None"),
+        (-1, 0, None, "k must be at least 0, got -1"),
+        (0, 1, None, "k must be at least 1, got 0"),
+        (5, 0, 4, "k must be in 0..4, got 5"),
+        (0, 1, 4, "k must be in 1..4, got 0"),
+    ])
+    def test_message(self, value, least, most, message):
+        with pytest.raises(ValueError) as caught:
+            require_int("k", value, least, most)
+        assert str(caught.value) == message

@@ -91,7 +91,7 @@ class TestGrid:
 
     @pytest.mark.parametrize("n", [100.5, 100.0, True, np.int64(100)])
     def test_cell_count_must_be_an_int(self, n):
-        with pytest.raises(ValueError, match=r"^need an integer cell count, got "):
+        with pytest.raises(ValueError, match=r"^cell count must be an integer, got "):
             Grid(0.0, 1.0, n)
 
 
@@ -494,6 +494,20 @@ class TestSteinEigenvector:
         monkeypatch.setattr(numeric, "dstein", failed)
         with pytest.raises(ConvergenceError, match="stein"):
             eigenvector(laplacian_3(), 2.0, h=1.0)
+
+    @pytest.mark.parametrize("h,lam", [
+        (0.0, 2.0), (-1.0, 2.0), (math.nan, 2.0), (math.inf, 2.0),
+        (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+    ])
+    def test_bad_h_or_lam_refused_before_stein(self, monkeypatch, h, lam):
+        def no_stein(diag, off, lam):
+            raise AssertionError("eigenvector called LAPACK ?stein")
+
+        matrix = laplacian_3()
+        monkeypatch.setattr(numeric, "dstein", no_stein)
+        with pytest.raises(ValueError, match=r"^eigenvector needs a finite h > 0 and a finite "
+                                             r"lam, got h = "):
+            eigenvector(matrix, lam, h=h)
 
     @pytest.mark.parametrize("scale", [2.0**-500, 2.0**480, 1e146])
     def test_scale_invariant(self, scale):
@@ -961,6 +975,23 @@ class TestGridCap:
         with pytest.raises(ValueError, match=field):
             GridPolicy(**{field: value})
 
+    @pytest.mark.parametrize("domain", [(), (1.0,), (0.0, 5.0, 9.0), ("0", "5"), [0.0, "5"],
+                                        5.0, "05", {0.0: 5.0}])
+    def test_domain_must_be_two_numbers(self, monkeypatch, domain):
+        # None is the only "use the default domain"
+        grids = record_grids(monkeypatch)
+        with pytest.raises(ValueError, match=r"^grid domain must be two numbers \(x_min, x_max\), "
+                                             r"got "):
+            solve(ProblemSpec(kind="eqintro"), 4, GridPolicy(domain=domain))
+        assert grids == []
+
+    def test_cell_count_zero_is_not_the_default(self, monkeypatch):
+        grids = record_grids(monkeypatch)
+        for n in (0, 0.0, False):
+            with pytest.raises(ValueError, match=r"^cell count must be "):
+                numeric.coarse_grid(ProblemSpec(kind="eqintro"), 4, GridPolicy(n=n))
+        assert grids == []
+
 
 def record_grids(monkeypatch):
     """The grids passed to numeric.assemble, in call order; assemble still runs."""
@@ -984,7 +1015,7 @@ class TestInputTypes:
 
     def test_policy_n_must_be_an_int(self, monkeypatch):
         grids = record_grids(monkeypatch)
-        with pytest.raises(ValueError, match=r"^need an integer cell count, got 100\.5$"):
+        with pytest.raises(ValueError, match=r"^cell count must be an integer, got 100\.5$"):
             solve(ProblemSpec(kind="eqintro"), 4, GridPolicy(n=100.5))
         assert grids == []
 

@@ -8,25 +8,33 @@ above ``cli.ERR_EST_WARN``.  Flag text that does not parse, an unknown flag
 and a missing subcommand are validation errors.  And ``numeric.solve`` checks
 its inputs in ``coarse_grid`` alone, before it builds a matrix; where that gate
 passes with ``check_truncation``, the re-solve's domain reaches 1.5x as far out
-at the same spacing.
+at the same spacing.  Every public entry point that takes a count (levels,
+cells, a level number, a degree, an expansion order) accepts an int in range
+and gives the result it always gave, and refuses anything else with
+``core.require_int``'s ValueError before LAPACK is bound or called.
 """
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
 import warnings
+from typing import Callable, NamedTuple, Optional
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affineosc import numeric
+from affineosc import analytic, interp, numeric, specfun
+from affineosc.analytic import COUPLED_Y1, COUPLED_Y2, HALF_HO, CompositeLevel
 from affineosc.cli import COMMANDS, SPECFUN_NAMES, build_parser, main
 from affineosc.core import PhysicalParams
 from affineosc.numeric import KIND_FACTS, KINDS, MAX_COARSE_N, GridPolicy, ProblemSpec
+from oracles import branch_energy_chain, f1_numpy, hermite_numpy, laguerre_numpy
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -282,3 +290,143 @@ def test_truncation_resolve_is_one_and_a_half_times_out(kind, b, order, k):
     # the same spacing, up to rounding the wide domain to whole coarse cells
     assert abs(wide.h - finest.h) <= 2.0 * finest.h / wide.n * (1.0 + 1e-12)
     assert wide.n >= finest.n
+
+
+class Count(NamedTuple):
+    """A public entry point that takes a count, as a function of that count alone."""
+
+    name: str  # the count's name in require_int's messages
+    least: int
+    most: Optional[int]
+    call: Callable  # count -> result
+    expected: Callable  # a valid count -> the result, computed another way
+    none_is_default: bool = False  # None is valid: "size it for me"
+
+    def valid(self, count) -> bool:
+        if count is None:
+            return self.none_is_default
+        return type(count) is int and self.least <= count and (self.most is None
+                                                               or count <= self.most)
+
+
+PARAMS = PhysicalParams(g=0.6)
+EQINTRO = ProblemSpec("eqintro", PARAMS)
+HEXT1 = ProblemSpec("hext1", PARAMS, b=0.0)
+# 32 cells: the solves stay cheap, and k from 33 up is refused against the grid
+SMALL = GridPolicy(n=32, domain=(0.0, 12.0))
+LAPLACIAN_N = 40
+
+
+@functools.cache
+def laplacian():
+    """The matrix tridiag(-1, 2, -1) of order LAPLACIAN_N, built once, outside any sentinel."""
+    return numeric.TridiagonalMatrix([2.0] * LAPLACIAN_N, [-1.0] * (LAPLACIAN_N - 1))
+
+
+def solved_lams(spec, k, policy):
+    """lowest_eigenvalues on the finest grid of solve(spec, k, policy), called directly."""
+    finest = numeric.coarse_grid(spec, k, policy).refined().refined()
+    return numeric.lowest_eigenvalues(numeric.assemble(spec, finest), k)
+
+
+def default_coarse_grid(n):
+    """eqintro's coarse grid at k = 4 with n cells; None is its auto size, 170 cells."""
+    return (*numeric.default_domain(EQINTRO, 4), 170 if n is None else n)
+
+
+def composite_brute_force(k):
+    e1 = [branch_energy_chain(COUPLED_Y1, n, PARAMS) for n in range(k)]
+    e2 = [branch_energy_chain(COUPLED_Y2, n, PARAMS) for n in range(k)]
+    merged = sorted((a + b, n1, n2) for n1, a in enumerate(e1) for n2, b in enumerate(e2))
+    return [CompositeLevel(n1, n2, energy) for energy, n1, n2 in merged[:k]]
+
+
+def on_small_grids(spec, k):
+    """solve on 64 coarse cells of the kind's domain for k = 1: cheap for every k up to 60."""
+    return numeric.solve(spec, k, GridPolicy(n=64, domain=numeric.default_domain(spec, 1)))
+
+
+def energies(spec, k):
+    return [level.energy for level in on_small_grids(spec, k).levels]
+
+
+def truncated_sweep_k(k):
+    """truncated_sweep's (energies, exact) at k, its solves on small grids; it checks k first."""
+    with mock.patch.object(interp, "solve", on_small_grids):
+        return interp.truncated_sweep(PARAMS, 1.0, [0], k)[1:]
+
+
+def eigen_case(function, branch):
+    return Count("quantum number", 0, None, lambda n: function(n, PARAMS)[:3],
+                 lambda n: (n, branch_energy_chain(branch, n, PARAMS), branch))
+
+
+COUNTS = {
+    "solve": Count("k", 1, SMALL.n, lambda k: [lv.lam_fine for lv in numeric.solve(
+        EQINTRO, k, SMALL).levels], lambda k: solved_lams(EQINTRO, k, SMALL)),
+    "coarse_grid-policy-n": Count("cell count", 16, None, lambda n: numeric.coarse_grid(
+        EQINTRO, 4, GridPolicy(n=n)), default_coarse_grid, none_is_default=True),
+    "Grid": Count("cell count", 16, None, lambda n: numeric.Grid(0.0, 1.0, n),
+                  lambda n: (0.0, 1.0, n)),
+    "ProblemSpec-order": Count("expansion order", 0, 4, lambda order: ProblemSpec(
+        "truncated", b=1.0, order=order), lambda order: ("truncated", PhysicalParams(), 1.0, order)),
+    "lowest_eigenvalues": Count("k", 1, LAPLACIAN_N, lambda k: numeric.lowest_eigenvalues(
+        laplacian(), k), lambda k: pytest.approx([2.0 - 2.0 * math.cos(j * math.pi / (
+            LAPLACIAN_N + 1)) for j in range(1, k + 1)], rel=0, abs=1e-11)),
+    "half_ho_eigen": eigen_case(analytic.half_ho_eigen, HALF_HO),
+    "coupled_y1_eigen": eigen_case(analytic.coupled_y1_eigen, COUPLED_Y1),
+    "coupled_y2_eigen": eigen_case(analytic.coupled_y2_eigen, COUPLED_Y2),
+    **{f"branch_energy-{branch}": Count(
+        "quantum number", 0, None, functools.partial(analytic.branch_energy, branch,
+                                                     params=PARAMS),
+        functools.partial(branch_energy_chain, branch, params=PARAMS))
+       for branch in (HALF_HO, COUPLED_Y1, COUPLED_Y2)},
+    "composite_spectrum": Count("count", 1, None, lambda count: analytic.composite_spectrum(
+        PARAMS, count), composite_brute_force),
+    "hermite": Count("polynomial degree", 0, None, lambda n: specfun.hermite(n, 0.7),
+                     lambda n: hermite_numpy(n, 0.7)),
+    "confluent_1f1_neg": Count("polynomial degree", 0, None, lambda n: specfun.confluent_1f1_neg(
+        n, 2.0, 0.7), lambda n: f1_numpy(n, 2.0, 0.7)),
+    "laguerre_assoc": Count("polynomial degree", 0, None, lambda n: specfun.laguerre_assoc(
+        n, 1.0, 0.7), lambda n: laguerre_numpy(n, 1.0, 0.7)),
+    "b_sweep": Count("k", 1, SMALL.n, lambda k: [row.energy for row in interp.b_sweep(
+        PARAMS, [0.0], k, SMALL).rows], lambda k: [lv.energy for lv in numeric.solve(
+            HEXT1, k, SMALL).levels]),
+    "truncated_sweep-k": Count("k", 1, None, truncated_sweep_k, lambda k: (
+        {0: energies(ProblemSpec("truncated", PARAMS, b=1.0, order=0), k)},
+        energies(ProblemSpec("hext1", PARAMS, b=1.0), k))),
+    "truncated_sweep-order": Count("expansion order", 0, 4, lambda order: interp.truncated_sweep(
+        PARAMS, 1.0, [order], 1).energies, lambda order: {order: [numeric.solve(ProblemSpec(
+            "truncated", PARAMS, b=1.0, order=order), 1).levels[0].energy]}),
+}
+
+# ints in and out of range, and everything that is not an int but could pass for one
+counts = st.one_of(
+    st.integers(-3, 60),
+    st.booleans(),
+    st.integers(-3, 60).map(float),
+    st.floats(-3.0, 60.0).filter(lambda x: not x.is_integer()),
+    st.integers(-3, 60).map(np.int64),
+    st.none(),
+    st.just("3"),
+)
+
+
+def no_lapack():
+    raise AssertionError("LAPACK was bound or called for a count require_int refuses")
+
+
+@pytest.mark.parametrize("entry", COUNTS)
+@FUZZ
+@given(count=counts)
+def test_every_count_is_an_int_checked_before_any_work(entry, count):
+    case = COUNTS[entry]
+    if case.valid(count):
+        assert case.call(count) == case.expected(count)
+        return
+    laplacian()  # lowest_eigenvalues' matrix, built before the sentinel goes in
+    # every matrix is prescaled by BLAS when built, so this also catches a matrix
+    with mock.patch.object(numeric, "_lapack", no_lapack):
+        with pytest.raises(ValueError) as caught:
+            case.call(count)
+    assert str(caught.value).startswith(f"{case.name} must be "), str(caught.value)

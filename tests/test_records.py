@@ -135,7 +135,7 @@ INVALID = [
      "normal-frame y1 must be nonnegative, got -1.0"),
     (Grid, {"x_min": 1.0, "x_max": 1.0, "n": 16}, ValueError, "need x_min < x_max, got [1.0, 1.0]"),
     (Grid, {"x_min": 0.0, "x_max": 1.0, "n": 15}, ValueError,
-     "need at least 16 cells, got 15"),
+     "cell count must be at least 16, got 15"),
     (ProblemSpec, {"kind": "eqo3"}, ValueError, "unknown problem kind 'eqo3'"),
     (ProblemSpec, {"kind": "hext1"}, ValueError, "kind 'hext1' needs a finite b >= 0, got None"),
     (ProblemSpec, {"kind": "hext1", "b": math.inf}, ValueError,
@@ -144,7 +144,7 @@ INVALID = [
     (ProblemSpec, {"kind": "truncated", "b": 0.0, "order": 1}, ValueError,
      "kind 'truncated' needs b > 0"),
     (ProblemSpec, {"kind": "truncated", "b": 1.0, "order": 5}, ValueError,
-     "kind 'truncated' needs an expansion order in 0..4"),
+     "expansion order must be in 0..4, got 5"),
     (ProblemSpec, {"kind": "hext1", "b": 1.0, "order": 2}, ValueError,
      "kind 'hext1' does not take an expansion order"),
     (ProblemSpec, {"kind": "eqo1"}, ValueError,
@@ -211,14 +211,14 @@ def test_validation_message(record, values, error, message):
 def test_fractional_order_message():
     with pytest.raises(ValueError) as caught:
         ProblemSpec(kind="truncated", b=1.0, order=2.5)
-    assert str(caught.value) == "kind 'truncated' needs an expansion order in 0..4"
+    assert str(caught.value) == "expansion order must be an integer, got 2.5"
 
 
 @pytest.mark.parametrize("order", [2.0, True], ids=["float", "bool"])
 def test_order_must_be_an_int(order):
     with pytest.raises(ValueError) as caught:
         ProblemSpec(kind="truncated", b=1.0, order=order)
-    assert str(caught.value) == "kind 'truncated' needs an expansion order in 0..4"
+    assert str(caught.value) == f"expansion order must be an integer, got {order!r}"
 
 
 def test_quantum_coupling_message():

@@ -63,6 +63,16 @@ class TestConfluent:
             confluent_1f1_neg(2, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda p: confluent_1f1_neg(2, p, 1.0), r"^b_param must be positive and finite, got "),
+    (lambda p: laguerre_assoc(2, p, 1.0), r"^alpha must be finite and exceed -1, got "),
+], ids=["1f1", "laguerre"])
+@pytest.mark.parametrize("param", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameter_rejected(call, message, param):
+    with pytest.raises(ValueError, match=message):
+        call(param)
+
+
 class TestHermite:
     def test_low_orders(self):
         assert hermite(0, 12.3) == 1.0
