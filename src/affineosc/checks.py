@@ -15,11 +15,23 @@ from __future__ import annotations
 import math
 import operator
 import random
-from typing import Callable, List, Tuple
+from typing import Callable, Iterable, List, Tuple
 
 from . import analytic, core, numeric, specfun
 
 CheckResult = Tuple[str, bool, str]
+
+
+def _within(name: str, bound: float, label: str, deviations: Iterable[float]) -> CheckResult:
+    """The result of a check that passes iff its largest deviation is at most bound.
+
+    Its detail reads "<label> <largest>".  The largest of none is 0.0, and of
+    any that hold a NaN it is NaN (``max`` alone skips a NaN unless it comes
+    first), so a NaN fails, as an infinity does.
+    """
+    deviations = list(deviations)
+    worst = math.nan if any(map(math.isnan, deviations)) else max(deviations, default=0.0)
+    return (name, worst <= bound, f"{label} {worst:.3e}")
 
 
 def _random_original_points(rng: random.Random, count):
@@ -32,35 +44,28 @@ def _random_original_points(rng: random.Random, count):
 
 
 def check_frame_round_trip() -> CheckResult:
-    worst = 0.0
-    for pt in _random_original_points(random.Random(0), 1000):
-        back = core.from_normal(core.to_normal(pt))
-        worst = max(
-            worst,
-            abs(back.q1 - pt.q1),
-            abs(back.q2 - pt.q2),
-            abs(back.p1 - pt.p1),
-            abs(back.p2 - pt.p2),
-        )
+    pts = _random_original_points(random.Random(0), 1000)
+    backs = [core.from_normal(core.to_normal(pt)) for pt in pts]
     # the halving in from_normal is exact, but the sums in to_normal each
     # round once, so the round trip is only machine-precision accurate
-    return ("frame round trip", worst <= 1e-14, f"max deviation {worst:.3e}")
+    return _within("frame round trip", 1e-14, "max deviation", (  # over q1, q2, p1, p2
+        abs(b - a) for pt, back in zip(pts, backs) for a, b in zip(pt[:4], back[:4])))
 
 
 def check_hamiltonian_equivalence() -> CheckResult:
     params = core.PhysicalParams(g=0.6)
-    worst = 0.0
+    deviations = []
     for pt in _random_original_points(random.Random(1), 1000):
         h1 = core.hamiltonian_original(pt, params)
         h2 = core.hamiltonian_normal(core.to_normal(pt), params)
-        worst = max(worst, abs(h1 - h2) / max(1.0, abs(h1)))
-    return ("Hamiltonian equivalence under frame change", worst <= 1e-12,
-            f"max relative deviation {worst:.3e}")
+        deviations.append(abs(h1 - h2) / max(1.0, abs(h1)))
+    return _within("Hamiltonian equivalence under frame change", 1e-12,
+                   "max relative deviation", deviations)
 
 
 def check_affine_identity() -> CheckResult:
     params = core.PhysicalParams(g=0.6)
-    worst = 0.0
+    deviations = []
     for pt in _random_original_points(random.Random(2), 1000):
         nm = core.to_normal(pt)
         if nm.q1 <= 0:
@@ -68,9 +73,9 @@ def check_affine_identity() -> CheckResult:
         d = core.dilation(nm.q1, nm.p1)
         h_aff = core.hamiltonian_affine(nm.q1, d, nm.q2, nm.p2, params)
         h_nrm = core.hamiltonian_normal(nm, params)
-        worst = max(worst, abs(h_aff - h_nrm) / max(1.0, abs(h_nrm)))
-    return ("affine kinetic term matches canonical one", worst <= 1e-12,
-            f"max relative deviation {worst:.3e}")
+        deviations.append(abs(h_aff - h_nrm) / max(1.0, abs(h_nrm)))
+    return _within("affine kinetic term matches canonical one", 1e-12,
+                   "max relative deviation", deviations)
 
 
 def check_bracket_table() -> CheckResult:
@@ -101,37 +106,34 @@ def check_bracket_table() -> CheckResult:
         (y1, py2, 0.0),
         (y2, py1, 0.0),
     ]
-    worst = 0.0
-    for f, g, expected in cases:
-        got = core.poisson_bracket(f, g, pt)
-        worst = max(worst, abs(got - expected))
-    return ("Poisson bracket table", worst <= tol,
-            f"max deviation {worst:.3e} (tolerance {tol:.1e})")
+    name, ok, detail = _within("Poisson bracket table", tol, "max deviation", (
+        abs(core.poisson_bracket(f, g, pt) - expected) for f, g, expected in cases))
+    return (name, ok, f"{detail} (tolerance {tol:.1e})")
 
 
 def check_laguerre_1f1_identity() -> CheckResult:
     rng = random.Random(3)
-    worst = 0.0
+    deviations = []
     for n in range(21):
         for _ in range(10):
             z = rng.uniform(0.0, 50.0)
             lhs = specfun.confluent_1f1_neg(n, 2.0, z)
             rhs = specfun.laguerre_assoc(n, 1.0, z) / (n + 1)
-            worst = max(worst, abs(lhs - rhs) / max(1e-30, abs(rhs)))
-    return ("Laguerre / confluent-series identity", worst <= 1e-12,
-            f"max relative deviation {worst:.3e}")
+            deviations.append(abs(lhs - rhs) / max(1e-30, abs(rhs)))
+    return _within("Laguerre / confluent-series identity", 1e-12, "max relative deviation",
+                   deviations)
 
 
 def check_hermite_parity() -> CheckResult:
     rng = random.Random(4)
-    worst = 0.0
+    deviations = []
     for n in range(31):
         for _ in range(10):
             x = rng.uniform(0.0, 3.0)
             a = specfun.hermite(n, x)
             b = specfun.hermite(n, -x)
-            worst = max(worst, abs(b - (-1.0) ** n * a) / max(1.0, abs(a)))
-    return ("Hermite parity", worst <= 1e-12, f"max relative deviation {worst:.3e}")
+            deviations.append(abs(b - (-1.0) ** n * a) / max(1.0, abs(a)))
+    return _within("Hermite parity", 1e-12, "max relative deviation", deviations)
 
 
 def _gauss_rule(size, halfline):
@@ -176,9 +178,9 @@ def check_laguerre_orthogonality() -> CheckResult:
     # exact up to degree 17, the products reach 16; exp(-t) takes the weight's factor back out
     rule = [(t, w * math.exp(-t)) for t, w in _gauss_rule(9, halfline=True)]
     gram = _gram(rule, [lambda t, d=d: specfun.laguerre_assoc(d, 1.0, t) for d in range(9)])
-    worst = max(abs(value - (i + 1.0) * (i == j))
-                for i, row in enumerate(gram) for j, value in enumerate(row))
-    return ("Laguerre orthogonality", worst <= 1e-8, f"max deviation {worst:.3e}")
+    return _within("Laguerre orthogonality", 1e-8, "max deviation", (
+        abs(value - (i + 1.0) * (i == j))
+        for i, row in enumerate(gram) for j, value in enumerate(row)))
 
 
 def _branch_pairs(params, count):
@@ -194,12 +196,10 @@ def check_equal_spacing() -> CheckResult:
         analytic.COUPLED_Y1: hw * math.sqrt(1.0 + params.g_ratio),
         analytic.COUPLED_Y2: 0.5 * hw * math.sqrt(1.0 - params.g_ratio),
     }
-    worst = 0.0
-    for branch, pairs in _branch_pairs(params, count=10).items():
-        for lo, hi in zip(pairs, pairs[1:]):
-            worst = max(worst, abs((hi.energy - lo.energy) - expected[branch]))
-    return ("equal level spacing per branch", worst <= 1e-12,
-            f"max spacing deviation {worst:.3e}")
+    return _within("equal level spacing per branch", 1e-12, "max spacing deviation", (
+        abs((hi.energy - lo.energy) - expected[branch])
+        for branch, pairs in _branch_pairs(params, count=10).items()
+        for lo, hi in zip(pairs, pairs[1:])))
 
 
 def gram_matrix(pairs):
@@ -217,10 +217,9 @@ def gram_matrix(pairs):
 
 def check_orthonormality() -> CheckResult:
     params = core.PhysicalParams(g=0.6)
-    worst = max(abs(value - (i == j)) for pairs in _branch_pairs(params, count=6).values()
-                for i, row in enumerate(gram_matrix(pairs)) for j, value in enumerate(row))
-    return ("branch orthonormality (Gram matrix)", worst <= 1e-8,
-            f"max Gram deviation {worst:.3e}")
+    return _within("branch orthonormality (Gram matrix)", 1e-8, "max Gram deviation", (
+        abs(value - (i == j)) for pairs in _branch_pairs(params, count=6).values()
+        for i, row in enumerate(gram_matrix(pairs)) for j, value in enumerate(row)))
 
 
 def check_node_counts() -> CheckResult:
@@ -238,24 +237,27 @@ def check_node_counts() -> CheckResult:
             m = math.ceil(32 * (turn + 5.0) * turn / math.pi)
             unit = (turn + 5.0) / (m * m * root)
             xs = [unit * j * abs(j) for j in range(0 if record.halfline else -m, m + 1)]
-            nodes = numeric.sign_changes([pair.wavefunction(x) for x in xs])
-            if nodes != pair.n:
+            samples = [pair.wavefunction(x) for x in xs]
+            # sign_changes drops a NaN sample, so a level with one fails here
+            if not all(map(math.isfinite, samples)):
+                detail.append(f"{branch} n={pair.n} -> non-finite samples")
+            elif (nodes := numeric.sign_changes(samples)) != pair.n:
                 detail.append(f"{branch} n={pair.n} -> {nodes} nodes")
     return ("interior node counts", not detail, "; ".join(detail) or "all match")
 
 
 def check_numeric_vs_analytic() -> CheckResult:
     params = core.PhysicalParams(g=0.6)
-    worst = 0.0
+    deviations = []
     for kind, facts in numeric.KIND_FACTS.items():
         if facts.branch is None:
             continue
         result = numeric.solve(numeric.ProblemSpec(kind=kind, params=params), k=4)
         for level in result.levels:
             ref = analytic.branch_energy(facts.branch, level.n, params)
-            worst = max(worst, abs(level.energy - ref) / abs(ref))
-    return ("numeric spectra match closed forms", worst <= 1e-6,
-            f"max relative deviation {worst:.3e}")
+            deviations.append(abs(level.energy - ref) / abs(ref))
+    return _within("numeric spectra match closed forms", 1e-6, "max relative deviation",
+                   deviations)
 
 
 def check_convergence_order() -> CheckResult:
@@ -305,20 +307,19 @@ def check_variational_shift() -> CheckResult:
                                         [o / s for o in matrix.off])
     lam = numeric.lowest_eigenvalues(matrix, 3)
     lam_shift = numeric.lowest_eigenvalues(shifted, 3)
-    worst = max(abs((ls - l) - 1.0) for l, ls in zip(lam, lam_shift))
-    increasing = all(b > a for a, b in zip(lam, lam[1:]))
-    return ("variational monotonicity (V + 1 shifts spectrum by 1)",
-            worst <= 1e-10 and increasing,
-            f"max shift deviation {worst:.3e}")
+    name, ok, detail = _within("variational monotonicity (V + 1 shifts spectrum by 1)", 1e-10,
+                               "max shift deviation", (
+                                   abs((ls - l) - 1.0) for l, ls in zip(lam, lam_shift)))
+    return (name, ok and all(b > a for a, b in zip(lam, lam[1:])), detail)
 
 
 def check_hext1_b0_matches_eqintro() -> CheckResult:
     params = core.PhysicalParams()
     r1 = numeric.solve(numeric.ProblemSpec(kind="eqintro", params=params), k=3)
     r2 = numeric.solve(numeric.ProblemSpec(kind="hext1", params=params, b=0.0), k=3)
-    worst = max(abs(l1.energy - l2.energy) for l1, l2 in zip(r1.levels, r2.levels))
-    return ("moving-endpoint problem at b=0 equals half-line problem",
-            worst <= 1e-8, f"max deviation {worst:.3e}")
+    return _within("moving-endpoint problem at b=0 equals half-line problem", 1e-8,
+                   "max deviation", (
+                       abs(l1.energy - l2.energy) for l1, l2 in zip(r1.levels, r2.levels)))
 
 
 ALL_CHECKS: List[Callable[[], CheckResult]] = [

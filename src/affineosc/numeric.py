@@ -216,6 +216,7 @@ class Grid(namedtuple("Grid", "x_min x_max n")):
 
     The unknowns sit at the cell centres ("nodes"), x_min + (i + 1/2) h for i in 0..n-1.
     The cell count n is checked by ``core.require_int``: an int, at least 16.
+    x_min < x_max, a finite width apart.
     """
 
     __slots__ = ()
@@ -224,6 +225,8 @@ class Grid(namedtuple("Grid", "x_min x_max n")):
         require_int("cell count", n, least=16)
         if not x_min < x_max:
             raise ValueError(f"need x_min < x_max, got [{x_min}, {x_max}]")
+        if not math.isfinite(x_max - x_min):
+            raise ValueError(f"need a finite x_max - x_min, got [{x_min}, {x_max}]")
         return super().__new__(cls, x_min, x_max, n)
 
     @property
@@ -249,7 +252,7 @@ class ProblemSpec(namedtuple("ProblemSpec", "kind params b order")):
 
     b and order are given for the kinds that take them and for no other.
     ``truncated``'s expansion order is checked by ``core.require_int``: an
-    int in 0..4.
+    int in 0..4, named ``order`` in its messages, as the field and the flag are.
     """
 
     __slots__ = ()
@@ -268,7 +271,7 @@ class ProblemSpec(namedtuple("ProblemSpec", "kind params b order")):
         if facts.series:
             if self.b == 0:
                 raise ValueError(f"kind {self.kind!r} needs b > 0")
-            require_int("expansion order", self.order, most=4)
+            require_int("order", self.order, most=4)
         elif self.order is not None:
             raise ValueError(f"kind {self.kind!r} does not take an expansion order")
         if self.well.normal_mode:
@@ -555,8 +558,8 @@ class GridPolicy(namedtuple("GridPolicy", "n domain check_truncation")):
     as far out, at the same spacing; ``coarse_grid`` refuses it with
     ValueError where the kind's domain cannot reach that far.  None is the
     only "size it for me": a cell count goes to ``Grid`` as given (an int, at
-    least 16), and a domain that is not two finite numbers (x_min, x_max)
-    raises ValueError here.
+    least 16), and a domain that is not two numbers (x_min, x_max) a finite
+    width apart raises ValueError here.
     """
 
     __slots__ = ()
@@ -566,7 +569,7 @@ class GridPolicy(namedtuple("GridPolicy", "n domain check_truncation")):
         if domain is not None and not (isinstance(domain, (tuple, list)) and len(domain) == 2
                                        and all(isinstance(x, (int, float)) for x in domain)):
             raise ValueError(f"grid domain must be two numbers (x_min, x_max), got {domain!r}")
-        if domain is not None and not all(map(math.isfinite, domain)):
+        if domain is not None and not math.isfinite(domain[1] - domain[0]):
             raise ValueError(f"grid domain must be finite, got {domain}")
         return super().__new__(cls, n, domain, check_truncation)
 

@@ -1,0 +1,102 @@
+"""Every check of ``affineosc check`` fails when a value it compares is NaN.
+
+Each case replaces one module attribute the check reaches, so that one value
+it compares turns NaN, and the check must report FAIL with ``nan`` in its
+detail (node counts name the level instead).  ``max`` skips a NaN unless it
+comes first, so a check that keeps its own ``max`` would pass most of these.
+"""
+
+import math
+from unittest import mock
+
+import pytest
+
+from affineosc import analytic, checks, core, numeric, specfun
+from affineosc.cli import main
+
+
+def nan_where(function, when):
+    """function, with NaN in place of its value wherever when(*args) holds."""
+    return lambda *args: math.nan if when(*args) else function(*args)
+
+
+def q1_nan(from_normal):
+    """from_normal, with NaN in place of each result's q1."""
+    return lambda pt: from_normal(pt)._replace(q1=math.nan)
+
+
+def last_eigenvalue_nan(calls=None):
+    """lowest_eigenvalues with its last value NaN: on every call, or only on those numbered."""
+    original, seen = numeric.lowest_eigenvalues, []
+
+    def lowest(matrix, k):
+        values = original(matrix, k)
+        seen.append(None)
+        if calls is None or len(seen) in calls:
+            values[-1] = math.nan
+        return values
+
+    return lowest
+
+
+def halfline_level_nan(level, where):
+    """_halfline_wavefunction whose given level is NaN wherever where(x) holds."""
+    original = analytic._halfline_wavefunction
+
+    def family(n, alpha):
+        phi = original(n, alpha)
+        return nan_where(phi, where) if n == level else phi
+
+    return family
+
+
+# check -> (module, attribute, replacement factory, what the detail must show); each
+# factory runs before its patch, so it wraps the original attribute
+INJECTIONS = {
+    "frame_round_trip": (core, "from_normal", lambda: q1_nan(core.from_normal), "nan"),
+    "hamiltonian_equivalence": (core, "hamiltonian_normal", lambda: lambda *a: math.nan, "nan"),
+    "affine_identity": (core, "hamiltonian_normal", lambda: lambda *a: math.nan, "nan"),
+    "bracket_table": (core, "poisson_bracket", lambda: lambda *a: math.nan, "nan"),
+    "laguerre_1f1_identity": (specfun, "laguerre_assoc", lambda: nan_where(
+        specfun.laguerre_assoc, lambda n, a, x: n == 5), "nan"),
+    "hermite_parity": (specfun, "hermite", lambda: nan_where(
+        specfun.hermite, lambda n, x: x < 0), "nan"),
+    "laguerre_orthogonality": (specfun, "laguerre_assoc", lambda: nan_where(
+        specfun.laguerre_assoc, lambda n, a, x: n == 5), "nan"),
+    "equal_spacing": (analytic, "branch_energy", lambda: nan_where(
+        analytic.branch_energy, lambda branch, n, params: n == 2), "nan"),
+    "orthonormality": (analytic, "_halfline_wavefunction", lambda: halfline_level_nan(
+        3, lambda x: True), "nan"),
+    "node_counts": (analytic, "_halfline_wavefunction", lambda: halfline_level_nan(
+        0, lambda x: x > 1), "half_ho n=0"),
+    "numeric_vs_analytic": (analytic, "branch_energy", lambda: nan_where(
+        analytic.branch_energy, lambda branch, n, params: n == 2), "nan"),
+    "convergence_order": (numeric, "lowest_eigenvalues", last_eigenvalue_nan, "nan"),
+    # only the shifted spectrum: the unshifted one stays increasing
+    "variational_shift": (numeric, "lowest_eigenvalues", lambda: last_eigenvalue_nan({2}),
+                          "nan"),
+    "hext1_b0_matches_eqintro": (numeric, "lowest_eigenvalues", last_eigenvalue_nan, "nan"),
+}
+
+
+def test_every_check_has_an_injection():
+    assert [f"check_{name}" for name in INJECTIONS] == [c.__name__ for c in checks.ALL_CHECKS]
+
+
+@pytest.mark.parametrize("name", INJECTIONS)
+def test_nan_fails_its_check(name):
+    module, attribute, replacement, shown = INJECTIONS[name]
+    check = getattr(checks, f"check_{name}")
+    assert check()[1], "the check fails without an injection"
+    with mock.patch.object(module, attribute, replacement()):
+        _, ok, detail = check()
+    assert not ok and shown in detail, detail
+
+
+def test_check_command_exits_2_on_one_failure(capsys):
+    with mock.patch.object(core, "poisson_bracket", lambda *a: math.nan):
+        assert main(["check"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(checks.ALL_CHECKS)
+    assert [line for line in lines if line.startswith("[FAIL]")] == [
+        "[FAIL] Poisson bracket table: max deviation nan (tolerance 1.0e-09)"]

@@ -620,7 +620,7 @@ def test_every_accepted_flag_is_read(command, flag, tmp_path, capsys):
     (["spectrum", "--levels", "1", "--samples", "4"], "field 'samples' needs 'out' in CSV"),
     (["spectrum", "--kind", "hext1"], "kind 'hext1' needs a finite b >= 0"),
     (["spectrum", "--kind", "truncated", "--b", "5"],
-     "expansion order must be an integer, got None"),
+     "order must be an integer, got None"),
     (["spectrum", "--b", "5", "--order", "99"], "kind 'eqintro' does not take b"),
     (["spectrum", "--order", "2"], "kind 'eqintro' does not take an expansion order"),
     (["sweep", "--b-values", "1,1"], "b values must be strictly ascending"),

@@ -94,6 +94,17 @@ class TestGrid:
         with pytest.raises(ValueError, match=r"^cell count must be an integer, got "):
             Grid(0.0, 1.0, n)
 
+    @pytest.mark.parametrize("x_min,x_max", [(0.0, math.inf), (-1e308, 1e308)])
+    def test_width_must_be_finite(self, monkeypatch, x_min, x_max):
+        # 2e308 overflows: the width is infinite although both ends are finite
+        grids = record_grids(monkeypatch)
+        with pytest.raises(ValueError, match=r"^need a finite x_max - x_min, got "):
+            Grid(x_min, x_max, 16)
+        with pytest.raises(ValueError, match=r"^grid domain must be finite, got "):
+            numeric.coarse_grid(ProblemSpec(kind="eqo2", params=PhysicalParams(g=0.5)), 4,
+                                GridPolicy(domain=(x_min, x_max)))
+        assert grids == []
+
 
 class TestProblemSpec:
     def test_energy_scales(self):

@@ -11,7 +11,9 @@ passes with ``check_truncation``, the re-solve's domain reaches 1.5x as far out
 at the same spacing.  Every public entry point that takes a count (levels,
 cells, a level number, a degree, an expansion order) accepts an int in range
 and gives the result it always gave, and refuses anything else with
-``core.require_int``'s ValueError before LAPACK is bound or called.
+``core.require_int``'s ValueError before LAPACK is bound or called.  The one
+comparison of ``affineosc check`` is the largest deviation against its bound,
+and it fails on a NaN or an infinity wherever it sits.
 """
 
 import argparse
@@ -29,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affineosc import analytic, interp, numeric, specfun
+from affineosc import analytic, checks, interp, numeric, specfun
 from affineosc.analytic import COUPLED_Y1, COUPLED_Y2, HALF_HO, CompositeLevel
 from affineosc.cli import COMMANDS, SPECFUN_NAMES, build_parser, main
 from affineosc.core import PhysicalParams
@@ -368,7 +370,7 @@ COUNTS = {
         EQINTRO, 4, GridPolicy(n=n)), default_coarse_grid, none_is_default=True),
     "Grid": Count("cell count", 16, None, lambda n: numeric.Grid(0.0, 1.0, n),
                   lambda n: (0.0, 1.0, n)),
-    "ProblemSpec-order": Count("expansion order", 0, 4, lambda order: ProblemSpec(
+    "ProblemSpec-order": Count("order", 0, 4, lambda order: ProblemSpec(
         "truncated", b=1.0, order=order), lambda order: ("truncated", PhysicalParams(), 1.0, order)),
     "lowest_eigenvalues": Count("k", 1, LAPLACIAN_N, lambda k: numeric.lowest_eigenvalues(
         laplacian(), k), lambda k: pytest.approx([2.0 - 2.0 * math.cos(j * math.pi / (
@@ -395,7 +397,7 @@ COUNTS = {
     "truncated_sweep-k": Count("k", 1, None, truncated_sweep_k, lambda k: (
         {0: energies(ProblemSpec("truncated", PARAMS, b=1.0, order=0), k)},
         energies(ProblemSpec("hext1", PARAMS, b=1.0), k))),
-    "truncated_sweep-order": Count("expansion order", 0, 4, lambda order: interp.truncated_sweep(
+    "truncated_sweep-order": Count("order", 0, 4, lambda order: interp.truncated_sweep(
         PARAMS, 1.0, [order], 1).energies, lambda order: {order: [numeric.solve(ProblemSpec(
             "truncated", PARAMS, b=1.0, order=order), 1).levels[0].energy]}),
 }
@@ -430,3 +432,25 @@ def test_every_count_is_an_int_checked_before_any_work(entry, count):
         with pytest.raises(ValueError) as caught:
             case.call(count)
     assert str(caught.value).startswith(f"{case.name} must be "), str(caught.value)
+
+
+no_nan = st.floats(allow_nan=False)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@FUZZ
+@given(deviations=st.lists(no_nan, max_size=8), bound=finite)
+def test_check_comparison_is_max_and_fails_an_infinity(deviations, bound):
+    worst = max(deviations, default=0.0)
+    expected = ("c", worst <= bound, f"max {worst:.3e}")
+    assert checks._within("c", bound, "max", deviations) == expected
+    if math.inf in deviations:
+        assert not checks._within("c", bound, "max", deviations)[1]
+
+
+@FUZZ
+@given(deviations=st.lists(no_nan, max_size=8), bound=no_nan, data=st.data())
+def test_check_comparison_fails_a_nan_wherever_it_sits(deviations, bound, data):
+    at = data.draw(st.integers(0, len(deviations)))
+    deviations.insert(at, math.nan)
+    assert checks._within("c", bound, "max", iter(deviations)) == ("c", False, "max nan")

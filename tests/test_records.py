@@ -144,7 +144,7 @@ INVALID = [
     (ProblemSpec, {"kind": "truncated", "b": 0.0, "order": 1}, ValueError,
      "kind 'truncated' needs b > 0"),
     (ProblemSpec, {"kind": "truncated", "b": 1.0, "order": 5}, ValueError,
-     "expansion order must be in 0..4, got 5"),
+     "order must be in 0..4, got 5"),
     (ProblemSpec, {"kind": "hext1", "b": 1.0, "order": 2}, ValueError,
      "kind 'hext1' does not take an expansion order"),
     (ProblemSpec, {"kind": "eqo1"}, ValueError,
@@ -211,14 +211,14 @@ def test_validation_message(record, values, error, message):
 def test_fractional_order_message():
     with pytest.raises(ValueError) as caught:
         ProblemSpec(kind="truncated", b=1.0, order=2.5)
-    assert str(caught.value) == "expansion order must be an integer, got 2.5"
+    assert str(caught.value) == "order must be an integer, got 2.5"
 
 
 @pytest.mark.parametrize("order", [2.0, True], ids=["float", "bool"])
 def test_order_must_be_an_int(order):
     with pytest.raises(ValueError) as caught:
         ProblemSpec(kind="truncated", b=1.0, order=order)
-    assert str(caught.value) == f"expansion order must be an integer, got {order!r}"
+    assert str(caught.value) == f"order must be an integer, got {order!r}"
 
 
 def test_quantum_coupling_message():
