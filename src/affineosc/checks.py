@@ -27,10 +27,14 @@ def _within(name: str, bound: float, label: str, deviations: Iterable[float]) ->
 
     Its detail reads "<label> <largest>".  The largest of none is 0.0, and of
     any that hold a NaN it is NaN (``max`` alone skips a NaN unless it comes
-    first), so a NaN fails, as an infinity does.
+    first), so a NaN fails, as an infinity does.  The deviations are read in
+    one pass, and none is kept.
     """
-    deviations = list(deviations)
-    worst = math.nan if any(map(math.isnan, deviations)) else max(deviations, default=0.0)
+    deviations = iter(deviations)
+    worst = next(deviations, 0.0)
+    for deviation in deviations:
+        if deviation > worst or math.isnan(deviation):  # a NaN stays: nothing exceeds it
+            worst = deviation
     return (name, worst <= bound, f"{label} {worst:.3e}")
 
 
@@ -45,11 +49,10 @@ def _random_original_points(rng: random.Random, count):
 
 def check_frame_round_trip() -> CheckResult:
     pts = _random_original_points(random.Random(0), 1000)
-    backs = [core.from_normal(core.to_normal(pt)) for pt in pts]
     # the halving in from_normal is exact, but the sums in to_normal each
     # round once, so the round trip is only machine-precision accurate
     return _within("frame round trip", 1e-14, "max deviation", (  # over q1, q2, p1, p2
-        abs(b - a) for pt, back in zip(pts, backs) for a, b in zip(pt[:4], back[:4])))
+        abs(b - a) for pt in pts for a, b in zip(pt[:4], core.from_normal(core.to_normal(pt)))))
 
 
 def check_hamiltonian_equivalence() -> CheckResult:

@@ -34,11 +34,10 @@ import math
 import os
 import sys
 import types
-import typing
 from typing import Iterable, List, NamedTuple, Optional
 
 from . import __version__, analytic, interp, numeric, specfun
-from .core import PhysicalParams
+from .core import PhysicalParams, require_int, require_real
 from .numeric import ConvergenceError, GridPolicy, ProblemSpec
 
 PHYSICS = ("m", "omega", "hbar", "g")
@@ -77,27 +76,12 @@ MAX_SAMPLE_VALUES = 10**6  # samples, and levels x written samples, of one spect
 ERR_EST_WARN = 1e-6  # relative error estimate above which spectrum and sweep warn on stderr
 
 
-def _type_error(value, hint) -> Optional[str]:
-    """What value must be to have the field type hint, or None when it has it.
-
-    A bool is not a number, an int is a float, and a list holds numbers.
-    """
-    if typing.get_origin(hint) is typing.Union:  # Optional[X]
-        inner = _type_error(value, typing.get_args(hint)[0])
-        return None if value is None or inner is None else inner + " or null"
-    if typing.get_origin(hint) is list:
-        numbers_only = isinstance(value, list) and all(_type_error(v, float) is None for v in value)
-        return None if numbers_only else "a list of numbers"
-    accepted = (int, float) if hint is float else hint
-    if isinstance(value, accepted) and not isinstance(value, bool):
-        return None
-    return {int: "an integer", float: "a number", str: "a string"}[hint]
-
-
 # The config schema: (name, type, default, allowed) per field, in the order
-# --dump-config prints them.  allowed is a tuple of choices, which are also the
-# flag's choices, a range, or None.  command's default is never used: RunConfig
-# takes it first.
+# --dump-config prints them.  type is int, float, str or list (of numbers), and
+# a field whose default is None may also be None.  allowed is a tuple of
+# choices, which are also the flag's choices, the range of an int field, the
+# least value of one (0 by default), or None.  command's default is never used:
+# RunConfig takes it first.
 CONFIG_FIELDS = (
     ("command", str, None, tuple(COMMANDS)),
     ("m", float, 1.0, None),
@@ -107,16 +91,16 @@ CONFIG_FIELDS = (
     ("kind", str, "eqintro", numeric.KINDS),
     ("levels", int, 4, range(1, MAX_LEVELS + 1)),
     ("count", int, 10, range(1, 100_001)),
-    ("b", Optional[float], None, None),
-    ("order", Optional[int], None, None),
-    ("b_values", List[float], [0.0, 1.0, 2.0, 5.0, 10.0, 20.0], None),
-    ("grid_n", Optional[int], None, None),
+    ("b", float, None, None),
+    ("order", int, None, None),
+    ("b_values", list, [0.0, 1.0, 2.0, 5.0, 10.0, 20.0], None),
+    ("grid_n", int, None, 16),
     ("fn", str, "hermite", SPECFUN_NAMES),
     ("fn_n", int, 0, range(10_001)),
     ("fn_param", float, 2.0, None),
-    ("points", List[float], [], None),
+    ("points", list, [], None),
     ("samples", int, 0, range(MAX_SAMPLE_VALUES + 1)),
-    ("out", Optional[str], None, None),
+    ("out", str, None, None),
     ("format", str, "csv", ("csv", "json")),
 )
 
@@ -124,7 +108,12 @@ CONFIG_FIELDS = (
 class RunConfig(types.SimpleNamespace):
     """Validated run configuration; mirrors the JSON config schema one-to-one.
 
-    One attribute per CONFIG_FIELDS entry; instances are mutable and compare by value.
+    One attribute per CONFIG_FIELDS entry; instances are mutable and compare by
+    value.  An int field is checked by ``core.require_int`` and a float field,
+    and each number of a list, by ``core.require_real``, under the name
+    ``field '<name>'``.  A float is finite, but a list may hold NaN and
+    infinities: points are evaluation points, and each b is checked by
+    ``ProblemSpec``.  An int given for a float is stored as a float.
     """
 
     def __init__(self, command: str, **values):
@@ -132,33 +121,28 @@ class RunConfig(types.SimpleNamespace):
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         values["command"] = command
-        for name, hint, default, allowed in CONFIG_FIELDS:
-            value = values.get(name, default)
-            expected = _type_error(value, hint)
-            if expected is not None:
-                raise ValueError(
-                    f"field {name!r} must be {expected}, got {type(value).__name__} {value!r:.40}"
-                )
-            # an int given for a float field is stored, and printed, as a float; a
-            # list is always copied, so no two configs share a default list
-            try:
-                if hint in (float, Optional[float]) and value is not None:
-                    value = float(value)
-                elif hint == List[float]:
-                    value = [float(v) for v in value]
-            except OverflowError:
-                raise ValueError(f"field {name!r} must be within float range") from None
-            if allowed is not None and value not in allowed:
-                within = (f"in {allowed.start}..{allowed.stop - 1}" if isinstance(allowed, range)
-                          else f"one of {allowed}")
-                raise ValueError(f"field {name!r} must be {within}, got {value!r}")
+        for name, kind, default, allowed in CONFIG_FIELDS:
+            value, field = values.get(name, default), f"field {name!r}"
+            if value is None and default is None:  # a field that may be unset, and is
+                pass
+            elif kind is int:
+                bounds = ((allowed.start, allowed.stop - 1) if isinstance(allowed, range)
+                          else (allowed or 0,))
+                value = require_int(field, value, *bounds)
+            elif kind is float:
+                value = require_real(field, value)
+            elif kind is list:
+                if type(value) is not list:
+                    raise ValueError(f"{field} must be a list of numbers, got {value!r:.40}")
+                # a new list: no two configs share one
+                value = [require_real(field, v, finite=False) for v in value]
+            elif type(value) is not str:
+                raise ValueError(f"{field} must be a string, got {value!r:.40}")
+            if isinstance(allowed, tuple) and value not in allowed:
+                raise ValueError(f"{field} must be one of {allowed}, got {value!r}")
             setattr(self, name, value)
         if len(self.b_values) > MAX_B_VALUES:
             raise ValueError(f"field 'b_values' must list at most {MAX_B_VALUES} values")
-        if not math.isfinite(self.fn_param):
-            raise ValueError(f"field 'fn_param' must be finite, got {self.fn_param}")
-        if self.grid_n is not None and self.grid_n < 16:
-            raise ValueError(f"field 'grid_n' must be at least 16, got {self.grid_n}")
 
     def params(self) -> PhysicalParams:
         return PhysicalParams(m=self.m, omega=self.omega, hbar=self.hbar, g=self.g)
@@ -424,10 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Spectra of half-line and coupled oscillator problems.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    # each flag converts by its field's type hint; Optional[X] converts like X
-    types = {List[float]: _float_list, Optional[float]: float, Optional[int]: int,
-             Optional[str]: str}
-    converters = {name: types.get(hint, hint) for name, hint, _, _ in CONFIG_FIELDS}
+    # each flag converts by its field's type, a list by _float_list
+    converters = {name: _float_list if kind is list else kind
+                  for name, kind, _, _ in CONFIG_FIELDS}
     choices = {name: allowed for name, _, _, allowed in CONFIG_FIELDS
                if isinstance(allowed, tuple)}
     for command, (help_line, fields) in COMMANDS.items():

@@ -25,12 +25,12 @@ def require_int(name: str, value, least: int = 0, most=None) -> int:
 
     The one check of every count the package takes (levels, cells, level
     numbers, degrees, orders), run before any work.  Otherwise it raises
-    ValueError: "<name> must be an integer, got <repr>", "<name> must be at
-    least <least>, got <value>", or with an upper bound most, "<name> must be
-    in <least>..<most>, got <value>".
+    ValueError: "<name> must be an integer, got <repr>" (the repr cut at 40
+    characters), "<name> must be at least <least>, got <value>", or with an
+    upper bound most, "<name> must be in <least>..<most>, got <value>".
     """
     if type(value) is not int:  # neither a bool nor a float that equals one
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {value!r:.40}")
     if most is None and value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
     if most is not None and not least <= value <= most:
@@ -38,21 +38,50 @@ def require_int(name: str, value, least: int = 0, most=None) -> int:
     return value
 
 
+def require_real(name: str, value, above=None, least=None, finite=True) -> float:
+    """float(value), if it is an int or a float (not a bool), finite and in range.
+
+    The one check of every real number the package takes (m, omega, hbar, g,
+    b, grid ends, h, lam and the special functions' parameters), run before
+    any work.  The bounds its callers use are value > above (0 or -1) and
+    value >= least (0).  Otherwise it raises ValueError: "<name> must be a
+    number, got <repr>" (cut as in ``require_int``), "<name> must be within
+    float range" for an int too large for a float, "<name> must be finite,
+    got <value>" (unless finite is false), "<name> must be positive, got
+    <value>" (above 0), "<name> must be greater than <above>, got <value>" or
+    "<name> must be at least <least>, got <value>".
+    """
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r:.40}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be within float range") from None
+    if finite and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if above is not None and not value > above:
+        raise ValueError(f"{name} must be {'positive' if above == 0 else f'greater than {above}'}"
+                         f", got {value}")
+    if least is not None and not value >= least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
 class PhysicalParams(namedtuple("PhysicalParams", "m omega hbar g")):
     """Mass, angular frequency, reduced Planck constant and coupling.
 
-    The coupling must satisfy |g| < m*omega**2; the quantum branch formulas
-    additionally need 0 < g < m*omega**2 and check that at the point of use.
+    Each is checked by ``require_real`` (m, omega and hbar positive) and kept
+    as a float.  The coupling must satisfy |g| < m*omega**2; the quantum
+    branch formulas additionally need 0 < g < m*omega**2 and check that at
+    the point of use.
     """
 
     __slots__ = ()
 
     def __new__(cls, m: float = 1.0, omega: float = 1.0, hbar: float = 1.0, g: float = 0.0):
-        for name, value in (("m", m), ("omega", omega), ("hbar", hbar), ("g", g)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if name != "g" and value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        m, omega, hbar = (require_real(name, value, above=0)
+                          for name, value in (("m", m), ("omega", omega), ("hbar", hbar)))
+        g = require_real("g", g)
         try:
             stiffness = m * omega**2
         except OverflowError:

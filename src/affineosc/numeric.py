@@ -41,7 +41,7 @@ from itertools import islice
 from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from .analytic import BRANCHES, COUPLED_Y1, COUPLED_Y2, HALF_HO, Branch
-from .core import DomainError, PhysicalParams, require_int
+from .core import DomainError, PhysicalParams, require_int, require_real
 
 
 class _Lapack(NamedTuple):
@@ -216,13 +216,15 @@ class Grid(namedtuple("Grid", "x_min x_max n")):
 
     The unknowns sit at the cell centres ("nodes"), x_min + (i + 1/2) h for i in 0..n-1.
     The cell count n is checked by ``core.require_int``: an int, at least 16.
-    x_min < x_max, a finite width apart.
+    The ends are checked by ``core.require_real`` and kept as floats, x_min <
+    x_max, a finite width apart.
     """
 
     __slots__ = ()
 
     def __new__(cls, x_min: float, x_max: float, n: int):
         require_int("cell count", n, least=16)
+        x_min, x_max = require_real("x_min", x_min), require_real("x_max", x_max)
         if not x_min < x_max:
             raise ValueError(f"need x_min < x_max, got [{x_min}, {x_max}]")
         if not math.isfinite(x_max - x_min):
@@ -251,8 +253,9 @@ class ProblemSpec(namedtuple("ProblemSpec", "kind params b order")):
     """Which stationary ODE to solve, with its fixed energy scaling.
 
     b and order are given for the kinds that take them and for no other.
+    b is checked by ``core.require_real`` (at least 0) and kept as a float;
     ``truncated``'s expansion order is checked by ``core.require_int``: an
-    int in 0..4, named ``order`` in its messages, as the field and the flag are.
+    int in 0..4.  Both are named as the fields and the flags are.
     """
 
     __slots__ = ()
@@ -261,13 +264,12 @@ class ProblemSpec(namedtuple("ProblemSpec", "kind params b order")):
                 b: Optional[float] = None, order: Optional[int] = None):
         if kind not in KINDS:
             raise ValueError(f"unknown problem kind {kind!r}")
-        self = super().__new__(cls, kind, PhysicalParams() if params is None else params, b, order)
-        facts = self.facts
+        facts = KIND_FACTS[kind]
         if facts.takes_b:
-            if self.b is None or not 0 <= self.b < math.inf:
-                raise ValueError(f"kind {self.kind!r} needs a finite b >= 0, got {self.b}")
-        elif self.b is not None:
-            raise ValueError(f"kind {self.kind!r} does not take b")
+            b = require_real("b", b, least=0)
+        elif b is not None:
+            raise ValueError(f"kind {kind!r} does not take b")
+        self = super().__new__(cls, kind, PhysicalParams() if params is None else params, b, order)
         if facts.series:
             if self.b == 0:
                 raise ValueError(f"kind {self.kind!r} needs b > 0")
@@ -530,12 +532,10 @@ def eigenvector(matrix: TridiagonalMatrix, lam: float, h: float) -> array:
     and the division by the norm, every pass over all n entries runs in C
     (BLAS or ``fsum``), without numpy, and holds no list of n floats.  A 1x1
     matrix goes through ?stein like any other: its vector is 1 / sqrt(h).
-    A NaN, infinite or nonpositive h, or a NaN or infinite lam, raises
-    ValueError before ?stein is called.
+    h (positive) and lam are checked by ``core.require_real`` before ?stein
+    is called.
     """
-    if not (0.0 < h < math.inf and math.isfinite(lam)):
-        raise ValueError(f"eigenvector needs a finite h > 0 and a finite lam, got h = {h}, "
-                         f"lam = {lam}")
+    h, lam = require_real("h", h, above=0), require_real("lam", lam)
     # the stored bands, not copies.  ?stein perturbs LU pivots below eps*|T|;
     # shifting the scaled lam by 1e-13 keeps them clear (samples 7e-12 from the
     # exact stiff Laplacian ones, against 6e-11 unshifted)
@@ -558,19 +558,21 @@ class GridPolicy(namedtuple("GridPolicy", "n domain check_truncation")):
     as far out, at the same spacing; ``coarse_grid`` refuses it with
     ValueError where the kind's domain cannot reach that far.  None is the
     only "size it for me": a cell count goes to ``Grid`` as given (an int, at
-    least 16), and a domain that is not two numbers (x_min, x_max) a finite
-    width apart raises ValueError here.
+    least 16), and a domain must be a pair (x_min, x_max) of numbers that
+    ``core.require_real`` takes (named ``grid domain``), a finite width
+    apart, or it raises ValueError here.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: Optional[int] = None, domain: Optional[Tuple[float, float]] = None,
                 check_truncation: bool = False):
-        if domain is not None and not (isinstance(domain, (tuple, list)) and len(domain) == 2
-                                       and all(isinstance(x, (int, float)) for x in domain)):
-            raise ValueError(f"grid domain must be two numbers (x_min, x_max), got {domain!r}")
-        if domain is not None and not math.isfinite(domain[1] - domain[0]):
-            raise ValueError(f"grid domain must be finite, got {domain}")
+        if domain is not None:
+            if not (isinstance(domain, (tuple, list)) and len(domain) == 2):
+                raise ValueError(f"grid domain must be two numbers (x_min, x_max), got {domain!r}")
+            domain = tuple(require_real("grid domain", x) for x in domain)
+            if not math.isfinite(domain[1] - domain[0]):
+                raise ValueError(f"grid domain must be finite, got {domain}")
         return super().__new__(cls, n, domain, check_truncation)
 
 
@@ -640,18 +642,19 @@ def coarse_grid(spec: ProblemSpec, k: int, policy: Optional[GridPolicy] = None) 
 
     The one check of solve's inputs, run before any matrix is built.  It
     raises ValueError, in this order, for a k that is not an int (a bool
-    included) or is below 1 (``core.require_int``), for a grid ``Grid``
+    included) or is below 1 (``core.require_int``, which names it
+    ``levels``, as the command line does), for a grid ``Grid``
     refuses (a cell count that is not an int, or below 16), for a coarse grid
     over MAX_COARSE_N cells, for k above its cell count (the coarsest grid
     has the fewest rows), and, with policy.check_truncation, wherever
     ``_wide_policy`` cannot plan the re-solve.
     """
-    require_int("k", k, least=1)
+    require_int("levels", k, least=1)
     policy = policy or GridPolicy()
     domain = default_domain(spec, k) if policy.domain is None else policy.domain
     coarse = Grid(*domain, _auto_n(spec, domain, k) if policy.n is None else policy.n)
     _capped(spec, coarse.n)
-    require_int("k", k, least=1, most=coarse.n)
+    require_int("levels", k, least=1, most=coarse.n)
     if policy.check_truncation:
         _wide_policy(spec, coarse)
     return coarse

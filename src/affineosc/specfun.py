@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .core import require_int
+from .core import require_int, require_real
 
 
 class QuadratureError(RuntimeError):
@@ -33,12 +33,11 @@ def confluent_1f1_neg(n: int, b_param: float, z):
     or a float ndarray, and the value has its type (a float for an int) and
     shape.  A large or non-finite float z overflows to inf or nan silently; an
     array warns as numpy arithmetic does.  The degree n is checked by
-    ``core.require_int`` (an int, at least 0), and b_param must be finite and
-    positive.
+    ``core.require_int`` (an int, at least 0), and b_param by
+    ``core.require_real`` (positive).
     """
     require_int("polynomial degree", n)
-    if not 0.0 < b_param < math.inf:
-        raise ValueError(f"b_param must be positive and finite, got {b_param}")
+    b_param = require_real("b_param", b_param, above=0)
     f_prev = z**0.0  # 1.0, or ones of z's shape
     if n == 0:
         return f_prev
@@ -72,11 +71,10 @@ def laguerre_assoc(n: int, alpha: float, z):
     Related to the terminating confluent series by
     1F1(-n, alpha+1, z) = L_n^(alpha)(z) / binom(n + alpha, n).
     z and the value are typed, and n checked, as in ``confluent_1f1_neg``;
-    alpha must be finite and exceed -1.
+    alpha is checked by ``core.require_real`` (greater than -1).
     """
     require_int("polynomial degree", n)
-    if not -1.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be finite and exceed -1, got {alpha}")
+    alpha = require_real("alpha", alpha, above=-1)
     l_prev = z**0.0
     if n == 0:
         return l_prev

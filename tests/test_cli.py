@@ -460,7 +460,7 @@ class TestExitCodes:
         assert "N = " in err
 
     @pytest.mark.parametrize("b_values,message", [
-        ("0,1,nan", "kind 'hext1' needs a finite b >= 0, got nan"),
+        ("0,1,nan", "b must be finite, got nan"),
         ("0,1,2,1e6", "kind 'hext1' at b = 1000000.0 needs a coarse grid of N = 3.82977e+07 "
                       "cells, more than the limit of 524288"),
     ])
@@ -479,7 +479,7 @@ class TestExitCodes:
         calls = []
         monkeypatch.setattr(numeric, "lowest_eigenvalues", lambda *args: calls.append(args))
         assert main(["spectrum", "--grid-n", "16", "--levels", "20"]) == 1
-        assert capsys.readouterr().err == "validation error: k must be in 1..16, got 20\n"
+        assert capsys.readouterr().err == "validation error: levels must be in 1..16, got 20\n"
         assert calls == []
 
     @pytest.mark.parametrize("argv,n,k", [
@@ -492,7 +492,7 @@ class TestExitCodes:
     def test_levels_above_coarsest_grid_reported_before_samples(self, argv, n, k, capsys):
         # coarse_grid, which the samples checks call for the grid size, checks k first
         assert main(["spectrum", *argv]) == 1
-        assert capsys.readouterr().err == f"validation error: k must be in 1..{n}, got {k}\n"
+        assert capsys.readouterr().err == f"validation error: levels must be in 1..{n}, got {k}\n"
 
     @pytest.mark.parametrize("argv,field", [
         (["spectrum", "--levels", "1001"], "levels"),
@@ -618,7 +618,7 @@ def test_every_accepted_flag_is_read(command, flag, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv,message", [
     (["spectrum", "--levels", "1", "--samples", "4"], "field 'samples' needs 'out' in CSV"),
-    (["spectrum", "--kind", "hext1"], "kind 'hext1' needs a finite b >= 0"),
+    (["spectrum", "--kind", "hext1"], "b must be a number, got None"),
     (["spectrum", "--kind", "truncated", "--b", "5"],
      "order must be an integer, got None"),
     (["spectrum", "--b", "5", "--order", "99"], "kind 'eqintro' does not take b"),

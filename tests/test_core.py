@@ -16,6 +16,7 @@ from affineosc.core import (
     hamiltonian_original,
     poisson_bracket,
     require_int,
+    require_real,
     to_normal,
 )
 
@@ -241,3 +242,40 @@ class TestRequireInt:
         with pytest.raises(ValueError) as caught:
             require_int("k", value, least, most)
         assert str(caught.value) == message
+
+
+class TestRequireReal:
+    @pytest.mark.parametrize("value,bounds", [
+        (2, {}), (-2.5, {}), (np.float64(0.5), {"above": 0}), (-0.5, {"above": -1}),
+        (0, {"least": 0}), (-0.0, {"least": 0}), (math.inf, {"finite": False}),
+    ])
+    def test_returns_a_float(self, value, bounds):
+        result = require_real("x", value, **bounds)
+        assert type(result) is float and result == value
+
+    def test_nan_passes_only_unchecked(self):
+        assert math.isnan(require_real("x", math.nan, finite=False))
+
+    @pytest.mark.parametrize("value,bounds,message", [
+        (True, {}, "x must be a number, got True"),
+        ("1.5", {}, "x must be a number, got '1.5'"),
+        (None, {"finite": False}, "x must be a number, got None"),
+        (np.int64(3), {}, f"x must be a number, got {np.int64(3)!r}"),
+        ("y" * 60, {}, "x must be a number, got '" + "y" * 39),
+        (10**400, {}, "x must be within float range"),
+        (-10**400, {"finite": False}, "x must be within float range"),
+        (math.nan, {}, "x must be finite, got nan"),
+        (-math.inf, {"least": 0}, "x must be finite, got -inf"),
+        (0, {"above": 0}, "x must be positive, got 0.0"),
+        (-1, {"above": -1}, "x must be greater than -1, got -1.0"),
+        (-1e-300, {"least": 0}, "x must be at least 0, got -1e-300"),
+    ])
+    def test_message(self, value, bounds, message):
+        with pytest.raises(ValueError) as caught:
+            require_real("x", value, **bounds)
+        assert str(caught.value) == message
+
+    def test_physical_params_kept_as_floats(self):
+        params = PhysicalParams(m=2, omega=3, hbar=1, g=0)
+        assert params == (2.0, 3.0, 1.0, 0.0)
+        assert {type(v) for v in params} == {float}

@@ -113,6 +113,6 @@ class TestTruncatedSweep:
 
     def test_k_checked_before_any_solve(self, monkeypatch):
         solves = count_solves(monkeypatch)
-        with pytest.raises(ValueError, match=r"^k must be at least 1, got 0$"):
+        with pytest.raises(ValueError, match=r"^levels must be at least 1, got 0$"):
             truncated_sweep(UNIT, 5.0, [0], 0)
         assert solves == []

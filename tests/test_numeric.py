@@ -98,7 +98,10 @@ class TestGrid:
     def test_width_must_be_finite(self, monkeypatch, x_min, x_max):
         # 2e308 overflows: the width is infinite although both ends are finite
         grids = record_grids(monkeypatch)
-        with pytest.raises(ValueError, match=r"^need a finite x_max - x_min, got "):
+        # an infinite end is refused as such, a finite pair by its width
+        message = (r"^x_max must be finite, got " if x_max == math.inf
+                   else r"^need a finite x_max - x_min, got ")
+        with pytest.raises(ValueError, match=message):
             Grid(x_min, x_max, 16)
         with pytest.raises(ValueError, match=r"^grid domain must be finite, got "):
             numeric.coarse_grid(ProblemSpec(kind="eqo2", params=PhysicalParams(g=0.5)), 4,
@@ -131,7 +134,7 @@ class TestProblemSpec:
     @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("kind,order", [("hext1", None), ("truncated", 2)])
     def test_non_finite_b_rejected(self, kind, order, b):
-        with pytest.raises(ValueError, match="finite b"):
+        with pytest.raises(ValueError, match=r"^b must be finite, got "):
             ProblemSpec(kind=kind, b=b, order=order)
 
     def test_kind_table_matches_kinds(self):
@@ -516,8 +519,8 @@ class TestSteinEigenvector:
 
         matrix = laplacian_3()
         monkeypatch.setattr(numeric, "dstein", no_stein)
-        with pytest.raises(ValueError, match=r"^eigenvector needs a finite h > 0 and a finite "
-                                             r"lam, got h = "):
+        message = r"^lam must be finite, got " if 0.0 < h < math.inf else r"^h must be "
+        with pytest.raises(ValueError, match=message):
             eigenvector(matrix, lam, h=h)
 
     @pytest.mark.parametrize("scale", [2.0**-500, 2.0**480, 1e146])
@@ -991,8 +994,11 @@ class TestGridCap:
     def test_domain_must_be_two_numbers(self, monkeypatch, domain):
         # None is the only "use the default domain"
         grids = record_grids(monkeypatch)
-        with pytest.raises(ValueError, match=r"^grid domain must be two numbers \(x_min, x_max\), "
-                                             r"got "):
+        # a pair is checked end by end
+        pair = isinstance(domain, (tuple, list)) and len(domain) == 2
+        message = (r"^grid domain must be a number, got '" if pair
+                   else r"^grid domain must be two numbers \(x_min, x_max\), got ")
+        with pytest.raises(ValueError, match=message):
             solve(ProblemSpec(kind="eqintro"), 4, GridPolicy(domain=domain))
         assert grids == []
 
@@ -1020,7 +1026,7 @@ class TestInputTypes:
     @pytest.mark.parametrize("k", [2.5, 4.0, True, None])
     def test_k_must_be_an_int(self, monkeypatch, k):
         grids = record_grids(monkeypatch)
-        with pytest.raises(ValueError, match=r"^k must be an integer, got "):
+        with pytest.raises(ValueError, match=r"^levels must be an integer, got "):
             solve(ProblemSpec(kind="eqintro"), k)
         assert grids == []
 
@@ -1120,7 +1126,7 @@ class TestSolve:
     def test_k_above_coarsest_grid_fails_before_any_matrix(self, monkeypatch):
         calls = count_eigen_calls(monkeypatch)
         monkeypatch.setattr(numeric, "assemble", None)
-        with pytest.raises(ValueError, match=r"^k must be in 1\.\.16, got 20$"):
+        with pytest.raises(ValueError, match=r"^levels must be in 1\.\.16, got 20$"):
             solve(ProblemSpec(kind="eqintro"), 20, GridPolicy(n=16))
         assert calls == {"lowest_eigenvalues": 0, "eigenvector": 0}
 

@@ -11,7 +11,11 @@ passes with ``check_truncation``, the re-solve's domain reaches 1.5x as far out
 at the same spacing.  Every public entry point that takes a count (levels,
 cells, a level number, a degree, an expansion order) accepts an int in range
 and gives the result it always gave, and refuses anything else with
-``core.require_int``'s ValueError before LAPACK is bound or called.  The one
+``core.require_int``'s ValueError before LAPACK is bound or called; and so
+does every one that takes a real number (m, omega, hbar, g, b, grid ends, h,
+lam, the special functions' parameters and the command line's floats) with
+``core.require_real``'s, for a bool, a string, None, an int beyond float
+range, NaN, an infinity or a number below its bound.  The one
 comparison of ``affineosc check`` is the largest deviation against its bound,
 and it fails on a NaN or an infinity wherever it sits.
 """
@@ -33,7 +37,7 @@ from hypothesis import strategies as st
 
 from affineosc import analytic, checks, interp, numeric, specfun
 from affineosc.analytic import COUPLED_Y1, COUPLED_Y2, HALF_HO, CompositeLevel
-from affineosc.cli import COMMANDS, SPECFUN_NAMES, build_parser, main
+from affineosc.cli import COMMANDS, SPECFUN_NAMES, RunConfig, build_parser, main
 from affineosc.core import PhysicalParams
 from affineosc.numeric import KIND_FACTS, KINDS, MAX_COARSE_N, GridPolicy, ProblemSpec
 from oracles import branch_energy_chain, f1_numpy, hermite_numpy, laguerre_numpy
@@ -364,7 +368,7 @@ def eigen_case(function, branch):
 
 
 COUNTS = {
-    "solve": Count("k", 1, SMALL.n, lambda k: [lv.lam_fine for lv in numeric.solve(
+    "solve": Count("levels", 1, SMALL.n, lambda k: [lv.lam_fine for lv in numeric.solve(
         EQINTRO, k, SMALL).levels], lambda k: solved_lams(EQINTRO, k, SMALL)),
     "coarse_grid-policy-n": Count("cell count", 16, None, lambda n: numeric.coarse_grid(
         EQINTRO, 4, GridPolicy(n=n)), default_coarse_grid, none_is_default=True),
@@ -391,10 +395,10 @@ COUNTS = {
         n, 2.0, 0.7), lambda n: f1_numpy(n, 2.0, 0.7)),
     "laguerre_assoc": Count("polynomial degree", 0, None, lambda n: specfun.laguerre_assoc(
         n, 1.0, 0.7), lambda n: laguerre_numpy(n, 1.0, 0.7)),
-    "b_sweep": Count("k", 1, SMALL.n, lambda k: [row.energy for row in interp.b_sweep(
+    "b_sweep": Count("levels", 1, SMALL.n, lambda k: [row.energy for row in interp.b_sweep(
         PARAMS, [0.0], k, SMALL).rows], lambda k: [lv.energy for lv in numeric.solve(
             HEXT1, k, SMALL).levels]),
-    "truncated_sweep-k": Count("k", 1, None, truncated_sweep_k, lambda k: (
+    "truncated_sweep-k": Count("levels", 1, None, truncated_sweep_k, lambda k: (
         {0: energies(ProblemSpec("truncated", PARAMS, b=1.0, order=0), k)},
         energies(ProblemSpec("hext1", PARAMS, b=1.0), k))),
     "truncated_sweep-order": Count("order", 0, 4, lambda order: interp.truncated_sweep(
@@ -415,7 +419,7 @@ counts = st.one_of(
 
 
 def no_lapack():
-    raise AssertionError("LAPACK was bound or called for a count require_int refuses")
+    raise AssertionError("LAPACK was bound or called for a value the checks refuse")
 
 
 @pytest.mark.parametrize("entry", COUNTS)
@@ -432,6 +436,96 @@ def test_every_count_is_an_int_checked_before_any_work(entry, count):
         with pytest.raises(ValueError) as caught:
             case.call(count)
     assert str(caught.value).startswith(f"{case.name} must be "), str(caught.value)
+
+
+class Real(NamedTuple):
+    """A public entry point that takes a real number, as a function of that number alone."""
+
+    name: str  # the number's name in require_real's messages
+    call: Callable  # value -> result
+    expected: Callable  # a valid value -> the result, computed another way
+    valid: st.SearchStrategy  # ints and floats the entry point takes
+    out_of_range: tuple = ()  # finite numbers below its bound
+    none_is_default: bool = False  # None is valid: "not set"
+
+
+@functools.cache
+def two_by_two():
+    """tridiag(-1, 2, -1) of order 2: eigenvalues 1 and 3, eigenvectors (1, 1) and (1, -1)."""
+    return numeric.TridiagonalMatrix([2.0, 2.0], [-1.0])
+
+
+def positive(most=1e3):
+    return st.one_of(st.integers(1, int(most)), st.floats(1e-3, most))
+
+
+def physical(name, valid, out_of_range=()):
+    return Real(name, lambda v: PhysicalParams(**{name: v}),
+                lambda v: PhysicalParams()._replace(**{name: float(v)}), valid, out_of_range)
+
+
+def unit_vector(lam, h):
+    """two_by_two()'s eigenvector for lam near 1 or 3, with h * sum(v^2) = 1."""
+    norm = math.sqrt(2.0 * h)
+    return pytest.approx([1.0 / norm, math.copysign(1.0 / norm, 2.0 - lam)], rel=1e-12)
+
+
+REALS = {
+    **{f"PhysicalParams-{name}": physical(name, positive(), (0, -1.0))
+       for name in ("m", "omega", "hbar")},
+    "PhysicalParams-g": physical("g", st.one_of(st.just(0), st.floats(-0.99, 0.99))),
+    "ProblemSpec-b": Real("b", lambda b: ProblemSpec("hext1", PARAMS, b=b),
+                          lambda b: ("hext1", PARAMS, float(b), None),
+                          st.one_of(st.integers(0, 20), st.just(0.0), st.floats(1e-3, 20.0)),
+                          (-1, -1e-3)),
+    "Grid-x_min": Real("x_min", lambda x: numeric.Grid(x, 50.0, 16), lambda x: (float(x), 50.0, 16),
+                       st.one_of(st.integers(-20, 20), st.floats(-20.0, 20.0))),
+    "Grid-x_max": Real("x_max", lambda x: numeric.Grid(-50.0, x, 16),
+                       lambda x: (-50.0, float(x), 16),
+                       st.one_of(st.integers(-20, 20), st.floats(-20.0, 20.0))),
+    "GridPolicy-domain": Real("grid domain", lambda x: GridPolicy(domain=(0.0, x)),
+                              lambda x: (None, (0.0, float(x)), False), positive(50.0)),
+    "eigenvector-h": Real("h", lambda h: list(numeric.eigenvector(two_by_two(), 1.0, h)),
+                          lambda h: unit_vector(1.0, h), positive(), (0, -1.0)),
+    "eigenvector-lam": Real("lam", lambda lam: list(numeric.eigenvector(two_by_two(), lam, 0.5)),
+                            lambda lam: unit_vector(lam, 0.5),
+                            st.one_of(st.sampled_from([1, 3]), st.floats(1.0 - 1e-9, 1.0 + 1e-9),
+                                      st.floats(3.0 - 1e-9, 3.0 + 1e-9))),
+    "confluent_1f1_neg": Real("b_param", lambda p: specfun.confluent_1f1_neg(3, p, 0.7),
+                              lambda p: f1_numpy(3, float(p), 0.7), positive(50.0), (0, -1.0)),
+    "laguerre_assoc": Real("alpha", lambda a: specfun.laguerre_assoc(3, a, 0.7),
+                           lambda a: laguerre_numpy(3, float(a), 0.7),
+                           st.one_of(st.integers(0, 50), st.floats(-0.999, 50.0)), (-1, -2.5)),
+    "RunConfig-m": Real("field 'm'", lambda m: RunConfig("spectrum", m=m).m, float,
+                        st.one_of(st.integers(-10**6, 10**6), st.floats(-1e300, 1e300))),
+    "RunConfig-b": Real("field 'b'", lambda b: RunConfig("spectrum", b=b).b,
+                        lambda b: None if b is None else float(b),
+                        st.one_of(st.none(), st.integers(-10**6, 10**6), st.floats(-1e300, 1e300)),
+                        none_is_default=True),
+}
+# a bool, a string, None, ints beyond float range, NaN and the infinities
+NOT_REALS = (True, False, "1", None, 10**400, -10**400, math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("entry", REALS)
+def test_every_real_is_checked_before_any_work(entry):
+    case = REALS[entry]
+    two_by_two()  # eigenvector's matrix, built before the sentinel goes in
+    refused = [v for v in NOT_REALS if v is not None or not case.none_is_default]
+    for value in [*refused, *case.out_of_range]:
+        with mock.patch.object(numeric, "_lapack", no_lapack):
+            with pytest.raises(ValueError) as caught:
+                case.call(value)
+        assert str(caught.value).startswith(f"{case.name} must be "), (value, str(caught.value))
+
+
+@pytest.mark.parametrize("entry", REALS)
+@FUZZ
+@given(data=st.data())
+def test_every_real_in_range_gives_its_result(entry, data):
+    case = REALS[entry]
+    value = data.draw(case.valid)
+    assert case.call(value) == case.expected(value)
 
 
 no_nan = st.floats(allow_nan=False)

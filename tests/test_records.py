@@ -118,90 +118,135 @@ def test_tridiagonal_bands_copied_into_float64_arrays():
     assert TridiagonalMatrix(same, array("d")).diag is not same
 
 
+# (test id, record, its arguments, the error, its message).  The ids are fixed,
+# so that a reworded message renames no test; each was the case's record and the
+# first 30 characters of its message when the ids were fixed.
 INVALID = [
-    (PhysicalParams, {"m": math.nan}, ValueError, "m must be finite, got nan"),
-    (PhysicalParams, {"g": math.inf}, ValueError, "g must be finite, got inf"),
-    (PhysicalParams, {"omega": 0.0}, ValueError, "omega must be positive, got 0.0"),
-    (PhysicalParams, {"hbar": -1.0}, ValueError, "hbar must be positive, got -1.0"),
-    (PhysicalParams, {"m": 1e300, "omega": 1e300}, ValueError,
+    ("PhysicalParams-m must be finite, got nan",
+     PhysicalParams, {"m": math.nan}, ValueError, "m must be finite, got nan"),
+    ("PhysicalParams-g must be finite, got inf",
+     PhysicalParams, {"g": math.inf}, ValueError, "g must be finite, got inf"),
+    ("PhysicalParams-omega must be positive, got 0.",
+     PhysicalParams, {"omega": 0.0}, ValueError, "omega must be positive, got 0.0"),
+    ("PhysicalParams-hbar must be positive, got -1.",
+     PhysicalParams, {"hbar": -1.0}, ValueError, "hbar must be positive, got -1.0"),
+    ("PhysicalParams-m*omega^2 overflows for m = 1e",
+     PhysicalParams, {"m": 1e300, "omega": 1e300}, ValueError,
      "m*omega^2 overflows for m = 1e+300, omega = 1e+300"),
-    (PhysicalParams, {"g": -1.0}, ValueError,
+    ("PhysicalParams-coupling must satisfy |g| < m*",
+     PhysicalParams, {"g": -1.0}, ValueError,
      "coupling must satisfy |g| < m*omega^2 = 1.0, got g = -1.0"),
-    (PhaseSpacePoint, {"q1": 1.0, "q2": 1.0, "p1": 0, "p2": 0, "frame": "polar"}, FrameError,
+    ("PhaseSpacePoint-unknown frame 'polar'",
+     PhaseSpacePoint, {"q1": 1.0, "q2": 1.0, "p1": 0, "p2": 0, "frame": "polar"}, FrameError,
      "unknown frame 'polar'"),
-    (PhaseSpacePoint, {"q1": 1.0, "q2": -0.5, "p1": 0, "p2": 0}, DomainError,
+    ("PhaseSpacePoint-original-frame positions must ",
+     PhaseSpacePoint, {"q1": 1.0, "q2": -0.5, "p1": 0, "p2": 0}, DomainError,
      "original-frame positions must be nonnegative, got (1.0, -0.5)"),
-    (PhaseSpacePoint, {"q1": -1.0, "q2": 2.0, "p1": 0, "p2": 0, "frame": "normal"}, DomainError,
+    ("PhaseSpacePoint-normal-frame y1 must be nonneg",
+     PhaseSpacePoint, {"q1": -1.0, "q2": 2.0, "p1": 0, "p2": 0, "frame": "normal"}, DomainError,
      "normal-frame y1 must be nonnegative, got -1.0"),
-    (Grid, {"x_min": 1.0, "x_max": 1.0, "n": 16}, ValueError, "need x_min < x_max, got [1.0, 1.0]"),
-    (Grid, {"x_min": 0.0, "x_max": 1.0, "n": 15}, ValueError,
+    ("Grid-need x_min < x_max, got [1.0, ",
+     Grid, {"x_min": 1.0, "x_max": 1.0, "n": 16}, ValueError, "need x_min < x_max, got [1.0, 1.0]"),
+    ("Grid-cell count must be at least 16",
+     Grid, {"x_min": 0.0, "x_max": 1.0, "n": 15}, ValueError,
      "cell count must be at least 16, got 15"),
-    (ProblemSpec, {"kind": "eqo3"}, ValueError, "unknown problem kind 'eqo3'"),
-    (ProblemSpec, {"kind": "hext1"}, ValueError, "kind 'hext1' needs a finite b >= 0, got None"),
-    (ProblemSpec, {"kind": "hext1", "b": math.inf}, ValueError,
-     "kind 'hext1' needs a finite b >= 0, got inf"),
-    (ProblemSpec, {"kind": "eqintro", "b": 1.0}, ValueError, "kind 'eqintro' does not take b"),
-    (ProblemSpec, {"kind": "truncated", "b": 0.0, "order": 1}, ValueError,
+    ("ProblemSpec-unknown problem kind 'eqo3'",
+     ProblemSpec, {"kind": "eqo3"}, ValueError, "unknown problem kind 'eqo3'"),
+    ("ProblemSpec-kind 'hext1' needs a finite b 0",
+     ProblemSpec, {"kind": "hext1"}, ValueError, "b must be a number, got None"),
+    ("ProblemSpec-kind 'hext1' needs a finite b 1",
+     ProblemSpec, {"kind": "hext1", "b": math.inf}, ValueError,
+     "b must be finite, got inf"),
+    ("ProblemSpec-kind 'eqintro' does not take b",
+     ProblemSpec, {"kind": "eqintro", "b": 1.0}, ValueError, "kind 'eqintro' does not take b"),
+    ("ProblemSpec-kind 'truncated' needs b > 0",
+     ProblemSpec, {"kind": "truncated", "b": 0.0, "order": 1}, ValueError,
      "kind 'truncated' needs b > 0"),
-    (ProblemSpec, {"kind": "truncated", "b": 1.0, "order": 5}, ValueError,
+    ("ProblemSpec-order must be in 0..4, got 5",
+     ProblemSpec, {"kind": "truncated", "b": 1.0, "order": 5}, ValueError,
      "order must be in 0..4, got 5"),
-    (ProblemSpec, {"kind": "hext1", "b": 1.0, "order": 2}, ValueError,
+    ("ProblemSpec-kind 'hext1' does not take an ",
+     ProblemSpec, {"kind": "hext1", "b": 1.0, "order": 2}, ValueError,
      "kind 'hext1' does not take an expansion order"),
-    (ProblemSpec, {"kind": "eqo1"}, ValueError,
+    ("ProblemSpec-quantum branch formulas need 0",
+     ProblemSpec, {"kind": "eqo1"}, ValueError,
      "quantum branch formulas need 0 < g < m*omega^2, got g = 0.0"),
-    (ProblemSpec, {"kind": "eqintro", "params": PhysicalParams(m=1e-200, hbar=1e200)}, ValueError,
+    ("ProblemSpec-kind 'eqintro': m = 1e-200, om",
+     ProblemSpec, {"kind": "eqintro", "params": PhysicalParams(m=1e-200, hbar=1e200)}, ValueError,
      "kind 'eqintro': m = 1e-200, omega = 1.0, hbar = 1e+200 and b = None put the energy "
      "and length scales or the barrier out of float range"),
-    (TridiagonalMatrix, {"diag": [1.0, 2.0], "off": []}, ValueError,
+    ("TridiagonalMatrix-off-diagonal must be one short",
+     TridiagonalMatrix, {"diag": [1.0, 2.0], "off": []}, ValueError,
      "off-diagonal must be one shorter than the diagonal"),
-    (GridPolicy, {"domain": (0.0, math.inf)}, ValueError,
-     "grid domain must be finite, got (0.0, inf)"),
-    (RunConfig, {"command": "spectrum", "levels": True}, ValueError,
-     "field 'levels' must be an integer, got bool True"),
-    (RunConfig, {"command": "spectrum", "m": "1"}, ValueError,
-     "field 'm' must be a number, got str '1'"),
-    (RunConfig, {"command": "spectrum", "kind": 3}, ValueError,
-     "field 'kind' must be a string, got int 3"),
-    (RunConfig, {"command": "spectrum", "grid_n": 20.5}, ValueError,
-     "field 'grid_n' must be an integer or null, got float 20.5"),
-    (RunConfig, {"command": "spectrum", "out": 3}, ValueError,
-     "field 'out' must be a string or null, got int 3"),
-    (RunConfig, {"command": "spectrum", "b_values": [0, "1"]}, ValueError,
-     "field 'b_values' must be a list of numbers, got list [0, '1']"),
-    (RunConfig, {"command": "spectrum", "points": "x" * 60}, ValueError,
-     "field 'points' must be a list of numbers, got str '" + "x" * 39),
-    (RunConfig, {"command": "spectrum", "g": 10**400}, ValueError,
+    ("GridPolicy-grid domain must be finite, go",
+     GridPolicy, {"domain": (0.0, math.inf)}, ValueError,
+     "grid domain must be finite, got inf"),
+    ("RunConfig-field 'levels' must be an inte",
+     RunConfig, {"command": "spectrum", "levels": True}, ValueError,
+     "field 'levels' must be an integer, got True"),
+    ("RunConfig-field 'm' must be a number, go",
+     RunConfig, {"command": "spectrum", "m": "1"}, ValueError,
+     "field 'm' must be a number, got '1'"),
+    ("RunConfig-field 'kind' must be a string,",
+     RunConfig, {"command": "spectrum", "kind": 3}, ValueError,
+     "field 'kind' must be a string, got 3"),
+    ("RunConfig-field 'grid_n' must be an inte",
+     RunConfig, {"command": "spectrum", "grid_n": 20.5}, ValueError,
+     "field 'grid_n' must be an integer, got 20.5"),
+    ("RunConfig-field 'out' must be a string o",
+     RunConfig, {"command": "spectrum", "out": 3}, ValueError,
+     "field 'out' must be a string, got 3"),
+    ("RunConfig-field 'b_values' must be a lis",
+     RunConfig, {"command": "spectrum", "b_values": [0, "1"]}, ValueError,
+     "field 'b_values' must be a number, got '1'"),
+    ("RunConfig-field 'points' must be a list ",
+     RunConfig, {"command": "spectrum", "points": "x" * 60}, ValueError,
+     "field 'points' must be a list of numbers, got '" + "x" * 39),
+    ("RunConfig-field 'g' must be within float",
+     RunConfig, {"command": "spectrum", "g": 10**400}, ValueError,
      "field 'g' must be within float range"),
-    (RunConfig, {"command": "spectrum", "points": [1, 10**400]}, ValueError,
+    ("RunConfig-field 'points' must be within ",
+     RunConfig, {"command": "spectrum", "points": [1, 10**400]}, ValueError,
      "field 'points' must be within float range"),
-    (RunConfig, {"command": "plot"}, ValueError,
+    ("RunConfig-field 'command' must be one of",
+     RunConfig, {"command": "plot"}, ValueError,
      "field 'command' must be one of ('spectrum', 'coupled', 'sweep', 'specfun', 'check'), "
      "got 'plot'"),
-    (RunConfig, {"command": "check", "kind": "eqo3"}, ValueError,
+    ("RunConfig-field 'kind' must be one of ('",
+     RunConfig, {"command": "check", "kind": "eqo3"}, ValueError,
      "field 'kind' must be one of ('eqintro', 'eqo1', 'eqo2', 'hext1', 'truncated'), got 'eqo3'"),
-    (RunConfig, {"command": "check", "format": "xml"}, ValueError,
+    ("RunConfig-field 'format' must be one of ",
+     RunConfig, {"command": "check", "format": "xml"}, ValueError,
      "field 'format' must be one of ('csv', 'json'), got 'xml'"),
-    (RunConfig, {"command": "check", "levels": 1001}, ValueError,
+    ("RunConfig-field 'levels' must be in 1..1",
+     RunConfig, {"command": "check", "levels": 1001}, ValueError,
      "field 'levels' must be in 1..1000, got 1001"),
-    (RunConfig, {"command": "check", "count": 0}, ValueError,
+    ("RunConfig-field 'count' must be in 1..10",
+     RunConfig, {"command": "check", "count": 0}, ValueError,
      "field 'count' must be in 1..100000, got 0"),
-    (RunConfig, {"command": "check", "fn_n": 10001}, ValueError,
+    ("RunConfig-field 'fn_n' must be in 0..100",
+     RunConfig, {"command": "check", "fn_n": 10001}, ValueError,
      "field 'fn_n' must be in 0..10000, got 10001"),
-    (RunConfig, {"command": "check", "b_values": [0.0] * 101}, ValueError,
+    ("RunConfig-field 'b_values' must list at ",
+     RunConfig, {"command": "check", "b_values": [0.0] * 101}, ValueError,
      "field 'b_values' must list at most 100 values"),
-    (RunConfig, {"command": "check", "fn_param": math.nan}, ValueError,
+    ("RunConfig-field 'fn_param' must be finit",
+     RunConfig, {"command": "check", "fn_param": math.nan}, ValueError,
      "field 'fn_param' must be finite, got nan"),
-    (RunConfig, {"command": "check", "samples": -1}, ValueError,
+    ("RunConfig-field 'samples' must be in 0..",
+     RunConfig, {"command": "check", "samples": -1}, ValueError,
      "field 'samples' must be in 0..1000000, got -1"),
-    (RunConfig, {"command": "check", "fn": "bessel"}, ValueError,
+    ("RunConfig-field 'fn' must be one of ('1f",
+     RunConfig, {"command": "check", "fn": "bessel"}, ValueError,
      "field 'fn' must be one of ('1f1', 'hermite', 'laguerre'), got 'bessel'"),
-    (RunConfig, {"command": "check", "grid_n": 15}, ValueError,
+    ("RunConfig-field 'grid_n' must be at leas",
+     RunConfig, {"command": "check", "grid_n": 15}, ValueError,
      "field 'grid_n' must be at least 16, got 15"),
 ]
 
 
-@pytest.mark.parametrize("record,values,error,message", INVALID,
-                         ids=[f"{r.__name__}-{m[:30]}" for r, _, _, m in INVALID])
+@pytest.mark.parametrize("record,values,error,message",
+                         [pytest.param(*case, id=case_id) for case_id, *case in INVALID])
 def test_validation_message(record, values, error, message):
     with pytest.raises(error) as caught:
         record(**values)

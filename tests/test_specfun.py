@@ -64,8 +64,8 @@ class TestConfluent:
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda p: confluent_1f1_neg(2, p, 1.0), r"^b_param must be positive and finite, got "),
-    (lambda p: laguerre_assoc(2, p, 1.0), r"^alpha must be finite and exceed -1, got "),
+    (lambda p: confluent_1f1_neg(2, p, 1.0), r"^b_param must be finite, got "),
+    (lambda p: laguerre_assoc(2, p, 1.0), r"^alpha must be finite, got "),
 ], ids=["1f1", "laguerre"])
 @pytest.mark.parametrize("param", [math.nan, math.inf, -math.inf])
 def test_non_finite_parameter_rejected(call, message, param):
