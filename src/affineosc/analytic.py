@@ -14,6 +14,7 @@ full-line ones Hermite functions; quantum numbers start at n = 0 in all three.
 Both are evaluated by the recurrences of the normalized functions, on the
 functions' values rather than the polynomials', so they stay finite at large n,
 in plain arithmetic that gives a float for a float and an array for a float64 array.
+One pass of level n's recurrence at a point also hands over levels 0..n-1.
 ``BRANCHES`` holds each branch's alpha, energy E_n, family and mass, read here
 and by the solver in ``numeric``.  The energies keep the paper's formulas as
 written: they are the reference the solver is checked against.
@@ -71,7 +72,8 @@ class EigenPair(NamedTuple):
     energy: float
     branch: str
     params: PhysicalParams
-    # phi(x) for a float x, 0 at +-inf; or for a float64 ndarray of finite x (inf gives nan)
+    # phi(x) for a float x, 0 at +-inf; or for a float64 ndarray of finite x (inf gives nan).
+    # phi(x, levels) also appends phi_k(x) to levels[k] for k = 0..n, from the same pass
     wavefunction: Callable
 
 
@@ -92,21 +94,28 @@ def _halfline_wavefunction(n: int, alpha: float):
     runs on the function's values.  exp(-z/2) underflows beyond z = 1490,
     inside the turning point z = 4(n + 1) once n > 370, so the envelope enters
     as n + 1 factors exp(-z/(2n + 2)), one per step; where one factor
-    underflows, the value is 0.
+    underflows, the value is 0.  phi(x, levels), given n + 1 lists or arrays,
+    also appends each level k <= n to levels[k] as the pass reaches it, with
+    the n - k factors it still lacks, so one pass gives all n + 1 levels.
     """
     cut = math.sqrt(2.0 * UNDERFLOW * (n + 1) / alpha)  # beyond it one factor is 0
     scale = math.sqrt(2.0) * alpha
-    steps = [(2 * k + 2, math.sqrt(k * (k + 1)), math.sqrt((k + 1) * (k + 2))) for k in range(n)]
+    steps = [(k, 2 * k + 2, math.sqrt(k * (k + 1)), math.sqrt((k + 1) * (k + 2)))
+             for k in range(n)]
 
-    def phi(x):
+    def phi(x, levels=()):
         live = (x > 0) & (x < cut)  # x = 0 gives the value 0, and z cannot overflow
         x = 0.0 if live is False else x * live  # a float mask: no inf * False = nan
         z = alpha * x * x
         factor = math.e ** (-0.5 * z / (n + 1))
         factor2 = factor**2
         psi_prev, psi = 0.0, scale * x**1.5 * factor
-        for diag, lower, upper in steps:
+        for k, diag, lower, upper in steps:
+            if levels:
+                levels[k].append(psi * factor ** (n - k))
             psi, psi_prev = ((diag - z) * factor * psi - lower * factor2 * psi_prev) / upper, psi
+        if levels:
+            levels[n].append(psi)
         return psi
 
     return phi
@@ -119,17 +128,23 @@ def _hermite_wavefunction(n: int, alpha: float):
     psi_{k+1} = sqrt(2/(k+1)) s psi_k - sqrt(k/(k+1)) psi_{k-1}, s = sqrt(alpha) y,
     runs on the function's values from psi_0 = (alpha/pi)^(1/4) exp(-s^2/2),
     so no step overflows; where exp(-s^2/2) underflows, the value is 0.
+    phi(y, levels), given n + 1 lists or arrays, also appends each level k <= n
+    to levels[k] as the pass reaches it.
     """
     root, start = math.sqrt(alpha), (alpha / math.pi) ** 0.25
     cut = math.sqrt(2.0 * UNDERFLOW / alpha)  # beyond it exp(-s^2/2) is 0
-    steps = [(math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1))) for k in range(n)]
+    steps = [(k, math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1))) for k in range(n)]
 
-    def phi(y):
+    def phi(y, levels=()):
         live = abs(y) < cut
         s = 0.0 if live is False else root * (y * live)  # a float mask: no inf * False
         psi, psi_prev = start * math.e ** (-0.5 * s * s) * live, 0.0
-        for up, down in steps:
+        for k, up, down in steps:
+            if levels:
+                levels[k].append(psi)
             psi, psi_prev = up * s * psi - down * psi_prev, psi
+        if levels:
+            levels[n].append(psi)
         return psi
 
     return phi

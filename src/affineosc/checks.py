@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+from array import array
 from typing import Callable, Iterable, List, Tuple
 
 from . import analytic, core, numeric, specfun
@@ -169,18 +170,17 @@ def _gauss_rule(size, halfline):
     return rule
 
 
-def _gram(rule, functions):
-    """Sums over the (node, weight) rule of every product of two functions, as rows."""
-    values = [[f(x) for x, _ in rule] for f in functions]
+def _gram(rule, rows):
+    """Sums over the (node, weight) rule of every product of two rows of values at its nodes."""
     # each row weighted once: the products are still (w * a) * b, in the same order
-    weighted = [[w * a for (_, w), a in zip(rule, row)] for row in values]
-    return [[math.fsum(map(operator.mul, wrow, col)) for col in values] for wrow in weighted]
+    weighted = [[w * a for (_, w), a in zip(rule, row)] for row in rows]
+    return [[math.fsum(map(operator.mul, wrow, col)) for col in rows] for wrow in weighted]
 
 
 def check_laguerre_orthogonality() -> CheckResult:
     # exact up to degree 17, the products reach 16; exp(-t) takes the weight's factor back out
     rule = [(t, w * math.exp(-t)) for t, w in _gauss_rule(9, halfline=True)]
-    gram = _gram(rule, [lambda t, d=d: specfun.laguerre_assoc(d, 1.0, t) for d in range(9)])
+    gram = _gram(rule, [[specfun.laguerre_assoc(d, 1.0, t) for t, _ in rule] for d in range(9)])
     return _within("Laguerre orthogonality", 1e-8, "max deviation", (
         abs(value - (i + 1.0) * (i == j))
         for i, row in enumerate(gram) for j, value in enumerate(row)))
@@ -205,17 +205,29 @@ def check_equal_spacing() -> CheckResult:
         for lo, hi in zip(pairs, pairs[1:])))
 
 
+def _levels_at(pair, xs):
+    """Levels 0..pair.n of pair's branch at the points xs, one ``array('d')`` per level.
+
+    One recurrence pass per point (``pair.wavefunction(x, levels)``) gives every level.
+    """
+    levels = [array("d") for _ in range(pair.n + 1)]
+    for x in xs:
+        pair.wavefunction(x, levels)
+    return levels
+
+
 def gram_matrix(pairs):
     """Overlap matrix of eigenfunctions of one branch, as a list of rows."""
-    top = max(pair.n for pair in pairs)
-    record = analytic.BRANCHES[pairs[0].branch]
-    root = math.sqrt(record.alpha(pairs[0].params))
-    rule = _gauss_rule(top + 1, record.halfline)  # exact: each product is of degree <= 2 top
+    top = max(pairs, key=operator.attrgetter("n"))
+    record = analytic.BRANCHES[top.branch]
+    root = math.sqrt(record.alpha(top.params))
+    rule = _gauss_rule(top.n + 1, record.halfline)  # exact: each product is of degree <= 2 top
     if record.halfline:  # dx = dz / (2 sqrt(alpha z)) over the weight z exp(-z)
         points = [(math.sqrt(z) / root, w / (2.0 * root * z**1.5)) for z, w in rule]
     else:  # dy = ds / sqrt(alpha) over the weight exp(-s^2)
         points = [(s / root, w / root) for s, w in rule]
-    return _gram(points, [pair.wavefunction for pair in pairs])
+    levels = _levels_at(top, [x for x, _ in points])
+    return _gram(points, [levels[pair.n] for pair in pairs])
 
 
 def check_orthonormality() -> CheckResult:
@@ -226,26 +238,26 @@ def check_orthonormality() -> CheckResult:
 
 
 def check_node_counts() -> CheckResult:
-    """Sign changes of each level, sampled in s = sqrt(alpha) x out past its turning point."""
-    params = core.PhysicalParams(g=0.6)
+    """Sign changes of levels 0-8, sampled in s = sqrt(alpha) x out past level 8's turning point.
+
+    Each branch is sampled once, and one recurrence pass per sample gives all nine levels.
+    """
+    params, top = core.PhysicalParams(g=0.6), 8
     detail = []
-    for branch, pairs in _branch_pairs(params, count=9).items():
-        record = analytic.BRANCHES[branch]
-        root = math.sqrt(record.alpha(params))
-        for pair in pairs:
-            # eigenvalue t^2: the zeros lie inside s = t, at least pi / t apart (Sturm)
-            turn = math.sqrt(4.0 * (pair.n + 1) if record.halfline else 2.0 * pair.n + 1.0)
-            # out to 5 past s = t, where all are below NODE_FLOOR, in steps growing as j^2
-            # from 0 to pi / 16t, so that a zero near the half line's s = 0 shows too
-            m = math.ceil(32 * (turn + 5.0) * turn / math.pi)
-            unit = (turn + 5.0) / (m * m * root)
-            xs = [unit * j * abs(j) for j in range(0 if record.halfline else -m, m + 1)]
-            samples = [pair.wavefunction(x) for x in xs]
+    for branch, record in analytic.BRANCHES.items():
+        # eigenvalue t^2: the zeros lie inside s = t, at least pi / t apart (Sturm)
+        turn = math.sqrt(4.0 * (top + 1) if record.halfline else 2.0 * top + 1.0)
+        # out to 5 past s = t, where all are below NODE_FLOOR, in steps growing as j^2
+        # from 0 to pi / 16t, so that a zero near the half line's s = 0 shows too
+        m = math.ceil(32 * (turn + 5.0) * turn / math.pi)
+        unit = (turn + 5.0) / (m * m * math.sqrt(record.alpha(params)))
+        xs = [unit * j * abs(j) for j in range(0 if record.halfline else -m, m + 1)]
+        for n, samples in enumerate(_levels_at(analytic._eigen(branch, top, params), xs)):
             # sign_changes drops a NaN sample, so a level with one fails here
             if not all(map(math.isfinite, samples)):
-                detail.append(f"{branch} n={pair.n} -> non-finite samples")
-            elif (nodes := numeric.sign_changes(samples)) != pair.n:
-                detail.append(f"{branch} n={pair.n} -> {nodes} nodes")
+                detail.append(f"{branch} n={n} -> non-finite samples")
+            elif (nodes := numeric.sign_changes(samples)) != n:
+                detail.append(f"{branch} n={n} -> {nodes} nodes")
     return ("interior node counts", not detail, "; ".join(detail) or "all match")
 
 
@@ -281,22 +293,17 @@ def check_convergence_order() -> CheckResult:
 
 
 def convergence_ratios(spec):
-    """(E_h - E*) / (E_h/2 - E*) of two levels on grids of 600, 1200 and 2400 cells.
+    """(E_h - E*) / (E_h/2 - E*) of the two lowest levels on the grids ``numeric.solve`` uses.
 
-    E* is the Richardson value (4 E_h/4 - E_h/2) / 3 of the two finer grids.
-    A ratio near 4 shows the error's leading term is h^2 with no h^2 log h
-    beside it, which the Romberg value of ``numeric.solve`` relies on.
+    The three grids are solve(spec, 2)'s own, of N, 2N and 4N cells at its
+    default spacing, and E* is the Richardson value (4 E_h/4 - E_h/2) / 3 of
+    the two finer ones.  A ratio near 4 shows the error's leading term is h^2
+    with no h^2 log h beside it, which the Romberg value of ``solve`` relies on.
     """
-    k = 2
-    domain = numeric.default_domain(spec, k)
-    grids = [numeric.Grid(domain[0], domain[1], 600)]
-    grids.append(grids[0].refined())
-    grids.append(grids[1].refined())
-    lams = [numeric.lowest_eigenvalues(numeric.assemble(spec, g), k) for g in grids]
     ratios = []
-    for idx in range(k):
-        star = (4.0 * lams[2][idx] - lams[1][idx]) / 3.0
-        ratios.append((lams[0][idx] - star) / (lams[1][idx] - star))
+    for l1, l2, l4 in zip(*numeric.solve(spec, 2).grid_lams):
+        star = (4.0 * l4 - l2) / 3.0
+        ratios.append((l1 - star) / (l2 - star))
     return ratios
 
 

@@ -385,13 +385,16 @@ class EigenResult(NamedTuple):
 
     err_est holds, per level, the distance in energy between the Romberg value
     and the two-grid Richardson value of the two finer grids: an estimate of
-    the discretization error, not of the domain cut.
+    the discretization error, not of the domain cut.  grid_lams holds the k
+    operator eigenvalues of each of the three grids, coarse to finest, which
+    the Romberg value combines.
     """
 
     levels: List[Level]
     grid: Grid
     matrix: TridiagonalMatrix
     err_est: List[float]
+    grid_lams: List[List[float]]
 
 
 def potential_of(spec: ProblemSpec) -> Callable[[float], float]:
@@ -713,7 +716,8 @@ def solve(spec: ProblemSpec, k: int, policy: Optional[GridPolicy] = None) -> Eig
                     f"energies shift by {shift:.3e} when the domain is "
                     f"extended 1.5x; domain ({coarse.x_min}, {coarse.x_max}) is too small"
                 )
-    return EigenResult(levels=levels, grid=finest, matrix=matrix, err_est=err_est)
+    return EigenResult(levels=levels, grid=finest, matrix=matrix, err_est=err_est,
+                       grid_lams=lams[::-1])
 
 
 NODE_FLOOR = 1e-6  # samples below this fraction of the peak are noise for sign_changes

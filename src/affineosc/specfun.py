@@ -108,11 +108,11 @@ def integrate_halfline(f, lower: float, decay_scale: float) -> float:
     the domain ends where that envelope drops below QUAD_TOL/100.  f is called
     once, on an array of nodes, and may return an array or a scalar.  The value is
     the 2n-node Gauss-Legendre sum and its distance from the n-node sum the error.
+    decay_scale is checked by ``core.require_real`` (positive) before f is called.
     """
+    decay_scale = require_real("decay_scale", decay_scale, above=0)
     import numpy as np
 
-    if decay_scale <= 0:
-        raise ValueError(f"decay_scale must be positive, got {decay_scale}")
     tol = QUAD_TOL
     # envelope exp(-(u/s)^2) <= tol/100  =>  u >= s*sqrt(log(100/tol))
     cutoff = lower + decay_scale * math.sqrt(math.log(100.0 / tol)) + decay_scale

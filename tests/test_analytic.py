@@ -17,6 +17,7 @@ from affineosc.numeric import sign_changes
 from oracles import (
     branch_energy_chain, brute_force_composite, halfline_function_log, hermite_function_log,
 )
+from test_checks import levels_mapped
 
 UNIT = PhysicalParams()
 COUPLED = PhysicalParams(g=0.6)
@@ -218,15 +219,11 @@ class TestWavefunctions:
 def test_node_count_check_sees_an_extra_zero(monkeypatch, halfline, s0):
     # every level of one family times (x - x0), x0 = s0 natural lengths: the
     # check's float samples see the extra zero on exactly the levels the former
-    # 20001-point grids saw it on (not where x0 is off the domain or in the tail)
+    # 20001-point grids saw it on (not where x0 is off the domain or in the tail);
+    # levels_mapped puts the zero into the check's passes and the per-level calls alike
     factory = "_halfline_wavefunction" if halfline else "_hermite_wavefunction"
-    family = getattr(analytic, factory)
-
-    def mutated(n, alpha):
-        phi, x0 = family(n, alpha), s0 / math.sqrt(alpha)
-        return lambda x: phi(x) * (x - x0)
-
-    monkeypatch.setattr(analytic, factory, mutated)
+    monkeypatch.setattr(analytic, factory, levels_mapped(
+        getattr(analytic, factory), lambda k, alpha, x, value: value * (x - s0 / math.sqrt(alpha))))
     _, ok, detail = checks.check_node_counts()
     former = np.linspace(1e-4 if halfline else -10.0, 10.0, 20001)
     seen = [f"{pair.branch} n={pair.n}" for pairs in checks._branch_pairs(COUPLED, 9).values()
@@ -235,6 +232,59 @@ def test_node_count_check_sees_an_extra_zero(monkeypatch, halfline, s0):
     assert ([] if ok else [entry.partition(" ->")[0] for entry in detail.split("; ")]) == seen
     if 0 < s0 < 5:  # inside every level's domain and above its NODE_FLOOR
         assert len(seen) == (18 if halfline else 9)
+
+
+FAMILIES = {branch: analytic._halfline_wavefunction if record.halfline
+            else analytic._hermite_wavefunction for branch, record in analytic.BRANCHES.items()}
+# the largest gap between a level of the pass and the same level alone, in units
+# of that level's peak on the grid below: at top = 200 the half line's gap reads
+# 2.4e-13, near x = 0, where the level alone is itself up to 4.1e-13 from its
+# exact value (test_pass_near_the_origin_at_top_200); the Hermite levels match
+# bit for bit, since their recurrence does not depend on the top level
+PASS_GAP = {8: 1e-13, 200: 5e-13}
+
+
+def bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("top", [8, 200])
+@pytest.mark.parametrize("branch", list(analytic.BRANCHES))
+def test_one_pass_gives_every_level(branch, top):
+    # phi_top(x, levels) hands level k to levels[k]: every level within PASS_GAP of
+    # the level's own wavefunction, the top one bit for bit, for floats and for arrays
+    record, family = analytic.BRANCHES[branch], FAMILIES[branch]
+    alpha = record.alpha(COUPLED)
+    reach = (math.sqrt(4.0 * (top + 1) if record.halfline else 2.0 * top + 1.0) + 5.0)
+    xs = np.linspace(-0.2 * reach if record.halfline else -reach, reach, 1001) / math.sqrt(alpha)
+    floats = [float(x) for x in xs[::50]] + [math.inf, -math.inf]
+    phi = family(top, alpha)
+    on_array, on_floats = [[] for _ in range(top + 1)], [[] for _ in range(top + 1)]
+    assert bits(phi(xs, on_array)) == bits(phi(xs))
+    assert bits([phi(x, on_floats) for x in floats]) == bits([phi(x) for x in floats])
+    for k in range(top + 1):
+        alone = family(k, alpha)
+        expected = alone(xs)
+        assert len(on_array[k]) == 1 and len(on_floats[k]) == len(floats)
+        assert all(type(value) is float for value in on_floats[k])
+        gap = PASS_GAP[top] * np.max(np.abs(expected))
+        assert np.max(np.abs(on_array[k][0] - expected)) <= gap, k
+        if not record.halfline:
+            assert bits(on_array[k][0]) == bits(expected)
+        assert np.max(np.abs(np.array(on_floats[k]) - [alone(x) for x in floats])) <= gap, k
+    assert bits(on_array[top][0]) == bits(phi(xs))
+    assert bits(on_floats[top]) == bits([phi(x) for x in floats])
+
+
+@pytest.mark.parametrize("n", [166, 179, 199])
+def test_pass_near_the_origin_at_top_200(n):
+    # where PASS_GAP is widest, both ways sit within 5e-13 of the exact value
+    levels = [[] for _ in range(201)]
+    for x in (0.0667097875150313, 0.10006468127254695, 0.1334195750300626):
+        analytic._halfline_wavefunction(200, 1.0)(x, levels)
+        exact = halfline_function_log(n, 1.0, x)
+        assert abs(levels[n][-1] - exact) <= 5e-13
+        assert abs(analytic._halfline_wavefunction(n, 1.0)(x) - exact) <= 5e-13
 
 
 def gl_norm(phi, lower, upper, panels):

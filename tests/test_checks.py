@@ -4,6 +4,8 @@ Each case replaces one module attribute the check reaches, so that one value
 it compares turns NaN, and the check must report FAIL with ``nan`` in its
 detail (node counts name the level instead).  ``max`` skips a NaN unless it
 comes first, so a check that keeps its own ``max`` would pass most of these.
+The convergence check also fails on an h^2 log h error term, and it reads
+its ratios from ``numeric.solve``'s own grids.
 """
 
 import math
@@ -39,15 +41,32 @@ def last_eigenvalue_nan(calls=None):
     return lowest
 
 
+def levels_mapped(factory, change):
+    """factory, whose wavefunctions pass each level's value through change(k, alpha, x, value).
+
+    Both ways to evaluate are mapped: phi(x), the top level alone, and
+    phi(x, levels), every level of the one recurrence pass.
+    """
+
+    def mapped(n, alpha):
+        phi = factory(n, alpha)
+
+        def mapped_phi(x, levels=()):
+            own = [[] for _ in levels]
+            value = change(n, alpha, x, phi(x, own))
+            for k, (sink, (psi,)) in enumerate(zip(levels, own)):
+                sink.append(change(k, alpha, x, psi))
+            return value
+
+        return mapped_phi
+
+    return mapped
+
+
 def halfline_level_nan(level, where):
     """_halfline_wavefunction whose given level is NaN wherever where(x) holds."""
-    original = analytic._halfline_wavefunction
-
-    def family(n, alpha):
-        phi = original(n, alpha)
-        return nan_where(phi, where) if n == level else phi
-
-    return family
+    return levels_mapped(analytic._halfline_wavefunction, lambda k, alpha, x, value: (
+        math.nan if k == level and where(x) else value))
 
 
 # check -> (module, attribute, replacement factory, what the detail must show); each
@@ -100,3 +119,61 @@ def test_check_command_exits_2_on_one_failure(capsys):
     assert len(lines) == len(checks.ALL_CHECKS)
     assert [line for line in lines if line.startswith("[FAIL]")] == [
         "[FAIL] Poisson bracket table: max deviation nan (tolerance 1.0e-09)"]
+
+
+def h2_log_h_shifted(c):
+    """numeric.assemble, with c h^2 ln h added to every diagonal entry: an h^2 log h error."""
+    original = numeric.assemble
+
+    def shifted(spec, grid):
+        matrix = original(spec, grid)
+        s, h = matrix.scale, grid.h  # unscaled exactly, as check_variational_shift does
+        return numeric.TridiagonalMatrix([d / s + c * h * h * math.log(h) for d in matrix.diag],
+                                         [o / s for o in matrix.off])
+
+    return shifted
+
+
+@pytest.mark.parametrize("c", [0.1, 1.0])
+def test_convergence_check_sees_an_h2_log_h_term(c):
+    with mock.patch.object(numeric, "assemble", h2_log_h_shifted(c)):
+        _, ok, detail = checks.check_convergence_order()
+    assert not ok, detail
+
+
+CONVERGENCE_SPECS = [
+    numeric.ProblemSpec(kind="eqintro"),
+    numeric.ProblemSpec(kind="eqo2", params=core.PhysicalParams(g=0.6)),
+    numeric.ProblemSpec(kind="hext1", b=1.0),
+    numeric.ProblemSpec(kind="truncated", b=5.0, order=4),
+]
+
+
+@pytest.mark.parametrize("spec", CONVERGENCE_SPECS, ids=lambda spec: spec.kind)
+def test_convergence_ratios_come_from_solves_grids(spec):
+    coarse, fine, finest = numeric.solve(spec, 2).grid_lams
+    expected = [(l1 - (4.0 * l4 - l2) / 3.0) / (l2 - (4.0 * l4 - l2) / 3.0)
+                for l1, l2, l4 in zip(coarse, fine, finest)]
+    assert checks.convergence_ratios(spec) == expected
+
+
+def test_convergence_check_builds_matrices_only_inside_solve():
+    depth, calls = [0], []
+    solve, assemble, lowest = numeric.solve, numeric.assemble, numeric.lowest_eigenvalues
+
+    def counted_solve(*args):
+        depth[0] += 1
+        try:
+            return solve(*args)
+        finally:
+            depth[0] -= 1
+
+    def recorded(name, function):
+        return lambda *args: calls.append((name, depth[0])) or function(*args)
+
+    with mock.patch.object(numeric, "solve", counted_solve), \
+            mock.patch.object(numeric, "assemble", recorded("assemble", assemble)), \
+            mock.patch.object(numeric, "lowest_eigenvalues", recorded("eigvals", lowest)):
+        assert checks.check_convergence_order()[1]
+    # five specs, three grids each
+    assert sorted(calls) == [("assemble", 1)] * 15 + [("eigvals", 1)] * 15

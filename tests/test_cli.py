@@ -769,7 +769,8 @@ class TestOutputBytes:
         grid = numeric.Grid(0.5, 16.5, 16)
         wf = array("d", [0.25] * 16)  # the type numeric.eigenvector returns
         wf[5], wf[10], wf[15] = math.nan, -math.inf, math.inf
-        result = numeric.EigenResult([numeric.Level(0, 4.0, 2.0, 4.0)], grid, None, [0.0])
+        result = numeric.EigenResult([numeric.Level(0, 4.0, 2.0, 4.0)], grid, None, [0.0],
+                                     [[4.0]] * 3)
         monkeypatch.setattr(numeric, "solve", lambda spec, k, policy: result)
         monkeypatch.setattr(numeric, "eigenvector", lambda matrix, lam, h: wf)
         assert main(["spectrum", "--levels", "1", "--samples", "4", "--format", "json"]) == 0

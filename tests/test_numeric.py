@@ -1183,6 +1183,19 @@ class TestConvergenceOrder:
         # the weighted finite volumes leave a clean h^2 term at the barrier
         assert all(3.95 <= ratio <= 4.05 for ratio in checks.convergence_ratios(spec))
 
+    @pytest.mark.parametrize("spec", [
+        ProblemSpec(kind="eqintro"),
+        ProblemSpec(kind="eqo2", params=COUPLED),
+    ], ids=lambda spec: spec.kind)
+    def test_grid_lams_are_the_three_grids_coarse_to_finest(self, spec):
+        # the eigenvalues the ratios read are those of the grids solve extrapolates on
+        result = solve(spec, 3)
+        coarse = numeric.coarse_grid(spec, 3)
+        grids = [coarse, coarse.refined(), coarse.refined().refined()]
+        assert result.grid == grids[2]
+        assert result.grid_lams == [lowest_eigenvalues(assemble(spec, grid), 3) for grid in grids]
+        assert [level.lam_fine for level in result.levels] == result.grid_lams[2]
+
 
 def closed_form_specs():
     yield ProblemSpec(kind="eqintro")

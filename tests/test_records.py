@@ -54,7 +54,8 @@ RECORDS = [
      {"params": UNIT, "b": None, "order": None}),
     # entries already in [0.5, 1), so the prescale leaves them as given (scale 1)
     (TridiagonalMatrix, {"diag": array("d", [0.5, 0.75]), "off": array("d", [-0.25])}, {}),
-    (EigenResult, {"levels": [], "grid": GRID, "matrix": MATRIX, "err_est": []}, {}),
+    (EigenResult, {"levels": [], "grid": GRID, "matrix": MATRIX, "err_est": [],
+                   "grid_lams": [[], [], []]}, {}),
     (GridPolicy, {"n": 100, "domain": (0.0, 5.0), "check_truncation": True},
      {"n": None, "domain": None, "check_truncation": False}),
     (SweepRow, {"b": 1.0, "n": 0, "energy": 1.5, "dev_half": 0.5, "dev_full": 1.0,

@@ -256,6 +256,15 @@ class TestHalflineQuadrature:
         with pytest.raises(ValueError):
             integrate_halfline(lambda x: 0.0, 0.0, -1.0)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_decay_scale_must_be_finite_and_positive(self, scale):
+        # NaN used to pass the former ``decay_scale <= 0`` test and return nan
+        def f(x):
+            raise AssertionError("f called")
+
+        with pytest.raises(ValueError, match="^decay_scale must be (finite|positive), got"):
+            integrate_halfline(f, 0.0, scale)
+
     def test_failure_raises_quadrature_error(self):
         with pytest.raises(
             QuadratureError,

@@ -1,11 +1,14 @@
 """Smoke tests of tools/code_lines.py, the code-line count of ``src/``, and of
 tools/bench_pairs.py, the paired benchmark comparison."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
 
@@ -93,6 +96,39 @@ def test_bench_pairs_alternates_and_compares(tmp_path):
         "pair 2: change failed=1, parent failed=0",
         "pair 3: parent failed=0, change failed=1",
     ]
-    assert lines[4].split() == ["solve.wall_s", "2", "1.5", "0", "3/3", "-25.0%", "25%"]
+    # every pair won, by more than the parent's interquartile range of 0
+    assert lines[4].split() == ["solve.wall_s", "2", "1.5", "0", "3/3", "-25.0%", "25%", "GAIN"]
     # 20 MB against 19 is 5.3 % more, inside the 10 % bound, and no pair won
     assert lines[5].split() == ["solve.peak_rss_mb", "19", "20", "0", "0/3", "+5.3%", "10%"]
+
+
+def load_pairs_tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", PAIRS_TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def summaries(values):
+    return [{"metrics": {"check.wall_s": {"value": value, "unit": "s"}}} for value in values]
+
+
+BENCHMARK = {"workloads": [{"name": "check"}],
+             "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}], "per_layer": []}
+# parent: median 0.16 s, interquartile range 0.007 s (statistics.quantiles, exclusive)
+PARENT = [0.150, 0.155, 0.157, 0.158, 0.159, 0.161, 0.162, 0.163, 0.165, 0.170]
+
+
+@pytest.mark.parametrize("change,verdict", [
+    # nine pairs of ten won, the median 0.03 s better: a gain
+    ([0.120, 0.125, 0.127, 0.128, 0.129, 0.131, 0.132, 0.133, 0.135, 0.171], ["GAIN"]),
+    # every pair won, but the median only 0.005 s better, inside the parent's spread
+    ([value - 0.005 for value in PARENT], []),
+    # the median 0.03 s better, but three pairs lost
+    ([0.120, 0.125, 0.127, 0.128, 0.129, 0.131, 0.132, 0.164, 0.166, 0.171], []),
+], ids=["gain", "inside-iqr", "seven-of-ten"])
+def test_bench_pairs_gain_needs_nine_in_ten_and_more_than_the_iqr(change, verdict):
+    tool = load_pairs_tool()
+    assert tool.iqr(PARENT) == pytest.approx(0.007)
+    line = tool.compare(summaries(PARENT), summaries(change), BENCHMARK)[1].split()
+    assert line[7:] == verdict

@@ -10,8 +10,10 @@ For every metric of the summaries (``workload.metric`` when the run covers
 several workloads) it prints the parent's and the change's median, the
 parent's interquartile range, how many pairs the change won (by ``better`` in
 BENCHMARK.json), and the change's median relative to the parent's next to the
-metric's ``bound``, flagged WORSE where it lies beyond it.  The failed jobs of
-every run come first.  It reads only ``bench/`` and ``BENCHMARK.json`` of the
+metric's ``bound``, flagged WORSE where it lies beyond it.  It is flagged GAIN
+where the change won at least nine pairs in ten and its median is better than
+the parent's by more than the parent's interquartile range.  The failed jobs
+of every run come first.  It reads only ``bench/`` and ``BENCHMARK.json`` of the
 trees, and PARENT's BENCHMARK.json for ``better`` and ``bound``.
 """
 
@@ -62,7 +64,12 @@ def compare(parent_runs, change_runs, benchmark) -> list:
         won = sum(sign * a < sign * b for a, b in zip(after, before))
         mid_before, mid_after = statistics.median(before), statistics.median(after)
         rel = mid_after / mid_before - 1.0 if mid_before else float("nan")
-        verdict = "" if bound is None or sign * rel <= bound else "  WORSE"
+        if bound is not None and sign * rel > bound:
+            verdict = "  WORSE"
+        elif 10 * won >= 9 * len(before) and sign * (mid_before - mid_after) > iqr(before):
+            verdict = "  GAIN"
+        else:
+            verdict = ""
         lines.append(f"{key:28s} {mid_before:10.4g} {mid_after:10.4g} {iqr(before):10.3g} "
                      f"{won:>3d}/{len(before):<2d} {rel:+13.1%} "
                      f"{'-' if bound is None else f'{bound:.0%}':>6s}{verdict}")
