@@ -71,9 +71,7 @@ def check_affine_identity() -> CheckResult:
     params = core.PhysicalParams(g=0.6)
     deviations = []
     for pt in _random_original_points(random.Random(2), 1000):
-        nm = core.to_normal(pt)
-        if nm.q1 <= 0:
-            continue
+        nm = core.to_normal(pt)  # y1 = x1 + x2 >= 0.2, so the affine term is defined
         d = core.dilation(nm.q1, nm.p1)
         h_aff = core.hamiltonian_affine(nm.q1, d, nm.q2, nm.p2, params)
         h_nrm = core.hamiltonian_normal(nm, params)
@@ -86,20 +84,14 @@ def check_bracket_table() -> CheckResult:
     pt = core.PhaseSpacePoint(0.9, 0.6, 0.4, -1.3, frame=core.ORIGINAL)
     tol = 10 * core.BRACKET_STEP**2
 
-    def y1(p):
-        return p.q1 + p.q2
+    def normal(field):  # a normal-mode coordinate, through core's own map at each call
+        coordinate = operator.attrgetter(field)
+        return lambda p: coordinate(core.to_normal(p))
 
-    def y2(p):
-        return p.q1 - p.q2
-
-    def py1(p):
-        return p.p1 + p.p2
-
-    def py2(p):
-        return p.p1 - p.p2
+    y1, y2, py1, py2 = map(normal, ("q1", "q2", "p1", "p2"))
 
     def dy1(p):
-        return (p.p1 + p.p2) * (p.q1 + p.q2)
+        return core.dilation(y1(p), py1(p))
 
     cases = [
         (lambda p: p.q1, lambda p: p.p1, 1.0),

@@ -116,11 +116,17 @@ class PhaseSpacePoint(namedtuple("PhaseSpacePoint", "q1 q2 p1 p2 frame")):
 
     frame == "original": fields mean (x1, x2, p_x1, p_x2), x1 >= 0 and x2 >= 0.
     frame == "normal":   fields mean (y1, y2, p_y1, p_y2), y1 >= 0.
+
+    Each coordinate is checked by ``require_real`` (finite, named by its
+    field) and kept as a float, before the frame and sign rules.  The maps
+    between the frames build their results with ``_make``: their sign rules
+    hold by construction, and a coordinate that overflows raises ValueError.
     """
 
     __slots__ = ()
 
     def __new__(cls, q1: float, q2: float, p1: float, p2: float, frame: str = ORIGINAL):
+        q1, q2, p1, p2 = map(require_real, cls._fields[:4], (q1, q2, p1, p2))
         if frame not in (ORIGINAL, NORMAL):
             raise FrameError(f"unknown frame {frame!r}")
         if frame == ORIGINAL and (q1 < 0 or q2 < 0):
@@ -130,36 +136,30 @@ class PhaseSpacePoint(namedtuple("PhaseSpacePoint", "q1 q2 p1 p2 frame")):
         return super().__new__(cls, q1, q2, p1, p2, frame)
 
 
+def _mapped(frame: str, *coords: float) -> PhaseSpacePoint:
+    """The image of a checked point under a frame map, which needs only a finite check."""
+    if not all(map(math.isfinite, coords)):
+        raise ValueError(f"{frame}-frame image overflows, got {coords}")
+    return PhaseSpacePoint._make((*coords, frame))
+
+
 def to_normal(point: PhaseSpacePoint) -> PhaseSpacePoint:
     """Map (x1, x2, p_x1, p_x2) to the decoupling coordinates (sum/difference)."""
     if point.frame != ORIGINAL:
         raise FrameError("to_normal expects an original-frame point")
-    return PhaseSpacePoint(
-        q1=point.q1 + point.q2,
-        q2=point.q1 - point.q2,
-        p1=point.p1 + point.p2,
-        p2=point.p1 - point.p2,
-        frame=NORMAL,
-    )
+    q1, q2, p1, p2, _ = point
+    return _mapped(NORMAL, q1 + q2, q1 - q2, p1 + p2, p1 - p2)
 
 
 def from_normal(point: PhaseSpacePoint) -> PhaseSpacePoint:
     """Exact linear inverse of to_normal; rejects images outside the quarter plane."""
     if point.frame != NORMAL:
         raise FrameError("from_normal expects a normal-frame point")
-    x1 = (point.q1 + point.q2) / 2.0
-    x2 = (point.q1 - point.q2) / 2.0
+    q1, q2, p1, p2, _ = point
+    x1, x2 = (q1 + q2) / 2.0, (q1 - q2) / 2.0
     if x1 < 0 or x2 < 0:
-        raise DomainError(
-            f"preimage ({x1}, {x2}) leaves the positive quadrant"
-        )
-    return PhaseSpacePoint(
-        q1=x1,
-        q2=x2,
-        p1=(point.p1 + point.p2) / 2.0,
-        p2=(point.p1 - point.p2) / 2.0,
-        frame=ORIGINAL,
-    )
+        raise DomainError(f"preimage ({x1}, {x2}) leaves the positive quadrant")
+    return _mapped(ORIGINAL, x1, x2, (p1 + p2) / 2.0, (p1 - p2) / 2.0)
 
 
 def hamiltonian_original(point: PhaseSpacePoint, params: PhysicalParams) -> float:
@@ -190,7 +190,8 @@ def hamiltonian_normal(point: PhaseSpacePoint, params: PhysicalParams) -> float:
 
 
 def dilation(q: float, p: float) -> float:
-    """d = p * q, the affine partner of q."""
+    """d = p * q, the affine partner of q; both are checked by ``require_real``."""
+    q, p = require_real("q", q), require_real("p", p)
     return p * q
 
 
@@ -201,10 +202,11 @@ def hamiltonian_affine(
 
     Classically d * y^-2 * d = p^2, so this agrees with hamiltonian_normal
     whenever d_y1 = p_y1 * y1; the y1 <= 0 region is excluded because of the
-    explicit y1**-2.
+    explicit y1**-2.  Each coordinate is checked by ``require_real`` first.
     """
+    y1, d_y1, y2, p_y2 = map(require_real, ("y1", "d_y1", "y2", "p_y2"), (y1, d_y1, y2, p_y2))
     if y1 <= 0:
-        raise DomainError(f"affine Hamiltonian needs y1 > 0, got {y1}")
+        raise DomainError(f"y1 must be positive for the affine Hamiltonian, got {y1}")
     m, w, g = params.m, params.omega, params.g
     return (
         d_y1**2 / (4 * m * y1**2)

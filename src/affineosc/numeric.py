@@ -34,10 +34,11 @@ from __future__ import annotations
 import functools
 import importlib.util
 import math
+import operator
 import os
 from array import array
 from collections import namedtuple
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from .analytic import BRANCHES, COUPLED_Y1, COUPLED_Y2, HALF_HO, Branch
@@ -531,9 +532,9 @@ def eigenvector(matrix: TridiagonalMatrix, lam: float, h: float) -> array:
     the first sample of nontrivial magnitude is positive.  Returned as
     ``array('d')``; ``numpy.asarray`` views it without a copy.  The sum of
     squares is ``math.fsum``, correctly rounded, so the samples do not depend
-    on how a threaded BLAS would split a dot product.  Apart from the squares
-    and the division by the norm, every pass over all n entries runs in C
-    (BLAS or ``fsum``), without numpy, and holds no list of n floats.  A 1x1
+    on how a threaded BLAS would split a dot product.  Every pass over all n
+    entries runs in C (BLAS, or ``fsum`` and ``map`` over ``operator``'s
+    functions), without numpy, and holds no list of n floats.  A 1x1
     matrix goes through ?stein like any other: its vector is 1 / sqrt(h).
     h (positive) and lam are checked by ``core.require_real`` before ?stein
     is called.
@@ -544,13 +545,13 @@ def eigenvector(matrix: TridiagonalMatrix, lam: float, h: float) -> array:
     # exact stiff Laplacian ones, against 6e-11 unshifted)
     v, info = dstein(matrix.diag, matrix.off, lam * matrix.scale + 1e-13)
     # a NaN or infinite entry makes the norm non-finite
-    norm = math.sqrt(h) * math.sqrt(math.fsum(x * x for x in v)) if info == 0 else math.nan
+    norm = math.sqrt(h) * math.sqrt(math.fsum(map(operator.mul, v, v))) if info == 0 else math.nan
     if not math.isfinite(norm):
         raise ConvergenceError(f"LAPACK ?stein did not converge for lambda={lam}")
     floor = 1e-8 * abs(v[_lapack().idamax(v)])
     if next(x for x in v if abs(x) > floor) < 0:
         norm = -norm
-    return array("d", (x / norm for x in v))
+    return array("d", map(operator.truediv, v, repeat(norm, len(v))))
 
 
 class GridPolicy(namedtuple("GridPolicy", "n domain check_truncation")):
@@ -563,13 +564,16 @@ class GridPolicy(namedtuple("GridPolicy", "n domain check_truncation")):
     only "size it for me": a cell count goes to ``Grid`` as given (an int, at
     least 16), and a domain must be a pair (x_min, x_max) of numbers that
     ``core.require_real`` takes (named ``grid domain``), a finite width
-    apart, or it raises ValueError here.
+    apart, or it raises ValueError here, as it does for a check_truncation
+    that is not a bool.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: Optional[int] = None, domain: Optional[Tuple[float, float]] = None,
                 check_truncation: bool = False):
+        if type(check_truncation) is not bool:  # "no" and 1 would re-solve, None would not
+            raise ValueError(f"check_truncation must be a bool, got {check_truncation!r:.40}")
         if domain is not None:
             if not (isinstance(domain, (tuple, list)) and len(domain) == 2):
                 raise ValueError(f"grid domain must be two numbers (x_min, x_max), got {domain!r}")

@@ -121,6 +121,17 @@ def test_check_command_exits_2_on_one_failure(capsys):
         "[FAIL] Poisson bracket table: max deviation nan (tolerance 1.0e-09)"]
 
 
+@pytest.mark.parametrize("attribute,wrong", [
+    # y1 = x1 + 1.01 x2: {y1, p_y1} = 2.01, and {y1, d_y1} is off as much
+    ("to_normal", lambda to_normal: lambda pt: to_normal(pt)._replace(q1=pt.q1 + 1.01 * pt.q2)),
+    ("dilation", lambda dilation: lambda q, p: 1.01 * dilation(q, p)),
+], ids=["to_normal", "dilation"])
+def test_bracket_table_checks_core_own_maps(attribute, wrong):
+    with mock.patch.object(core, attribute, wrong(getattr(core, attribute))):
+        _, ok, detail = checks.check_bracket_table()
+    assert not ok, detail
+
+
 def h2_log_h_shifted(c):
     """numeric.assemble, with c h^2 ln h added to every diagonal entry: an h^2 log h error."""
     original = numeric.assemble

@@ -104,6 +104,29 @@ class TestFrames:
         with pytest.raises(FrameError):
             to_normal(to_normal(original))
 
+    def test_coordinates_kept_as_floats(self):
+        for pt in (PhaseSpacePoint(1, 2, -3, 4), to_normal(PhaseSpacePoint(1, 2, -3, 4)),
+                   from_normal(PhaseSpacePoint(3, 1, 0, 0, frame=core.NORMAL))):
+            assert {type(v) for v in pt[:4]} == {float}
+
+    @pytest.mark.parametrize("field", ["q1", "q2", "p1", "p2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "1", True, 10**400],
+                             ids=["nan", "inf", "str", "bool", "huge"])
+    def test_coordinates_checked_before_the_frame(self, field, value):
+        coords = {"q1": 1.0, "q2": 2.0, "p1": 0.0, "p2": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            PhaseSpacePoint(**coords, frame="no such frame")
+
+    @pytest.mark.parametrize("mapping,frame,coords", [
+        (to_normal, core.ORIGINAL, (1e308, 1e308, 0.0, 0.0)),
+        (to_normal, core.ORIGINAL, (0.0, 0.0, -1e308, 1e308)),
+        (from_normal, core.NORMAL, (1e308, 1e308, 0.0, 0.0)),
+        (from_normal, core.NORMAL, (1.0, 0.0, 1e308, -1e308)),
+    ])
+    def test_overflow_rejected(self, mapping, frame, coords):
+        with pytest.raises(ValueError, match="image overflows"):
+            mapping(PhaseSpacePoint(*coords, frame=frame))
+
     def test_round_trip_machine_precision(self):
         for pt in random_points(7, 1000):
             back = from_normal(to_normal(pt))

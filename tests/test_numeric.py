@@ -1036,6 +1036,12 @@ class TestInputTypes:
             solve(ProblemSpec(kind="eqintro"), 4, GridPolicy(n=100.5))
         assert grids == []
 
+    @pytest.mark.parametrize("value", ["no", "", 1, 0, None, np.bool_(True)])
+    def test_check_truncation_must_be_a_bool(self, value):
+        # "no" and 1 used to run the 1.5x re-solve
+        with pytest.raises(ValueError, match=r"^check_truncation must be a bool, got "):
+            GridPolicy(check_truncation=value)
+
 
 class TestTruncationCheckPlan:
     def test_clipped_wide_domain_refused_before_any_matrix(self, monkeypatch):

@@ -13,7 +13,8 @@ cells, a level number, a degree, an expansion order) accepts an int in range
 and gives the result it always gave, and refuses anything else with
 ``core.require_int``'s ValueError before LAPACK is bound or called; and so
 does every one that takes a real number (m, omega, hbar, g, b, grid ends, h,
-lam, the special functions' parameters and the command line's floats) with
+lam, the special functions' parameters, phase-space coordinates and the
+command line's floats) with
 ``core.require_real``'s, for a bool, a string, None, an int beyond float
 range, NaN, an infinity or a number below its bound.  The one
 comparison of ``affineosc check`` is the largest deviation against its bound,
@@ -35,10 +36,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affineosc import analytic, checks, interp, numeric, specfun
+from affineosc import analytic, checks, core, interp, numeric, specfun
 from affineosc.analytic import COUPLED_Y1, COUPLED_Y2, HALF_HO, CompositeLevel
 from affineosc.cli import COMMANDS, SPECFUN_NAMES, RunConfig, build_parser, main
-from affineosc.core import PhysicalParams
+from affineosc.core import PhaseSpacePoint, PhysicalParams
 from affineosc.numeric import KIND_FACTS, KINDS, MAX_COARSE_N, GridPolicy, ProblemSpec
 from oracles import branch_energy_chain, f1_numpy, hermite_numpy, laguerre_numpy
 
@@ -464,6 +465,29 @@ def physical(name, valid, out_of_range=()):
                 lambda v: PhysicalParams()._replace(**{name: float(v)}), valid, out_of_range)
 
 
+def point_case(field):
+    """PhaseSpacePoint with field set, in the original frame, the others fixed."""
+    base = dict(q1=0.9, q2=0.6, p1=0.4, p2=-1.3)
+    valid = (st.one_of(st.integers(0, 10**6), st.floats(0.0, 1e300)) if field[0] == "q"
+             else st.one_of(st.integers(-10**6, 10**6), st.floats(-1e300, 1e300)))
+    return Real(field, lambda v: PhaseSpacePoint(**{**base, field: v}),
+                lambda v: (*{**base, field: float(v)}.values(), core.ORIGINAL), valid)
+
+
+def affine_case(name, valid, out_of_range=()):
+    """hamiltonian_affine with argument name set, the others fixed, against the
+    canonical Hamiltonian at p_y1 = d_y1 / y1."""
+    base = dict(y1=1.5, d_y1=2.0, y2=0.5, p_y2=0.3)
+
+    def canonical(v):
+        y1, d_y1, y2, p_y2 = {**base, name: float(v)}.values()
+        point = PhaseSpacePoint(y1, y2, d_y1 / y1, p_y2, frame=core.NORMAL)
+        return pytest.approx(core.hamiltonian_normal(point, PARAMS), rel=1e-12)
+
+    return Real(name, lambda v: core.hamiltonian_affine(**{**base, name: v}, params=PARAMS),
+                canonical, valid, out_of_range)
+
+
 def unit_vector(lam, h):
     """two_by_two()'s eigenvector for lam near 1 or 3, with h * sum(v^2) = 1."""
     norm = math.sqrt(2.0 * h)
@@ -496,6 +520,14 @@ REALS = {
     "laguerre_assoc": Real("alpha", lambda a: specfun.laguerre_assoc(3, a, 0.7),
                            lambda a: laguerre_numpy(3, float(a), 0.7),
                            st.one_of(st.integers(0, 50), st.floats(-0.999, 50.0)), (-1, -2.5)),
+    **{f"PhaseSpacePoint-{field}": point_case(field) for field in ("q1", "q2", "p1", "p2")},
+    "dilation-q": Real("q", lambda q: core.dilation(q, -1.5), lambda q: -1.5 * float(q),
+                       st.one_of(st.integers(-10**6, 10**6), st.floats(-1e300, 1e300))),
+    "dilation-p": Real("p", lambda p: core.dilation(2.0, p), lambda p: float(p) * 2.0,
+                       st.one_of(st.integers(-10**6, 10**6), st.floats(-1e300, 1e300))),
+    "hamiltonian_affine-y1": affine_case("y1", positive(), (0, -1.0)),
+    **{f"hamiltonian_affine-{name}": affine_case(name, st.one_of(
+        st.integers(-10**6, 10**6), st.floats(-1e100, 1e100))) for name in ("d_y1", "y2", "p_y2")},
     "RunConfig-m": Real("field 'm'", lambda m: RunConfig("spectrum", m=m).m, float,
                         st.one_of(st.integers(-10**6, 10**6), st.floats(-1e300, 1e300))),
     "RunConfig-b": Real("field 'b'", lambda b: RunConfig("spectrum", b=b).b,

@@ -132,3 +132,22 @@ def test_bench_pairs_gain_needs_nine_in_ten_and_more_than_the_iqr(change, verdic
     assert tool.iqr(PARENT) == pytest.approx(0.007)
     line = tool.compare(summaries(PARENT), summaries(change), BENCHMARK)[1].split()
     assert line[7:] == verdict
+
+
+# parent: median 1.9 s, interquartile range 1.1 s, wider than 25 % of the median
+WIDE = [1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8]
+
+
+@pytest.mark.parametrize("change,verdict", [
+    # the same runs: no worse, but a spread that wide could hide a 25 % regression
+    (WIDE, ["UNRESOLVED"]),
+    # 10 % slower in the median, inside the bound, and as unresolved
+    ([value * 1.1 for value in WIDE], ["UNRESOLVED"]),
+    # every run better than every parent run, though not by more than the spread
+    ([0.90, 0.91, 0.92, 0.93, 0.94, 0.95, 0.96, 0.97, 0.98, 0.99], []),
+], ids=["same", "slower-inside-bound", "every-run-better"])
+def test_bench_pairs_spread_wider_than_the_bound_is_unresolved(change, verdict):
+    tool = load_pairs_tool()
+    assert tool.iqr(WIDE) == pytest.approx(1.1)
+    line = tool.compare(summaries(WIDE), summaries(change), BENCHMARK)[1].split()
+    assert line[7:] == verdict

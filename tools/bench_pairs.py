@@ -12,9 +12,13 @@ parent's interquartile range, how many pairs the change won (by ``better`` in
 BENCHMARK.json), and the change's median relative to the parent's next to the
 metric's ``bound``, flagged WORSE where it lies beyond it.  It is flagged GAIN
 where the change won at least nine pairs in ten and its median is better than
-the parent's by more than the parent's interquartile range.  The failed jobs
-of every run come first.  It reads only ``bench/`` and ``BENCHMARK.json`` of the
-trees, and PARENT's BENCHMARK.json for ``better`` and ``bound``.
+the parent's by more than the parent's interquartile range.  Otherwise it is
+flagged UNRESOLVED where the parent's interquartile range is wider than the
+bound (relative to the parent's median), unless every run of the change is
+better than every run of the parent: runs that spread that far can hide a
+regression inside the bound.  The failed jobs of every run come first.  It
+reads only ``bench/`` and ``BENCHMARK.json`` of the trees, and PARENT's
+BENCHMARK.json for ``better`` and ``bound``.
 """
 
 import argparse
@@ -64,13 +68,17 @@ def compare(parent_runs, change_runs, benchmark) -> list:
         won = sum(sign * a < sign * b for a, b in zip(after, before))
         mid_before, mid_after = statistics.median(before), statistics.median(after)
         rel = mid_after / mid_before - 1.0 if mid_before else float("nan")
+        spread = iqr(before)
         if bound is not None and sign * rel > bound:
             verdict = "  WORSE"
-        elif 10 * won >= 9 * len(before) and sign * (mid_before - mid_after) > iqr(before):
+        elif 10 * won >= 9 * len(before) and sign * (mid_before - mid_after) > spread:
             verdict = "  GAIN"
+        elif (bound is not None and spread > bound * abs(mid_before)
+              and max(sign * a for a in after) >= min(sign * b for b in before)):
+            verdict = "  UNRESOLVED"
         else:
             verdict = ""
-        lines.append(f"{key:28s} {mid_before:10.4g} {mid_after:10.4g} {iqr(before):10.3g} "
+        lines.append(f"{key:28s} {mid_before:10.4g} {mid_after:10.4g} {spread:10.3g} "
                      f"{won:>3d}/{len(before):<2d} {rel:+13.1%} "
                      f"{'-' if bound is None else f'{bound:.0%}':>6s}{verdict}")
     return lines
