@@ -21,6 +21,7 @@ from typing import Callable, Iterable, List, Tuple
 from . import analytic, core, numeric, specfun
 
 CheckResult = Tuple[str, bool, str]
+COUPLING = core.PhysicalParams(g=0.6)  # every check of the coupled pair runs at this g
 
 
 def _within(name: str, bound: float, label: str, deviations: Iterable[float]) -> CheckResult:
@@ -57,24 +58,22 @@ def check_frame_round_trip() -> CheckResult:
 
 
 def check_hamiltonian_equivalence() -> CheckResult:
-    params = core.PhysicalParams(g=0.6)
     deviations = []
     for pt in _random_original_points(random.Random(1), 1000):
-        h1 = core.hamiltonian_original(pt, params)
-        h2 = core.hamiltonian_normal(core.to_normal(pt), params)
+        h1 = core.hamiltonian_original(pt, COUPLING)
+        h2 = core.hamiltonian_normal(core.to_normal(pt), COUPLING)
         deviations.append(abs(h1 - h2) / max(1.0, abs(h1)))
     return _within("Hamiltonian equivalence under frame change", 1e-12,
                    "max relative deviation", deviations)
 
 
 def check_affine_identity() -> CheckResult:
-    params = core.PhysicalParams(g=0.6)
     deviations = []
     for pt in _random_original_points(random.Random(2), 1000):
         nm = core.to_normal(pt)  # y1 = x1 + x2 >= 0.2, so the affine term is defined
         d = core.dilation(nm.q1, nm.p1)
-        h_aff = core.hamiltonian_affine(nm.q1, d, nm.q2, nm.p2, params)
-        h_nrm = core.hamiltonian_normal(nm, params)
+        h_aff = core.hamiltonian_affine(nm.q1, d, nm.q2, nm.p2, COUPLING)
+        h_nrm = core.hamiltonian_normal(nm, COUPLING)
         deviations.append(abs(h_aff - h_nrm) / max(1.0, abs(h_nrm)))
     return _within("affine kinetic term matches canonical one", 1e-12,
                    "max relative deviation", deviations)
@@ -184,16 +183,15 @@ def _branch_pairs(params, count):
 
 
 def check_equal_spacing() -> CheckResult:
-    params = core.PhysicalParams(g=0.6)
-    hw = params.hbar * params.omega
+    hw = COUPLING.hbar * COUPLING.omega
     expected = {
         analytic.HALF_HO: 2.0 * hw,
-        analytic.COUPLED_Y1: hw * math.sqrt(1.0 + params.g_ratio),
-        analytic.COUPLED_Y2: 0.5 * hw * math.sqrt(1.0 - params.g_ratio),
+        analytic.COUPLED_Y1: hw * math.sqrt(1.0 + COUPLING.g_ratio),
+        analytic.COUPLED_Y2: 0.5 * hw * math.sqrt(1.0 - COUPLING.g_ratio),
     }
     return _within("equal level spacing per branch", 1e-12, "max spacing deviation", (
         abs((hi.energy - lo.energy) - expected[branch])
-        for branch, pairs in _branch_pairs(params, count=10).items()
+        for branch, pairs in _branch_pairs(COUPLING, count=10).items()
         for lo, hi in zip(pairs, pairs[1:])))
 
 
@@ -223,9 +221,8 @@ def gram_matrix(pairs):
 
 
 def check_orthonormality() -> CheckResult:
-    params = core.PhysicalParams(g=0.6)
     return _within("branch orthonormality (Gram matrix)", 1e-8, "max Gram deviation", (
-        abs(value - (i == j)) for pairs in _branch_pairs(params, count=6).values()
+        abs(value - (i == j)) for pairs in _branch_pairs(COUPLING, count=6).values()
         for i, row in enumerate(gram_matrix(pairs)) for j, value in enumerate(row)))
 
 
@@ -234,7 +231,7 @@ def check_node_counts() -> CheckResult:
 
     Each branch is sampled once, and one recurrence pass per sample gives all nine levels.
     """
-    params, top = core.PhysicalParams(g=0.6), 8
+    top = 8
     detail = []
     for branch, record in analytic.BRANCHES.items():
         # eigenvalue t^2: the zeros lie inside s = t, at least pi / t apart (Sturm)
@@ -242,9 +239,9 @@ def check_node_counts() -> CheckResult:
         # out to 5 past s = t, where all are below NODE_FLOOR, in steps growing as j^2
         # from 0 to pi / 16t, so that a zero near the half line's s = 0 shows too
         m = math.ceil(32 * (turn + 5.0) * turn / math.pi)
-        unit = (turn + 5.0) / (m * m * math.sqrt(record.alpha(params)))
+        unit = (turn + 5.0) / (m * m * math.sqrt(record.alpha(COUPLING)))
         xs = [unit * j * abs(j) for j in range(0 if record.halfline else -m, m + 1)]
-        for n, samples in enumerate(_levels_at(analytic._eigen(branch, top, params), xs)):
+        for n, samples in enumerate(_levels_at(analytic._eigen(branch, top, COUPLING), xs)):
             # sign_changes drops a NaN sample, so a level with one fails here
             if not all(map(math.isfinite, samples)):
                 detail.append(f"{branch} n={n} -> non-finite samples")
@@ -254,27 +251,25 @@ def check_node_counts() -> CheckResult:
 
 
 def check_numeric_vs_analytic() -> CheckResult:
-    params = core.PhysicalParams(g=0.6)
     deviations = []
     for kind, facts in numeric.KIND_FACTS.items():
         if facts.branch is None:
             continue
-        result = numeric.solve(numeric.ProblemSpec(kind=kind, params=params), k=4)
+        result = numeric.solve(numeric.ProblemSpec(kind=kind, params=COUPLING), k=4)
         for level in result.levels:
-            ref = analytic.branch_energy(facts.branch, level.n, params)
+            ref = analytic.branch_energy(facts.branch, level.n, COUPLING)
             deviations.append(abs(level.energy - ref) / abs(ref))
     return _within("numeric spectra match closed forms", 1e-6, "max relative deviation",
                    deviations)
 
 
 def check_convergence_order() -> CheckResult:
-    params = core.PhysicalParams(g=0.6)
     specs = [
-        numeric.ProblemSpec(kind="eqintro", params=params),
-        numeric.ProblemSpec(kind="eqo1", params=params),
-        numeric.ProblemSpec(kind="eqo2", params=params),
-        numeric.ProblemSpec(kind="hext1", params=params, b=1.0),
-        numeric.ProblemSpec(kind="truncated", params=params, b=5.0, order=4),
+        numeric.ProblemSpec(kind="eqintro", params=COUPLING),
+        numeric.ProblemSpec(kind="eqo1", params=COUPLING),
+        numeric.ProblemSpec(kind="eqo2", params=COUPLING),
+        numeric.ProblemSpec(kind="hext1", params=COUPLING, b=1.0),
+        numeric.ProblemSpec(kind="truncated", params=COUPLING, b=5.0, order=4),
     ]
     ratios = []
     for spec in specs:

@@ -182,22 +182,21 @@ def _render_value(value) -> str:
     if kind is list or kind is tuple:
         return "[" + ", ".join([_render_value(v) for v in value]) + "]"
     if kind is dict:
-        inner = ", ".join(
-            f"{json.dumps(str(k))}: {_render_value(v)}" for k, v in value.items()
-        )
-        return "{" + inner + "}"
+        return "{" + _members(value, ", ") + "}"
     raise TypeError(f"cannot serialize {kind!r}")
 
 
+def _members(obj: dict, separator: str) -> str:
+    """The members of a JSON object, ``"key": value``, joined by separator."""
+    return separator.join(f"{json.dumps(str(k))}: {_render_value(v)}" for k, v in obj.items())
+
+
 def render_json(doc: dict) -> str:
-    """Deterministic JSON with all floats in 15-significant-digit scientific form."""
-    lines = ["{"]
-    items = list(doc.items())
-    for idx, (key, value) in enumerate(items):
-        comma = "," if idx < len(items) - 1 else ""
-        lines.append(f"  {json.dumps(str(key))}: {_render_value(value)}{comma}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Deterministic JSON with all floats in 15-significant-digit scientific form.
+
+    The document is one object, written as every nested one is, but one member per line.
+    """
+    return "{\n  " + _members(doc, ",\n  ") + "\n}\n"
 
 
 def _csv_cell(cell) -> str:

@@ -152,14 +152,18 @@ def to_normal(point: PhaseSpacePoint) -> PhaseSpacePoint:
 
 
 def from_normal(point: PhaseSpacePoint) -> PhaseSpacePoint:
-    """Exact linear inverse of to_normal; rejects images outside the quarter plane."""
+    """Exact linear inverse of to_normal; rejects images outside the quarter plane.
+
+    Each coordinate is halved before the sum, so the preimage of every image
+    of ``to_normal`` is finite; halving is exact in the normal range.
+    """
     if point.frame != NORMAL:
         raise FrameError("from_normal expects a normal-frame point")
-    q1, q2, p1, p2, _ = point
-    x1, x2 = (q1 + q2) / 2.0, (q1 - q2) / 2.0
+    q1, q2, p1, p2 = (coordinate / 2.0 for coordinate in point[:4])
+    x1, x2 = q1 + q2, q1 - q2
     if x1 < 0 or x2 < 0:
         raise DomainError(f"preimage ({x1}, {x2}) leaves the positive quadrant")
-    return _mapped(ORIGINAL, x1, x2, (p1 + p2) / 2.0, (p1 - p2) / 2.0)
+    return _mapped(ORIGINAL, x1, x2, p1 + p2, p1 - p2)
 
 
 def hamiltonian_original(point: PhaseSpacePoint, params: PhysicalParams) -> float:

@@ -161,7 +161,9 @@ def _lapack() -> _Lapack:
     ``import scipy.linalg`` would cost about 0.3 s on top of numpy.  The file
     is private to scipy wheels, so where it is missing or lacks the LAPACKE
     symbols (a build from source, another platform) this falls back to the
-    public ``scipy.linalg.lapack``.  Both run the same LAPACK code.
+    public ``scipy.linalg.lapack``.  Both run the same LAPACK code.  Every
+    LAPACK and BLAS call of the solver looks this function up when it runs, so
+    one substitution of ``_lapack`` replaces all of them.
     """
     try:
         return _lapacke(_openblas_path())
@@ -169,22 +171,6 @@ def _lapack() -> _Lapack:
     # LAPACKE symbols in it or no scipy at all (AttributeError)
     except (StopIteration, OSError, AttributeError):
         return _scipy_lapack()
-
-
-def dstebz(diag, off, k, tol):
-    """(the k lowest eigenvalues ascending, info) by LAPACK ?stebz.
-
-    diag and off are float64 buffers.  A module attribute, so tests can replace it.
-    """
-    return _lapack().dstebz(diag, off, k, tol)
-
-
-def dstein(diag, off, lam):
-    """(eigenvector for lam, info) by LAPACK ?stein.
-
-    diag and off are float64 buffers.  A module attribute, so tests can replace it.
-    """
-    return _lapack().dstein(diag, off, lam)
 
 
 class KindFacts(NamedTuple):
@@ -398,40 +384,45 @@ class EigenResult(NamedTuple):
     grid_lams: List[List[float]]
 
 
-def potential_of(spec: ProblemSpec) -> Callable[[float], float]:
-    """Operator potential V(x) at one point x for the given problem kind.
+def _smooth_potential(spec: ProblemSpec) -> Callable[[float], float]:
+    """V(x) without the barrier, at one point x: one function for all five kinds.
 
-    Raises DomainError when evaluated at the singular point (x = 0 for the
-    half-line kinds, x = -b for hext1).  Squares are products (x * x), as
-    numpy's squaring of arrays is; higher series powers use float ``**``.
+    The well quad_coeff x^2, plus, for ``truncated``, its barrier's power
+    series.  Squares are products (x * x), as numpy's squaring of arrays is;
+    higher series powers use float ``**``.  ``assemble`` evaluates it at the
+    cell centres and ``potential_of`` adds the barrier to it.
     """
     c = spec.quad_coeff
-    sing = spec.singular_point
+    if not spec.facts.series:
+        return lambda x: c * (x * x)
+    barrier = 0.75 / spec.b**2
+    coeffs = list(enumerate((-1.0) ** j * (j + 1) / spec.b**j for j in range(spec.order + 1)))
 
-    if spec.facts.series:
-        b = spec.b
-        barrier = 0.75 / b**2
-        coeffs = list(enumerate((-1.0) ** j * (j + 1) / b**j for j in range(spec.order + 1)))
+    def v(x):
+        terms = 0
+        for j, cj in coeffs:
+            terms += cj * (x * x if j == 2 else x**j)
+        return barrier * terms + c * (x * x)
 
-        def v(x):
-            terms = 0
-            for j, cj in coeffs:
-                terms += cj * (x * x if j == 2 else x**j)
-            return barrier * terms + c * (x * x)
+    return v
 
-    elif sing is None:
 
-        def v(x):
-            return c * (x * x)
+def potential_of(spec: ProblemSpec) -> Callable[[float], float]:
+    """Operator potential V(x) at one point x: ``_smooth_potential``, plus 0.75/s^2 at a barrier.
 
-    else:
+    s = x minus the singular point.  Raises DomainError when evaluated at the
+    singular point (x = 0 for the half-line kinds, x = -b for hext1).
+    """
+    smooth, sing = _smooth_potential(spec), spec.singular_point
+    if sing is None:
+        return smooth
 
-        def v(x):
-            s = x - sing
-            try:
-                return 0.75 / (s * s) + c * (x * x)
-            except ZeroDivisionError:
-                raise DomainError(f"potential is singular at x = {sing}") from None
+    def v(x):
+        s = x - sing
+        try:
+            return 0.75 / (s * s) + smooth(x)
+        except ZeroDivisionError:
+            raise DomainError(f"potential is singular at x = {sing}") from None
 
     return v
 
@@ -448,18 +439,18 @@ def assemble(spec: ProblemSpec, grid: Grid) -> TridiagonalMatrix:
     centres.  At the barrier psi = s^(3/2) u turns -psi'' + 3/(4 s^2) psi into
     -(s^3 u')'/s^3, s the distance to the singular point: face f carries
     t_f^3/h^2 and cell i the weight w_i = ((t_i + 1)^4 - t_i^4)/4, in units
-    t = s/h so that no power of h is taken, and only the well quad_coeff x^2
-    is evaluated at the centres.  A face at s = 0 carries no flux.  The problem
-    A u = lambda W u is symmetrized as W^(-1/2) A W^(-1/2), whose eigenvectors
-    sqrt(w_i) u_i approximate psi at the centres.
+    t = s/h so that no power of h is taken.  A face at s = 0 carries no flux.
+    For every kind, the cell centres add ``_smooth_potential``, the function
+    ``potential_of`` is built on: the barrier enters through the face and cell
+    weights alone.  The problem A u = lambda W u is symmetrized as
+    W^(-1/2) A W^(-1/2), whose eigenvectors sqrt(w_i) u_i approximate psi at
+    the centres.
     """
     _check_domain(spec, grid)
     n, h, x_min = grid.n, grid.h, grid.x_min
     if spec.facts.barrier:
         first = (x_min - spec.singular_point) / h  # the lower face, in units of h
-        c = spec.quad_coeff
-    else:
-        v = potential_of(spec)
+    smooth = _smooth_potential(spec)
     scale = 1.0 / (h * h)
     # Rows are built ROW_BLOCK at a time in lists, which Python iterates faster
     # than array('d'), and appended to the two bands: beside the matrix, any
@@ -468,19 +459,18 @@ def assemble(spec: ProblemSpec, grid: Grid) -> TridiagonalMatrix:
     for lo in range(0, n, ROW_BLOCK):
         hi = min(lo + ROW_BLOCK, n)
         cells = min(hi + 1, n) - lo  # with the next block's first, for the off entry across
-        centres = grid.nodes_at(range(lo, hi))
         if spec.facts.barrier:
             faces = [first + i for i in range(lo, hi + 1)]
             flux = [t * t * t for t in faces]
             # ((t + 1)^4 - t^4) / 4 over cell [t, t + 1], in Horner form: positive terms only
             weight = [((t + 1.5) * t + 1.0) * t + 0.25 for t in islice(faces, cells)]
-            well = [c * (x * x) for x in centres]
         else:
-            flux, weight, well = [1.0] * (hi - lo + 1), [1.0] * cells, list(map(v, centres))
+            flux, weight = [1.0] * (hi - lo + 1), [1.0] * cells
         if lo == 0:
             flux[0] *= 2.0
         if hi == n:
             flux[-1] *= 2.0
+        well = map(smooth, grid.nodes_at(range(lo, hi)))
         diag.extend([(f0 + f1) / w * scale + p for f0, f1, w, p
                      in zip(flux, islice(flux, 1, None), weight, well)])
         root = list(map(math.sqrt, weight))
@@ -519,7 +509,7 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, k: int):
     diag, scale = matrix.diag, matrix.scale
     # EIGENVALUE_TOL * min(1, max|diag|), scaled like the bands
     tol = EIGENVALUE_TOL * min(scale, abs(diag[_lapack().idamax(diag)]))
-    values, info = dstebz(diag, matrix.off, k, tol)
+    values, info = _lapack().dstebz(diag, matrix.off, k, tol)
     if info != 0:
         raise ConvergenceError(f"LAPACK ?stebz failed (info={info})")
     return [v / scale for v in values]
@@ -543,7 +533,7 @@ def eigenvector(matrix: TridiagonalMatrix, lam: float, h: float) -> array:
     # the stored bands, not copies.  ?stein perturbs LU pivots below eps*|T|;
     # shifting the scaled lam by 1e-13 keeps them clear (samples 7e-12 from the
     # exact stiff Laplacian ones, against 6e-11 unshifted)
-    v, info = dstein(matrix.diag, matrix.off, lam * matrix.scale + 1e-13)
+    v, info = _lapack().dstein(matrix.diag, matrix.off, lam * matrix.scale + 1e-13)
     # a NaN or infinite entry makes the norm non-finite
     norm = math.sqrt(h) * math.sqrt(math.fsum(map(operator.mul, v, v))) if info == 0 else math.nan
     if not math.isfinite(norm):

@@ -3,8 +3,8 @@
 bench/spans.py replaces package functions by name (``SPANNED`` and the
 wavefunction factories), and bench/test_bench.py is not part of this suite.
 So a renamed or inlined function would only break the traced benchmark run.
-These tests run the span recorder on four commands, on ``check`` alone, and
-on one truncation-checked solve, in a fresh interpreter.
+These tests run the span recorder on five commands, on ``check`` alone, on
+``specfun`` alone and on one truncation-checked solve, in a fresh interpreter.
 """
 
 import json
@@ -52,10 +52,12 @@ with open(out, "w") as handle:
                          for name, _, _, parent, _ in recorder.spans]}, handle)
 """
 
+SPECFUN_ARGV = ["specfun", "--fn", "laguerre", "--n", "3", "--points", "0,1"]
 ARGVS = [
     ["spectrum", "--levels", "2", "--samples", "4", "--out", "spectrum.csv"],
     ["sweep", "--b-values", "0,1", "--levels", "1", "--out", "sweep.csv"],
     ["coupled", "--g", "0.6", "--count", "5", "--out", "coupled.csv"],
+    SPECFUN_ARGV,
     ["check"],
 ]
 
@@ -107,4 +109,12 @@ def test_truncation_resolve_is_a_nested_solve_span(tmp_path):
     assert spans.count(["numeric.solve", None]) == 1
     assert spans.count(["numeric.truncation_resolve", "numeric.solve"]) == 1
     assert [name for name, _ in spans].count("numeric.eigvals") == 6
+    assert result["violations"] == []
+
+
+def test_traced_specfun_records_its_polynomials(tmp_path):
+    # cli.SPECFUN looks each function up on the specfun module at call time,
+    # so the recorder's wrappers see the calls (check alone also makes them)
+    result = trace(tmp_path, [SPECFUN_ARGV])
+    assert "specfun.poly" in result["names"]
     assert result["violations"] == []

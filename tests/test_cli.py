@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import math
 import warnings
@@ -429,7 +430,8 @@ class TestExitCodes:
         def fail(diag, off, k, tol):
             return [], 1
 
-        monkeypatch.setattr(numeric, "dstebz", fail)
+        monkeypatch.setattr(numeric, "_lapack", functools.partial(numeric._lapack()._replace,
+                                                                 dstebz=fail))
         assert cli.main(["spectrum", "--levels", "1"]) == 2
         err = capsys.readouterr().err
         assert "numerical failure" in err
@@ -443,7 +445,8 @@ class TestExitCodes:
         def no_convergence(diag, off, lam):
             return np.zeros(len(diag)), 1
 
-        monkeypatch.setattr(numeric, "dstein", no_convergence)
+        monkeypatch.setattr(numeric, "_lapack", functools.partial(numeric._lapack()._replace,
+                                                                 dstein=no_convergence))
         assert cli.main(["spectrum", "--levels", "1", "--samples", "4", "--format", "json"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and err.count("\n") == 1

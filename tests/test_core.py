@@ -120,12 +120,24 @@ class TestFrames:
     @pytest.mark.parametrize("mapping,frame,coords", [
         (to_normal, core.ORIGINAL, (1e308, 1e308, 0.0, 0.0)),
         (to_normal, core.ORIGINAL, (0.0, 0.0, -1e308, 1e308)),
-        (from_normal, core.NORMAL, (1e308, 1e308, 0.0, 0.0)),
-        (from_normal, core.NORMAL, (1.0, 0.0, 1e308, -1e308)),
     ])
     def test_overflow_rejected(self, mapping, frame, coords):
         with pytest.raises(ValueError, match="image overflows"):
             mapping(PhaseSpacePoint(*coords, frame=frame))
+
+    @pytest.mark.parametrize("image,preimage", [
+        ((1e308, 1e308, 0.0, 0.0), (1e308, 0.0, 0.0, 0.0)),
+        ((1.0, 0.0, 1e308, -1e308), (0.5, 0.5, 0.0, 1e308)),
+    ], ids=["position-sum", "momentum-difference"])
+    def test_from_normal_halves_before_it_adds(self, image, preimage):
+        # each is to_normal's image of preimage; (q1 + q2) / 2 and (p1 - p2) / 2
+        # would overflow before they halve
+        assert to_normal(PhaseSpacePoint(*preimage))[:4] == image
+        assert from_normal(PhaseSpacePoint(*image, frame=core.NORMAL))[:4] == preimage
+
+    def test_round_trip_at_the_float_limit(self):
+        pt = PhaseSpacePoint(1e308, 0.0, 0.0, 0.0)
+        assert from_normal(to_normal(pt)) == pt
 
     def test_round_trip_machine_precision(self):
         for pt in random_points(7, 1000):

@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import math
@@ -184,6 +185,32 @@ class TestPotentials:
             potential_of(ProblemSpec(kind="eqintro"))(0.0)
         with pytest.raises(DomainError):
             potential_of(ProblemSpec(kind="hext1", b=2.0))(-2.0)
+
+    @pytest.mark.parametrize("spec", [
+        ProblemSpec(kind="eqintro"),
+        ProblemSpec(kind="eqo1", params=COUPLED),
+        ProblemSpec(kind="eqo2", params=COUPLED),
+        ProblemSpec(kind="hext1", b=1.0),
+        ProblemSpec(kind="truncated", b=5.0, order=4),
+    ], ids=lambda spec: spec.kind)
+    def test_one_smooth_potential_for_every_kind(self, monkeypatch, spec):
+        # assemble and potential_of both take the well from numeric._smooth_potential:
+        # one substitution shifts every kind's diagonal and potential by 1, and nothing else
+        grid = numeric.coarse_grid(spec, 2)
+        x = grid.nodes[3]
+        (diag, off), value = unscaled(assemble(spec, grid)), potential_of(spec)(x)
+        smooth = numeric._smooth_potential
+
+        def shifted(spec):
+            well = smooth(spec)
+            return lambda x: well(x) + 1.0
+
+        monkeypatch.setattr(numeric, "_smooth_potential", shifted)
+        diag_shifted, off_shifted = unscaled(assemble(spec, grid))
+        np.testing.assert_allclose(diag_shifted - diag, 1.0, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(diag)))
+        np.testing.assert_array_equal(off_shifted, off)
+        assert potential_of(spec)(x) == pytest.approx(value + 1.0, rel=1e-15)
 
 
 class TestAssemble:
@@ -505,7 +532,8 @@ class TestSteinEigenvector:
         def failed(diag, off, lam):
             return np.full(len(diag), value), info
 
-        monkeypatch.setattr(numeric, "dstein", failed)
+        monkeypatch.setattr(numeric, "_lapack", functools.partial(numeric._lapack()._replace,
+                                                                 dstein=failed))
         with pytest.raises(ConvergenceError, match="stein"):
             eigenvector(laplacian_3(), 2.0, h=1.0)
 
@@ -518,7 +546,8 @@ class TestSteinEigenvector:
             raise AssertionError("eigenvector called LAPACK ?stein")
 
         matrix = laplacian_3()
-        monkeypatch.setattr(numeric, "dstein", no_stein)
+        monkeypatch.setattr(numeric, "_lapack", functools.partial(numeric._lapack()._replace,
+                                                                 dstein=no_stein))
         message = r"^lam must be finite, got " if 0.0 < h < math.inf else r"^h must be "
         with pytest.raises(ValueError, match=message):
             eigenvector(matrix, lam, h=h)
@@ -546,7 +575,7 @@ def numpy_eigenvector(matrix, lam, h):
     diag, off = unscaled(matrix)
     factor = math.ldexp(1.0, -math.frexp(np.max(np.abs(np.concatenate([diag, off]))))[1])
     assert factor == matrix.scale
-    vector, info = numeric.dstein(diag * factor, off * factor, lam * factor + 1e-13)
+    vector, info = numeric._lapack().dstein(diag * factor, off * factor, lam * factor + 1e-13)
     v = np.array(vector, dtype=float)
     assert info == 0 and np.all(np.isfinite(v))
     v /= math.sqrt(h) * math.sqrt(math.fsum(v * v))
@@ -723,6 +752,74 @@ class TestLapackLoad:
         )
 
 
+ROUTINES = ("dstebz", "dstein", "dscal", "idamax")
+
+
+def recording_binding(monkeypatch, calls):
+    """Substitute ``numeric._lapack``: this process's binding, each routine counting its calls."""
+    bound = numeric._lapack()
+
+    def counted(name):
+        routine = getattr(bound, name)
+
+        def call(*args):
+            calls[name] += 1
+            return routine(*args)
+
+        return call
+
+    recorder = bound._replace(**{name: counted(name) for name in ROUTINES})
+    monkeypatch.setattr(numeric, "_lapack", lambda: recorder)
+
+
+def count_module_calls(monkeypatch, calls, *names):
+    """Count the calls of numeric's functions names, each looked up at call time."""
+    for name in names:
+        function = getattr(numeric, name)
+
+        def counted(*args, _name=name, _function=function, **kwargs):
+            calls[_name] += 1
+            return _function(*args, **kwargs)
+
+        monkeypatch.setattr(numeric, name, counted)
+
+
+class TestOneLapackEntryPoint:
+    def test_no_wrapper_beside_the_binding(self):
+        assert not hasattr(numeric, "dstebz") and not hasattr(numeric, "dstein")
+
+    def test_every_call_is_recorded(self, monkeypatch, capsys):
+        # each matrix prescales its two bands (idamax and dscal on each), each
+        # eigenvalue search reads max|diag| (idamax) before ?stebz, and each
+        # eigenvector takes ?stein and then idamax for its sign
+        spec = ProblemSpec(kind="eqo2", params=COUPLED)
+
+        def run():
+            result = numeric.solve(spec, 3)
+            vector = numeric.eigenvector(result.matrix, result.levels[2].lam_fine, result.grid.h)
+            ok = checks.run_all()
+            return result.levels, result.err_est, bits(vector), ok, capsys.readouterr().out
+
+        plain = run()
+        calls = collections.Counter()
+        recording_binding(monkeypatch, calls)
+        count_module_calls(monkeypatch, calls, "_prescale", "lowest_eigenvalues", "eigenvector")
+        assert run() == plain
+        matrices, searches = calls["_prescale"], calls["lowest_eigenvalues"]
+        assert matrices > 3 and searches > 3 and calls["eigenvector"] == 1
+        assert {name: calls[name] for name in ROUTINES} == {
+            "dstebz": searches, "dstein": calls["eigenvector"], "dscal": 2 * matrices,
+            "idamax": 2 * matrices + searches + calls["eigenvector"],
+        }
+
+    def test_one_substitution_reaches_every_routine(self, monkeypatch):
+        calls = collections.Counter()
+        recording_binding(monkeypatch, calls)
+        result = solve(ProblemSpec(kind="eqintro"), 2)
+        eigenvector(result.matrix, result.levels[0].lam_fine, result.grid.h)
+        assert calls == {"dstebz": 3, "dstein": 1, "dscal": 6, "idamax": 10}
+
+
 def run_script(script, *args, **environ):
     """Run a Python script in a fresh interpreter with this package on its path."""
     src = os.path.dirname(os.path.dirname(affineosc.__file__))
@@ -831,7 +928,7 @@ for name in ("scipy.linalg", "scipy.integrate"):
     assert name not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
 import scipy.linalg
 matrix = numeric.assemble(numeric.ProblemSpec(kind="eqintro"), numeric.Grid(0.0, 9.0, 500))
-values, info = numeric.dstebz(matrix.diag, matrix.off, 20, 1e-12)
+values, info = numeric._lapack().dstebz(matrix.diag, matrix.off, 20, 1e-12)
 m, w, _, _, info_pub = scipy.linalg.lapack.dstebz(
     matrix.diag, matrix.off, 2, 0.0, 1.0, 1, 20, 1e-12, "E"
 )
@@ -930,7 +1027,8 @@ def test_check_runs_without_inverse_iteration(monkeypatch, capsys):
     def no_stein(diag, off, lam):
         raise AssertionError("check called LAPACK ?stein")
 
-    monkeypatch.setattr(numeric, "dstein", no_stein)
+    monkeypatch.setattr(numeric, "_lapack", functools.partial(numeric._lapack()._replace,
+                                                             dstein=no_stein))
     assert checks.run_all()
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 14 and all(line.startswith("[PASS] ") for line in lines)
@@ -948,7 +1046,7 @@ assert cli.main(["check"]) == 0
 assert "scipy.linalg" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
 import scipy.linalg
 matrix = numeric.assemble(numeric.ProblemSpec(kind="eqintro"), numeric.Grid(0.0, 9.0, 500))
-values, info = numeric.dstebz(matrix.diag, matrix.off, 20, 1e-12)
+values, info = numeric._lapack().dstebz(matrix.diag, matrix.off, 20, 1e-12)
 m, w, _, _, info_pub = scipy.linalg.lapack.dstebz(
     matrix.diag, matrix.off, 2, 0.0, 1.0, 1, 20, 1e-12, "E"
 )

@@ -102,6 +102,33 @@ def test_bench_pairs_alternates_and_compares(tmp_path):
     assert lines[5].split() == ["solve.peak_rss_mb", "19", "20", "0", "0/3", "+5.3%", "10%"]
 
 
+def test_bench_pairs_says_when_both_trees_run_the_same_benchmark(tmp_path):
+    parent = stub_tree(tmp_path, "parent", failed=0, wall=2.0, rss=19.0)
+    change = stub_tree(tmp_path, "change", failed=0, wall=2.0, rss=19.0)
+    (change / "bench" / "__pycache__").mkdir()  # bytecode is not the benchmark
+    (change / "bench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(b"\0")
+    proc = subprocess.run([sys.executable, str(PAIRS_TOOL), str(parent), str(change),
+                           "--pairs", "1", "--", str(tmp_path / "runs.log")],
+                          capture_output=True, text=True, check=True)
+    assert proc.stderr == "harness: bench/ and BENCHMARK.json are byte-identical in both trees\n"
+
+
+def test_bench_pairs_names_each_harness_file_that_differs(tmp_path):
+    parent = stub_tree(tmp_path, "parent", failed=0, wall=2.0, rss=19.0)
+    change = stub_tree(tmp_path, "change", failed=0, wall=1.5, rss=19.0)
+    (change / "bench" / "extra.py").write_text("")  # in one tree only
+    benchmark = json.loads((parent / "BENCHMARK.json").read_text())
+    benchmark["end_to_end"][0]["bound"] = 0.5
+    (change / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    proc = subprocess.run([sys.executable, str(PAIRS_TOOL), str(parent), str(change),
+                           "--pairs", "1", "--", str(tmp_path / "runs.log")],
+                          capture_output=True, text=True, check=True)
+    assert proc.stderr == ("harness differs between the trees in BENCHMARK.json, "
+                           "bench/extra.py, bench/run.py; better and bound are PARENT's\n")
+    # the report itself reads PARENT's bound of 25 %
+    assert proc.stdout.splitlines()[2].split()[-2:] == ["25%", "GAIN"]
+
+
 def load_pairs_tool():
     spec = importlib.util.spec_from_file_location("bench_pairs", PAIRS_TOOL)
     module = importlib.util.module_from_spec(spec)

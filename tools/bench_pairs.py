@@ -18,7 +18,10 @@ bound (relative to the parent's median), unless every run of the change is
 better than every run of the parent: runs that spread that far can hide a
 regression inside the bound.  The failed jobs of every run come first.  It
 reads only ``bench/`` and ``BENCHMARK.json`` of the trees, and PARENT's
-BENCHMARK.json for ``better`` and ``bound``.
+BENCHMARK.json for ``better`` and ``bound``.  Before the pairs it says on
+standard error whether the two trees run the same benchmark: whether their
+``bench/`` files (bytecode aside) and BENCHMARK.json are byte-identical,
+naming each file that is not.
 """
 
 import argparse
@@ -38,6 +41,24 @@ def run_bench(tree: Path, bench_args) -> dict:
         raise SystemExit(f"bench/run.py in {tree} exited with {proc.returncode}:\n"
                          f"{proc.stderr[-2000:]}")
     return json.loads(lines[-1])
+
+
+def harness_files(tree: Path) -> dict:
+    """Relative path -> bytes of each file of tree's benchmark, ``__pycache__`` aside."""
+    paths = [tree / "BENCHMARK.json", *(tree / "bench").rglob("*")]
+    return {path.relative_to(tree).as_posix(): path.read_bytes() for path in paths
+            if path.is_file() and "__pycache__" not in path.parts}
+
+
+def harness_report(parent: Path, change: Path) -> str:
+    """One line: whether both trees run the same benchmark, naming each file that differs."""
+    before, after = harness_files(parent), harness_files(change)
+    differ = sorted(name for name in before.keys() | after.keys()
+                    if before.get(name) != after.get(name))
+    if not differ:
+        return "harness: bench/ and BENCHMARK.json are byte-identical in both trees"
+    return (f"harness differs between the trees in {', '.join(differ)}; "
+            f"better and bound are PARENT's")
 
 
 def metric_facts(benchmark: dict) -> dict:
@@ -96,6 +117,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     benchmark = json.loads((args.parent / "BENCHMARK.json").read_text())
+    print(harness_report(args.parent, args.change), file=sys.stderr, flush=True)
     runs = {"parent": [], "change": []}
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
