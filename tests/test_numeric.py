@@ -944,6 +944,30 @@ def test_import_footprint():
     assert proc.stdout == "ok\n"
 
 
+PACKAGE_FOOTPRINT_SCRIPT = """
+import sys
+
+def submodules():
+    return sorted(name for name in sys.modules if name.startswith("affineosc."))
+
+import affineosc
+print(affineosc.__version__, submodules())
+from affineosc import core
+print(submodules())
+"""
+
+
+def test_package_loads_only_what_is_imported():
+    # each name is reached through its module, so the package itself loads none
+    # (the version as the affineosc script, affineosc.cli:main, prints it)
+    version = run_script("import sys; from affineosc.cli import main; sys.exit(main())",
+                         "--version")
+    assert version.returncode == 0, version.stderr
+    proc = run_script(PACKAGE_FOOTPRINT_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{version.stdout.strip()} []", "['affineosc.core']"]
+
+
 LOADED_SCRIPT = FOOTPRINT_HELPERS + """
 from affineosc import cli
 code, out, _ = run(*sys.argv[1:])

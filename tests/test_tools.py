@@ -3,6 +3,7 @@ tools/bench_pairs.py, the paired benchmark comparison."""
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -102,15 +103,29 @@ def test_bench_pairs_alternates_and_compares(tmp_path):
     assert lines[5].split() == ["solve.peak_rss_mb", "19", "20", "0", "0/3", "+5.3%", "10%"]
 
 
+def run_one_pair(parent, change, log, bytecode=None):
+    """bench_pairs.py for one pair, with PYTHONDONTWRITEBYTECODE set to bytecode or unset."""
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONDONTWRITEBYTECODE"}
+    if bytecode is not None:
+        env["PYTHONDONTWRITEBYTECODE"] = bytecode
+    return subprocess.run([sys.executable, str(PAIRS_TOOL), str(parent), str(change),
+                           "--pairs", "1", "--", str(log)],
+                          capture_output=True, text=True, check=True, env=env)
+
+
+NO_COMPILE_LINE = ("bytecode: PYTHONDONTWRITEBYTECODE is not set, "
+                   "so jobs can read the package's bytecode\n")
+
+
 def test_bench_pairs_says_when_both_trees_run_the_same_benchmark(tmp_path):
     parent = stub_tree(tmp_path, "parent", failed=0, wall=2.0, rss=19.0)
     change = stub_tree(tmp_path, "change", failed=0, wall=2.0, rss=19.0)
     (change / "bench" / "__pycache__").mkdir()  # bytecode is not the benchmark
     (change / "bench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(b"\0")
-    proc = subprocess.run([sys.executable, str(PAIRS_TOOL), str(parent), str(change),
-                           "--pairs", "1", "--", str(tmp_path / "runs.log")],
-                          capture_output=True, text=True, check=True)
-    assert proc.stderr == "harness: bench/ and BENCHMARK.json are byte-identical in both trees\n"
+    proc = run_one_pair(parent, change, tmp_path / "runs.log")
+    assert proc.stderr == ("harness: bench/ and BENCHMARK.json are byte-identical in both trees\n"
+                           + NO_COMPILE_LINE)
 
 
 def test_bench_pairs_names_each_harness_file_that_differs(tmp_path):
@@ -120,13 +135,26 @@ def test_bench_pairs_names_each_harness_file_that_differs(tmp_path):
     benchmark = json.loads((parent / "BENCHMARK.json").read_text())
     benchmark["end_to_end"][0]["bound"] = 0.5
     (change / "BENCHMARK.json").write_text(json.dumps(benchmark))
-    proc = subprocess.run([sys.executable, str(PAIRS_TOOL), str(parent), str(change),
-                           "--pairs", "1", "--", str(tmp_path / "runs.log")],
-                          capture_output=True, text=True, check=True)
+    proc = run_one_pair(parent, change, tmp_path / "runs.log")
     assert proc.stderr == ("harness differs between the trees in BENCHMARK.json, "
-                           "bench/extra.py, bench/run.py; better and bound are PARENT's\n")
+                           "bench/extra.py, bench/run.py; better and bound are PARENT's\n"
+                           + NO_COMPILE_LINE)
     # the report itself reads PARENT's bound of 25 %
     assert proc.stdout.splitlines()[2].split()[-2:] == ["25%", "GAIN"]
+
+
+@pytest.mark.parametrize("bytecode,line", [
+    ("1", "bytecode: PYTHONDONTWRITEBYTECODE is set, so every job compiles the package "
+          "(setup_s and peak_rss_mb include the compiler)\n"),
+    # an empty value is unset to Python as well
+    ("", NO_COMPILE_LINE),
+    (None, NO_COMPILE_LINE),
+], ids=["set", "empty", "unset"])
+def test_bench_pairs_says_whether_jobs_compile_the_package(tmp_path, bytecode, line):
+    parent = stub_tree(tmp_path, "parent", failed=0, wall=2.0, rss=19.0)
+    change = stub_tree(tmp_path, "change", failed=0, wall=2.0, rss=19.0)
+    proc = run_one_pair(parent, change, tmp_path / "runs.log", bytecode)
+    assert proc.stderr.splitlines(keepends=True)[1:] == [line]
 
 
 def load_pairs_tool():

@@ -21,11 +21,15 @@ reads only ``bench/`` and ``BENCHMARK.json`` of the trees, and PARENT's
 BENCHMARK.json for ``better`` and ``bound``.  Before the pairs it says on
 standard error whether the two trees run the same benchmark: whether their
 ``bench/`` files (bytecode aside) and BENCHMARK.json are byte-identical,
-naming each file that is not.
+naming each file that is not.  Beside it, it says whether
+PYTHONDONTWRITEBYTECODE is set in the environment the runs inherit: when it
+is, every job compiles the package, and that shows in ``setup_s`` and
+``peak_rss_mb``.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -59,6 +63,14 @@ def harness_report(parent: Path, change: Path) -> str:
         return "harness: bench/ and BENCHMARK.json are byte-identical in both trees"
     return (f"harness differs between the trees in {', '.join(differ)}; "
             f"better and bound are PARENT's")
+
+
+def bytecode_report() -> str:
+    """One line: whether the runs' jobs compile the package, by PYTHONDONTWRITEBYTECODE."""
+    if os.environ.get("PYTHONDONTWRITEBYTECODE"):
+        return ("bytecode: PYTHONDONTWRITEBYTECODE is set, so every job compiles the package "
+                "(setup_s and peak_rss_mb include the compiler)")
+    return "bytecode: PYTHONDONTWRITEBYTECODE is not set, so jobs can read the package's bytecode"
 
 
 def metric_facts(benchmark: dict) -> dict:
@@ -117,7 +129,8 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     benchmark = json.loads((args.parent / "BENCHMARK.json").read_text())
-    print(harness_report(args.parent, args.change), file=sys.stderr, flush=True)
+    print(harness_report(args.parent, args.change), file=sys.stderr)
+    print(bytecode_report(), file=sys.stderr, flush=True)
     runs = {"parent": [], "change": []}
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
